@@ -74,7 +74,13 @@ def decision_statistic(eps_initial: float, eps_client: float,
 
 
 def decide(delta: float, xi: float) -> int:
-    """1 iff delta >= xi (boundary counts as membership)."""
+    """1 iff delta >= xi (boundary counts as membership).
+
+    A non-finite delta (a diverged client) raises instead of reading as
+    "non-member".
+    """
+    if not np.isfinite(delta):
+        raise ValueError(f"delta {delta!r} is not finite")
     if delta < 0:
         raise ValueError("delta must be non-negative")
     return 1 if delta >= xi else 0

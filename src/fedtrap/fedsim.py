@@ -5,6 +5,20 @@ contiguous mini-batches of size B (dataset size must be exactly B*J), and
 returns the full parameter vector. Optimizer state is created fresh per
 call: the client is stateless between queries. FedSGD is the E=1, J=1
 special case. No sockets anywhere; "clients" are in-process objects.
+
+`client_train` keeps each sample's split activation (the feature
+extractor's output) and hands a batch's activations to
+`Network.backward` once every sample in it has one. They depend only on
+the sample and the extractor's parameters, so they stay exact while the
+extractor slice of the parameter vector is byte-equal to the slice they
+were computed under. Bytes, not values, are compared: -0.0 == 0.0, but a
+parameter whose sign of zero changed is a different parameter vector.
+Any step that changes an extractor byte, such as a batch that sends
+gradient into the extractor or Adam momentum from an earlier one,
+invalidates them all. Under a planted trap the extractor gets gradient
+only from a batch in which a sample other than the target fires the
+trap (the target sits exactly on the pair units' ReLU kink), so after
+the first epoch batches normally run only the head.
 """
 
 from __future__ import annotations
@@ -59,13 +73,23 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
     state = AdamState.fresh(params.size, dtype=net.dtype) if adam else None
     rng = np.random.default_rng(cfg.shuffle_seed)
     order = np.arange(n)
+    features = np.empty((n, net.feature_width), dtype=net.dtype)
+    have = np.zeros(n, dtype=bool)
+    computed_under = None
     for _ in range(cfg.epochs):
         if cfg.shuffle_per_epoch:
             order = rng.permutation(n)
         for j in range(cfg.num_batches):
             sel = order[j * cfg.batch_size:(j + 1) * cfg.batch_size]
             work.set_flat(params)
-            grad = work.backward(xs[sel], ys[sel])
+            extractor = params[net.extractor_params].tobytes()
+            if extractor != computed_under:
+                have[:] = False
+                computed_under = extractor
+            if not have[sel].all():
+                features[sel] = work.forward_features(xs[sel])
+                have[sel] = True
+            grad = work.backward(xs[sel], ys[sel], features=features[sel])
             if adam:
                 params, state = adam_step(state, params, grad, cfg.optimizer)
             else:

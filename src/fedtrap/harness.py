@@ -114,25 +114,42 @@ def derive_seed(*parts: int) -> int:
 
 
 def build_source(cfg: ExperimentConfig) -> Dataset:
-    """Load (or generate) the raw source pool the runs draw from."""
+    """Load (or generate) the raw source pool the runs draw from.
+
+    Raises ValueError if the pool cannot hold N training samples plus a
+    target outside them.
+    """
     if cfg.dataset == "synthetic":
         pool = cfg.num_samples + SYNTH_POOL_EXTRA
-        return synth_dataset(pool, num_classes=SYNTH_CLASSES,
-                             image_shape=SYNTH_IMAGE_SHAPE,
-                             seed=derive_seed(cfg.master_seed, 0xDA7A))
-    root = Path(cfg.data_dir or "data")
-    if cfg.dataset == "mnist":
-        return load_mnist_idx(root / "train-images-idx3-ubyte",
-                              root / "train-labels-idx1-ubyte")
-    if cfg.dataset == "cifar10":
-        return load_cifar(root / "cifar-10-batches-bin" / "data_batch_1.bin", "cifar10")
-    return load_cifar(root / "cifar-100-binary" / "train.bin", "cifar100-fine")
+        source = synth_dataset(pool, num_classes=SYNTH_CLASSES,
+                               image_shape=SYNTH_IMAGE_SHAPE,
+                               seed=derive_seed(cfg.master_seed, 0xDA7A))
+    else:
+        root = Path(cfg.data_dir or "data")
+        if cfg.dataset == "mnist":
+            source = load_mnist_idx(root / "train-images-idx3-ubyte",
+                                    root / "train-labels-idx1-ubyte")
+        elif cfg.dataset == "cifar10":
+            source = load_cifar(root / "cifar-10-batches-bin" / "data_batch_1.bin",
+                                "cifar10")
+        else:
+            source = load_cifar(root / "cifar-100-binary" / "train.bin", "cifar100-fine")
+    if cfg.num_samples >= len(source):
+        raise ValueError(f"dataset {cfg.dataset} has only {len(source)} samples; "
+                         f"runs need N={cfg.num_samples} plus a complement")
+    return source
 
 
 def build_network(cfg: ExperimentConfig, source: Dataset) -> Network:
+    """The run's architecture; raises ValueError if its head cannot host M pairs."""
     if cfg.dataset == "synthetic":
-        return small_conv_net(SYNTH_IMAGE_SHAPE, SYNTH_CLASSES)
-    return conv_net(source.image_shape, source.num_classes)
+        net = small_conv_net(SYNTH_IMAGE_SHAPE, SYNTH_CLASSES)
+    else:
+        net = conv_net(source.image_shape, source.num_classes)
+    if 2 * cfg.num_values > net.layers[net.head_linear_indices()[0]].out_dim:
+        raise ValueError(f"M={cfg.num_values} needs {2 * cfg.num_values} hidden "
+                         f"units; the architecture is too narrow")
+    return net
 
 
 def execute_run(net: Network, source_norm: Dataset, cfg: ExperimentConfig,
@@ -174,15 +191,8 @@ def _worker_run(run_id: int) -> RunRecord:
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[RunRecord], MetricsReport]:
-    source = build_source(cfg)
-    if cfg.num_samples >= len(source):
-        raise ValueError(f"dataset {cfg.dataset} has only {len(source)} samples; "
-                         f"runs need N={cfg.num_samples} plus a complement")
-    source_norm = normalize(source)
+    source_norm = normalize(build_source(cfg))
     net = build_network(cfg, source_norm)
-    if 2 * cfg.num_values > net.layers[net.head_linear_indices()[0]].out_dim:
-        raise ValueError(f"M={cfg.num_values} needs {2 * cfg.num_values} hidden "
-                         f"units; the architecture is too narrow")
 
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_worker_init,
@@ -198,6 +208,8 @@ def mann_whitney_auc(member_deltas: np.ndarray, nonmember_deltas: np.ndarray) ->
     """P(member delta > non-member delta) + half credit for ties."""
     pos = np.asarray(member_deltas, dtype=np.float64)[:, None]
     neg = np.asarray(nonmember_deltas, dtype=np.float64)[None, :]
+    if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
+        raise ValueError("AUC needs finite deltas")
     wins = np.sum(pos > neg) + 0.5 * np.sum(pos == neg)
     return float(wins / (pos.size * neg.size))
 

@@ -9,6 +9,20 @@ The boundary `split_index` partitions the layer list into a feature
 extractor (layers before it) and a head (layers from it on). The head
 must be exactly Linear-ReLU-Linear-ReLU-Linear so a trap subnetwork can
 be planted in it.
+
+Backward passes let exact zeros skip work, without changing a bit:
+
+- The reverse loop stops at the first all-zero cotangent (+0.0 and -0.0
+  alike). Every gradient below that point would be zero, and the
+  gradient buffer already holds +0.0 there. The layers would also give
+  +0.0, never -0.0: numpy's sums and matrix products accumulate from
+  +0.0. The one difference is a non-finite activation below the stop,
+  where 0 * inf would have given NaN.
+- `backward` can start from the batch's split activations when the
+  caller still holds them. It then runs the head first, and runs the
+  extractor forward with caches, and backpropagates into it, only when
+  the head sends a nonzero cotangent to the split. A planted trap that
+  the batch does not fire sends none.
 """
 
 from __future__ import annotations
@@ -111,6 +125,11 @@ class Network:
             return int(np.prod(self.input_shape))
         return int(np.prod(self.layer_shapes[self.split_index - 1]))
 
+    @property
+    def extractor_params(self) -> slice:
+        """Flat slice holding the feature extractor's parameters (layers before the split)."""
+        return slice(0, self.layout.entry(self.split_index, "weight").offset)
+
     def head_linear_indices(self) -> tuple[int, int, int]:
         """Layer indices of the head's (first hidden, second hidden, final) Linear layers."""
         s = self.split_index
@@ -193,10 +212,10 @@ class Network:
         raise ShapeError(f"input shape {x.shape} does not match network input "
                          f"{self.input_shape} (single or batched)")
 
-    def _run(self, xs: np.ndarray, upto: int, keep_caches: bool):
+    def _run(self, h: np.ndarray, start: int, stop: int, keep_caches: bool):
+        """Run layers start..stop-1 on h; caches[k] belongs to layer start+k."""
         caches = [] if keep_caches else None
-        h = xs
-        for i in range(upto):
+        for i in range(start, stop):
             layer = self.layers[i]
             try:
                 h, cache = layer.forward(h)
@@ -210,14 +229,14 @@ class Network:
         """Logits for a single input (C,H,W) -> (L,) or a batch (N,...) -> (N,L)."""
         single = np.asarray(x).shape == self.input_shape
         xs = self._as_batch(x)
-        logits, _ = self._run(xs, len(self.layers), keep_caches=False)
+        logits, _ = self._run(xs, 0, len(self.layers), keep_caches=False)
         return logits[0] if single else logits
 
     def forward_features(self, x: np.ndarray) -> np.ndarray:
         """Flattened activation at the split boundary; the input itself if split is 0."""
         single = np.asarray(x).shape == self.input_shape
         xs = self._as_batch(x)
-        h, _ = self._run(xs, self.split_index, keep_caches=False)
+        h, _ = self._run(xs, 0, self.split_index, keep_caches=False)
         h = h.reshape(h.shape[0], -1)
         return h[0] if single else h
 
@@ -235,40 +254,66 @@ class Network:
         ys = self._check_labels(np.atleast_1d(y))
         if len(ys) != len(xs):
             raise ValueError("batch and label counts differ")
-        logits, _ = self._run(xs, len(self.layers), keep_caches=False)
+        logits, _ = self._run(xs, 0, len(self.layers), keep_caches=False)
         return float(np.mean(_cross_entropy(logits, ys)))
 
-    def backward(self, x: np.ndarray, y) -> np.ndarray:
-        """Flat gradient of the mean cross-entropy over the batch."""
+    def backward(self, x: np.ndarray, y, features: np.ndarray | None = None) -> np.ndarray:
+        """Flat gradient of the mean cross-entropy over the batch.
+
+        `features`, if given, must be bit for bit `forward_features(x)` under
+        the current parameters. The head then starts from them, and the
+        feature extractor runs only if the head sends a nonzero cotangent to
+        the split.
+        """
         xs = self._as_batch(x)
         ys = self._check_labels(np.atleast_1d(y))
         if len(ys) == 0:
             raise ValueError("empty batch")
         if len(ys) != len(xs):
             raise ValueError("batch and label counts differ")
-        logits, caches = self._run(xs, len(self.layers), keep_caches=True)
+        s = self.split_index
+        extractor_caches = None
+        if features is None:
+            features, extractor_caches = self._run(xs, 0, s, keep_caches=True)
+        elif len(features) != len(xs):
+            raise ValueError("batch and feature counts differ")
+        logits, head_caches = self._run(features, s, len(self.layers), keep_caches=True)
         dlogits = _softmax(logits)
         dlogits[np.arange(len(ys)), ys - 1] -= 1.0
-        return self._backprop(dlogits, caches) / len(ys)
+        grad = np.zeros(self.layout.total, dtype=self.dtype)
+        d = self._backprop(dlogits, head_caches, grad, first=s)
+        if d.any():
+            if extractor_caches is None:
+                _, extractor_caches = self._run(xs, 0, s, keep_caches=True)
+            self._backprop(d, extractor_caches, grad)
+        return grad / len(ys)
 
     def logit_grad(self, x: np.ndarray, logit_index: int) -> np.ndarray:
         """Flat gradient of logits[logit_index] for one input (not through the loss)."""
         xs = self._as_batch(x)
         if xs.shape[0] != 1:
             raise ValueError("logit_grad takes a single input")
-        logits, caches = self._run(xs, len(self.layers), keep_caches=True)
+        logits, caches = self._run(xs, 0, len(self.layers), keep_caches=True)
         seed = np.zeros_like(logits)
         seed[0, logit_index] = 1.0
-        return self._backprop(seed, caches)
-
-    def _backprop(self, dout: np.ndarray, caches: list) -> np.ndarray:
         grad = np.zeros(self.layout.total, dtype=self.dtype)
-        d = dout
-        for i in range(len(self.layers) - 1, -1, -1):
-            d, pgrads = self.layers[i].backward(d, caches[i])
+        self._backprop(seed, caches, grad)
+        return grad
+
+    def _backprop(self, d: np.ndarray, caches: list, grad: np.ndarray,
+                  first: int = 0) -> np.ndarray:
+        """Backpropagate d through layers first..first+len(caches)-1, writing into grad.
+
+        Returns the cotangent at layer `first`'s input, or the all-zero
+        cotangent the loop stopped at: nothing below it gets gradient.
+        """
+        for i in range(first + len(caches) - 1, first - 1, -1):
+            if not d.any():
+                break
+            d, pgrads = self.layers[i].backward(d, caches[i - first])
             for name, g in pgrads.items():
                 grad[self.layout.slice_of(i, name)] = g.ravel()
-        return grad
+        return d
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

@@ -95,6 +95,13 @@ def test_decide_threshold_semantics():
         decide(-0.5, 0.1)
 
 
+@pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+def test_decide_rejects_non_finite_delta(delta):
+    # a diverged client must not read as "non-member"
+    with pytest.raises(ValueError, match="not finite"):
+        decide(delta, 0.1)
+
+
 # -- end-to-end ---------------------------------------------------------------------
 
 

@@ -50,6 +50,13 @@ def test_metrics_requires_both_classes():
         compute_metrics([record(0, 1, 1.0, 1), record(1, 1, 1.0, 1)])
 
 
+@pytest.mark.parametrize("members,nonmembers", [([np.nan, 5.0], [0.0, 0.0]),
+                                                ([1.0], [np.inf])])
+def test_auc_rejects_non_finite_deltas(members, nonmembers):
+    with pytest.raises(ValueError, match="finite"):
+        mann_whitney_auc(members, nonmembers)
+
+
 def test_auc_matches_sklearn_on_random_records():
     sklearn_metrics = pytest.importorskip("sklearn.metrics")
     rng = np.random.default_rng(5)
@@ -229,6 +236,23 @@ def test_cli_rejects_bad_config():
     assert cli_main(["experiment", "--runs", "5"]) == 1
     assert cli_main(["experiment", "--no-such-flag"]) == 1
     assert cli_main(["no-such-command"]) == 1
+
+
+@pytest.mark.parametrize("command", ["experiment", "attack-one"])
+def test_cli_configuration_errors_exit_1_in_every_subcommand(command, tmp_path, capsys):
+    from fedtrap.datasets import write_mnist_fixture
+
+    rng = np.random.default_rng(3)
+    write_mnist_fixture(tmp_path / "train-images-idx3-ubyte",
+                        tmp_path / "train-labels-idx1-ubyte",
+                        rng.integers(0, 256, size=(40, 28, 28), dtype=np.uint8),
+                        rng.integers(0, 10, size=40, dtype=np.uint8))
+    assert cli_main([command, "--M", "100"]) == 1
+    assert "too narrow" in capsys.readouterr().err
+    # a 40-image pool cannot hold N = 64 training samples plus a target
+    assert cli_main([command, "--dataset", "mnist", "--data-dir", str(tmp_path),
+                     "--J", "2"]) == 1
+    assert "has only 40 samples" in capsys.readouterr().err
 
 
 def test_cli_attack_one_prints_outcome(capsys):
