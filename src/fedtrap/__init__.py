@@ -7,10 +7,9 @@ reveals whether a chosen target sample was in the client's training data.
 """
 
 from .attack import AttackOutcome, DecisionConfig, decide, decision_statistic, reference_eps, run_attack
-from .datasets import (Dataset, DuplicateReport, RunDraw, Sample, find_exact_duplicates,
-                       load_cifar, load_mnist_idx, normalize, sample_run, synth_dataset)
-from .fedsim import (ClientConfig, FedClient, ServerConfig, aggregate, client_train,
-                     load_parameter_vector, save_parameter_vector, server_round)
+from .datasets import (Dataset, DuplicateReport, RunDraw, find_exact_duplicates, load_cifar,
+                       load_mnist_idx, normalize, sample_run, synth_dataset)
+from .fedsim import ClientConfig, client_train
 from .harness import (ExperimentConfig, MetricsReport, RunRecord, compute_metrics,
                       emit_results, run_experiment)
 from .network import Network, conv_net, dense_net, small_conv_net
@@ -24,10 +23,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackOutcome", "DecisionConfig", "decide", "decision_statistic",
     "reference_eps", "run_attack",
-    "Dataset", "DuplicateReport", "RunDraw", "Sample", "find_exact_duplicates",
+    "Dataset", "DuplicateReport", "RunDraw", "find_exact_duplicates",
     "load_cifar", "load_mnist_idx", "normalize", "sample_run", "synth_dataset",
-    "ClientConfig", "FedClient", "ServerConfig", "aggregate", "client_train",
-    "load_parameter_vector", "save_parameter_vector", "server_round",
+    "ClientConfig", "client_train",
     "ExperimentConfig", "MetricsReport", "RunRecord", "compute_metrics",
     "emit_results", "run_experiment",
     "Network", "conv_net", "dense_net", "small_conv_net",

@@ -1,14 +1,13 @@
 """Dataset ingestion, normalization, run sampling, and exact-duplicate scanning.
 
-Images are stored as float arrays of raw byte values (0..255) until
-`normalize` maps them to [-1, 1]; labels are 1-based everywhere. Duplicate
-detection operates on the raw decoded bytes, so it is independent of
-normalization.
+A `Dataset` holds its images as one array: a parsed file's own uint8
+bytes until `normalize` maps them to float32 in [-1, 1]. Labels are
+1-based everywhere. Duplicate detection compares the raw bytes, so it
+runs before normalization.
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass, replace
 
@@ -39,43 +38,54 @@ class DatasetFormatError(ValueError):
     """A dataset file does not match its declared binary format."""
 
 
-@dataclass(frozen=True)
-class Sample:
-    image: np.ndarray   # (C, H, W) float32; raw 0..255 until normalized
-    label: int          # 1..L
-    source_id: int      # index in the originating dataset
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    samples: tuple[Sample, ...]
+    """N samples as three arrays.
+
+    `images` is (N, C, H, W): uint8 raw pixels (a parsed file's own bytes),
+    or float32 once `normalize` has mapped them to [-1, 1]. `labels`
+    (1..num_classes) and `ids` (position in the originating file) are (N,)
+    int64.
+    """
+
+    images: np.ndarray
+    labels: np.ndarray
+    ids: np.ndarray
     split: str                     # "train" | "test" | "synthetic"
     num_classes: int
-    normalized: bool = False
     label_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if not self.samples:
+        if self.images.dtype not in (np.uint8, np.float32) or self.images.ndim != 4:
+            raise ValueError("images must be an (N, C, H, W) uint8 or float32 array, "
+                             f"got {self.images.dtype} {self.images.shape}")
+        if self.labels.dtype != np.int64 or self.ids.dtype != np.int64:
+            raise ValueError(f"labels and ids must be int64, got {self.labels.dtype} "
+                             f"and {self.ids.dtype}")
+        n = len(self.images)
+        if not n:
             raise ValueError("dataset must be non-empty")
-        shape = self.samples[0].image.shape
-        for s in self.samples:
-            if s.image.shape != shape:
-                raise ValueError("all images must share one shape")
-            if not 1 <= s.label <= self.num_classes:
-                raise ValueError(f"label {s.label} outside 1..{self.num_classes}")
+        if self.labels.shape != (n,) or self.ids.shape != (n,):
+            raise ValueError(f"{n} images but labels {self.labels.shape} "
+                             f"and ids {self.ids.shape}")
+        for label in (self.labels.min(), self.labels.max()):
+            if not 1 <= label <= self.num_classes:
+                raise ValueError(f"label {label} outside 1..{self.num_classes}")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.images)
+
+    @property
+    def normalized(self) -> bool:
+        return self.images.dtype == np.float32
 
     @property
     def image_shape(self) -> tuple[int, ...]:
-        return self.samples[0].image.shape
+        return self.images.shape[1:]
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """(N,C,H,W) float32 images and (N,) int64 labels, in order."""
-        xs = np.stack([s.image for s in self.samples]).astype(np.float32)
-        ys = np.array([s.label for s in self.samples], dtype=np.int64)
-        return xs, ys
+        """(N,C,H,W) float32 images and (N,) int64 labels, in order, as new arrays."""
+        return self.images.astype(np.float32), self.labels.copy()
 
     def label_name(self, label: int) -> str:
         if self.label_names is not None:
@@ -83,15 +93,15 @@ class Dataset:
         return str(label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunDraw:
-    member_flag: int        # t: 1 if the target is inside the training set
+    member_flag: int                  # t: 1 if the target is inside the training set
     training_set: Dataset
-    target: Sample
+    target: tuple[np.ndarray, int]    # (image, label), as run_attack takes it
+    target_id: int
 
     def __post_init__(self):
-        ids = {s.source_id for s in self.training_set.samples}
-        inside = self.target.source_id in ids
+        inside = bool((self.training_set.ids == self.target_id).any())
         if bool(self.member_flag) != inside:
             raise ValueError("member flag disagrees with the drawn sets")
 
@@ -99,11 +109,20 @@ class RunDraw:
 # -- parsers ----------------------------------------------------------------
 
 
-def _read_exact(data: bytes, offset: int, count: int, what: str) -> bytes:
-    if len(data) < offset + count:
+def _check_size(data: bytes, size: int, what: str, exact: bool = True) -> None:
+    if len(data) < size or (exact and len(data) > size):
+        state = "truncated" if len(data) < size else "oversized"
         raise DatasetFormatError(
-            f"truncated {what}: expected {offset + count} bytes, file has {len(data)}")
-    return data[offset:offset + count]
+            f"{state} {what}: expected {size} bytes, file has {len(data)}")
+
+
+def _shift_labels(raw: np.ndarray, num_classes: int) -> np.ndarray:
+    """Raw 0-based label bytes -> 1-based int64 labels."""
+    if raw.max() >= num_classes:
+        bad = int(np.argmax(raw >= num_classes))
+        raise DatasetFormatError(f"item {bad} has label byte {raw[bad]}, "
+                                 f"outside 0..{num_classes - 1}")
+    return np.add(raw, 1, dtype=np.int64)
 
 
 def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
@@ -113,11 +132,13 @@ def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
     with open(labels_path, "rb") as fh:
         lbl_data = fh.read()
 
-    magic, n, rows, cols = struct.unpack(">IIII", _read_exact(img_data, 0, 16, "image header"))
+    _check_size(img_data, 16, "image header", exact=False)
+    magic, n, rows, cols = struct.unpack_from(">IIII", img_data)
     if magic != MNIST_IMAGE_MAGIC:
         raise DatasetFormatError(f"bad image magic 0x{magic:08x}, "
                                  f"expected 0x{MNIST_IMAGE_MAGIC:08x}")
-    lmagic, ln = struct.unpack(">II", _read_exact(lbl_data, 0, 8, "label header"))
+    _check_size(lbl_data, 8, "label header", exact=False)
+    lmagic, ln = struct.unpack_from(">II", lbl_data)
     if lmagic != MNIST_LABEL_MAGIC:
         raise DatasetFormatError(f"bad label magic 0x{lmagic:08x}, "
                                  f"expected 0x{MNIST_LABEL_MAGIC:08x}")
@@ -125,14 +146,15 @@ def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
         raise DatasetFormatError(f"image file holds {n} items, label file {ln}")
     if n == 0:
         raise DatasetFormatError("files declare zero items")
+    if rows == 0 or cols == 0:
+        raise DatasetFormatError(f"files declare empty {rows}x{cols} images")
 
-    pixels = _read_exact(img_data, 16, n * rows * cols, "image payload")
-    labels = _read_exact(lbl_data, 8, n, "label payload")
-    images = np.frombuffer(pixels, dtype=np.uint8).reshape(n, 1, rows, cols)
-    samples = tuple(
-        Sample(image=images[i].astype(np.float32), label=int(labels[i]) + 1, source_id=i)
-        for i in range(n))
-    return Dataset(samples=samples, split=split, num_classes=10)
+    _check_size(img_data, 16 + n * rows * cols, "image file")
+    _check_size(lbl_data, 8 + n, "label file")
+    images = np.frombuffer(img_data, dtype=np.uint8, offset=16).reshape(n, 1, rows, cols)
+    labels = _shift_labels(np.frombuffer(lbl_data, dtype=np.uint8, offset=8), 10)
+    return Dataset(images=images, labels=labels, ids=np.arange(n, dtype=np.int64),
+                   split=split, num_classes=10)
 
 
 def load_cifar(path, variant: str, split: str = "train") -> Dataset:
@@ -156,35 +178,28 @@ def load_cifar(path, variant: str, split: str = "train") -> Dataset:
             f"{record}-byte {variant} record")
     n = len(data) // record
     raw = np.frombuffer(data, dtype=np.uint8).reshape(n, record)
-    images = raw[:, head:].reshape(n, 3, 32, 32)
-    labels = raw[:, head - 1]
-    samples = tuple(
-        Sample(image=images[i].astype(np.float32), label=int(labels[i]) + 1, source_id=i)
-        for i in range(n))
-    return Dataset(samples=samples, split=split, num_classes=num_classes,
-                   label_names=names)
+    return Dataset(images=raw[:, head:].reshape(n, 3, 32, 32),
+                   labels=_shift_labels(raw[:, head - 1], num_classes),
+                   ids=np.arange(n, dtype=np.int64), split=split,
+                   num_classes=num_classes, label_names=names)
 
 
 # -- normalization -----------------------------------------------------------
 
 
 def normalize(dataset: Dataset) -> Dataset:
-    """Map raw pixels p -> (p/255 - 0.5)/0.5, range [-1, 1]."""
+    """Map raw pixels p -> (p/255 - 0.5)/0.5 in float32, range [-1, 1].
+
+    Each in-place step rounds to float32 exactly as the per-image
+    expression does, so the result is bit-identical to it.
+    """
     if dataset.normalized:
         raise ValueError("dataset is already normalized")
-    samples = tuple(
-        replace(s, image=((s.image / np.float32(255) - np.float32(0.5)) / np.float32(0.5)))
-        for s in dataset.samples)
-    return replace(dataset, samples=samples, normalized=True)
-
-
-def denormalize(dataset: Dataset) -> Dataset:
-    if not dataset.normalized:
-        raise ValueError("dataset is not normalized")
-    samples = tuple(
-        replace(s, image=((s.image * np.float32(0.5) + np.float32(0.5)) * np.float32(255)))
-        for s in dataset.samples)
-    return replace(dataset, samples=samples, normalized=False)
+    images = dataset.images.astype(np.float32)
+    images /= np.float32(255)
+    images -= np.float32(0.5)
+    images /= np.float32(0.5)
+    return replace(dataset, images=images)
 
 
 # -- run sampling -------------------------------------------------------------
@@ -197,13 +212,16 @@ def sample_run(source: Dataset, num_samples: int, member_flag: int, seed: int) -
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(source), size=num_samples, replace=False)
     if member_flag:
-        target = source.samples[int(rng.choice(chosen))]
+        target = int(rng.choice(chosen))
     else:
-        outside = np.setdiff1d(np.arange(len(source)), chosen, assume_unique=False)
-        target = source.samples[int(rng.choice(outside))]
-    training = replace(source, samples=tuple(source.samples[int(i)] for i in chosen))
+        outside = np.ones(len(source), dtype=bool)
+        outside[chosen] = False
+        target = int(rng.choice(np.flatnonzero(outside)))
+    training = replace(source, images=source.images[chosen], labels=source.labels[chosen],
+                       ids=source.ids[chosen])
     return RunDraw(member_flag=int(bool(member_flag)), training_set=training,
-                   target=target)
+                   target=(source.images[target], int(source.labels[target])),
+                   target_id=int(source.ids[target]))
 
 
 # -- duplicate scanning --------------------------------------------------------
@@ -226,64 +244,42 @@ class DuplicateReport:
         return pairs
 
 
-def _raw_bytes(sample: Sample) -> bytes:
-    img = np.ascontiguousarray(sample.image)
-    if img.min() < 0 or img.max() > 255:
-        raise ValueError(f"sample {sample.source_id} has pixel values outside "
-                         "0..255; duplicate scanning needs raw byte data")
-    return img.astype(np.uint8).tobytes()
-
-
-def _content_groups(dataset: Dataset) -> dict[bytes, list[int]]:
-    """Group sample indices by image content: hash first, byte-verify after."""
-    by_hash: dict[bytes, list[int]] = {}
-    for i, s in enumerate(dataset.samples):
-        digest = hashlib.sha256(_raw_bytes(s)).digest()
-        by_hash.setdefault(digest, []).append(i)
-    groups: dict[bytes, list[int]] = {}
-    for members in by_hash.values():
-        verified: list[tuple[bytes, list[int]]] = []
-        for i in members:
-            raw = _raw_bytes(dataset.samples[i])
-            for existing_raw, bucket in verified:
-                if raw == existing_raw:
-                    bucket.append(i)
-                    break
-            else:
-                verified.append((raw, [i]))
-        for raw, bucket in verified:
-            groups[raw] = bucket
-    return groups
-
-
 def find_exact_duplicates(train: Dataset, test: Dataset) -> DuplicateReport:
-    """Byte-identical image groups within train and across the two splits."""
+    """Byte-identical image groups within train and across the two splits.
+
+    Train positions are grouped in one dict keyed by image bytes; key
+    equality compares every byte, so no group rests on a hash alone.
+    """
     if train.image_shape != test.image_shape:
         raise ValueError(f"image shapes differ: {train.image_shape} vs {test.image_shape}")
     if train.normalized or test.normalized:
         raise ValueError("duplicate scan operates on raw-valued datasets")
+    train_ids, train_labels = train.ids.tolist(), train.labels.tolist()
+    test_ids, test_labels = test.ids.tolist(), test.labels.tolist()
 
-    train_groups = _content_groups(train)
-    test_groups = _content_groups(test)
+    groups: dict[bytes, list[int]] = {}
+    for i in range(len(train)):
+        groups.setdefault(train.images[i].tobytes(), []).append(i)
 
     within, mism_within = [], []
-    for raw, members in train_groups.items():
+    for members in groups.values():
         if len(members) < 2:
             continue
-        ids = tuple(train.samples[i].source_id for i in members)
+        ids = tuple(train_ids[i] for i in members)
         within.append(ids)
-        if len({train.samples[i].label for i in members}) > 1:
+        if len({train_labels[i] for i in members}) > 1:
             mism_within.append(ids)
 
-    cross, mism_cross = [], []
-    shared = set(train_groups) & set(test_groups)
-    for raw in shared:
-        for i in train_groups[raw]:
-            for j in test_groups[raw]:
-                pair = (train.samples[i].source_id, test.samples[j].source_id)
-                cross.append(pair)
-                if train.samples[i].label != test.samples[j].label:
-                    mism_cross.append(pair)
+    cross, mism_cross, shared = [], [], set()
+    for j in range(len(test)):
+        members = groups.get(test.images[j].tobytes(), ())
+        for i in members:
+            pair = (train_ids[i], test_ids[j])
+            cross.append(pair)
+            if train_labels[i] != test_labels[j]:
+                mism_cross.append(pair)
+        if members:
+            shared.add(members[0])
 
     return DuplicateReport(
         within_train=tuple(sorted(within)),
@@ -297,17 +293,17 @@ def find_exact_duplicates(train: Dataset, test: Dataset) -> DuplicateReport:
 def duplicate_report_rows(report: DuplicateReport, train: Dataset,
                           test: Dataset) -> list[tuple[str, int, int, str, str]]:
     """CSV rows: kind, train_id, other_id, label_a, label_b."""
-    train_by_id = {s.source_id: s for s in train.samples}
-    test_by_id = {s.source_id: s for s in test.samples}
+    train_label = dict(zip(train.ids.tolist(), train.labels.tolist()))
+    test_label = dict(zip(test.ids.tolist(), test.labels.tolist()))
     rows = []
     for a, b in report.within_train_pairs():
         rows.append(("within_train", a, b,
-                     train.label_name(train_by_id[a].label),
-                     train.label_name(train_by_id[b].label)))
+                     train.label_name(train_label[a]),
+                     train.label_name(train_label[b])))
     for a, b in report.cross_split:
         rows.append(("cross_split", a, b,
-                     train.label_name(train_by_id[a].label),
-                     test.label_name(test_by_id[b].label)))
+                     train.label_name(train_label[a]),
+                     test.label_name(test_label[b])))
     return rows
 
 
@@ -337,10 +333,9 @@ def synth_dataset(num_samples: int, num_classes: int = 10,
             break
         for i in dupes:
             images[i] = rng.integers(0, 256, size=image_shape, dtype=np.int64)
-    samples = tuple(
-        Sample(image=images[i].astype(np.float32), label=int(labels[i]), source_id=i)
-        for i in range(num_samples))
-    return Dataset(samples=samples, split="synthetic", num_classes=num_classes)
+    return Dataset(images=images.astype(np.uint8), labels=labels,
+                   ids=np.arange(num_samples, dtype=np.int64), split="synthetic",
+                   num_classes=num_classes)
 
 
 # -- fixture writers (tiny files in the real binary formats) -------------------

@@ -166,7 +166,7 @@ def execute_run(net: Network, source_norm: Dataset, cfg: ExperimentConfig,
                                   shuffle_seed=derive_seed(seed, 2))
         decision_cfg = DecisionConfig(threshold=cfg.threshold,
                                       batch_size=cfg.batch_size)
-        outcome, _ = run_attack(net, xs, ys, (draw.target.image, draw.target.label),
+        outcome, _ = run_attack(net, xs, ys, draw.target,
                                 cfg.num_values, cfg.epsilon, client_cfg,
                                 decision_cfg, seed=derive_seed(seed, 3))
     except Exception as err:

@@ -17,8 +17,8 @@ import pytest
 
 from fedtrap.attack import DecisionConfig, decision_statistic, reference_eps, run_attack
 from fedtrap.cli import build_parser
-from fedtrap.datasets import (Dataset, Sample, find_exact_duplicates, load_cifar,
-                              normalize, sample_run, synth_dataset)
+from fedtrap.datasets import (Dataset, find_exact_duplicates, load_cifar, normalize,
+                              sample_run, synth_dataset)
 from fedtrap.fedsim import ClientConfig, client_train
 from fedtrap.harness import ExperimentConfig, run_experiment
 from fedtrap.network import dense_net, small_conv_net
@@ -272,14 +272,11 @@ def test_criterion_8_single_step_special_case():
         draw = sample_run(source, 32, 1, seed=MASTER_SEED + 3)
         xs, ys = draw.training_set.stacked()
         net = small_conv_net()
-        outcome, spec = run_attack(net, xs, ys,
-                                   (draw.target.image, draw.target.label),
-                                   4, 1e-3,
+        outcome, spec = run_attack(net, xs, ys, draw.target, 4, 1e-3,
                                    ClientConfig(32, 1, 1, optimizer=SGDConfig()),
                                    DecisionConfig(), seed=MASTER_SEED + 4)
         probe = net.copy()
-        theta_trap, _ = craft_parameters(net, (draw.target.image, draw.target.label),
-                                         4, 1e-3, seed=MASTER_SEED + 4)
+        theta_trap, _ = craft_parameters(net, draw.target, 4, 1e-3, seed=MASTER_SEED + 4)
         probe.set_flat(theta_trap)
         feats = probe.forward_features(xs)[:, list(spec.component_indices)]
         devs = np.abs(feats - np.array(spec.etas, np.float32)).sum(axis=1)
@@ -299,22 +296,21 @@ def test_criterion_9_duplicate_scanner():
             assert report.cross_images == 10
             assert len(report.mismatched_cross) == 6
             assert (4348, 30931) in pairs
-            by_id = {s.source_id: s for s in train.samples}
-            assert train.label_name(by_id[4348].label) == "aquarium_fish"
-            assert train.label_name(by_id[30931].label) == "aquarium_fish"
+            label = dict(zip(train.ids.tolist(), train.labels.tolist()))
+            assert train.label_name(label[4348]) == "aquarium_fish"
+            assert train.label_name(label[30931]) == "aquarium_fish"
     else:
         with criterion(9, "duplicate scanner (planted substitute; CIFAR-100 absent)"):
             rng = np.random.default_rng(MASTER_SEED)
-            imgs = rng.integers(0, 256, size=(40, 3, 32, 32)).astype(np.float32)
+            imgs = rng.integers(0, 256, size=(40, 3, 32, 32)).astype(np.uint8)
             imgs[31] = imgs[7]   # within-train pair, different labels below
             labels = list(rng.integers(1, 101, size=40))
             labels[7], labels[31] = 12, 57
-            train = Dataset(tuple(Sample(imgs[i], labels[i], i) for i in range(40)),
-                            "train", 100)
-            test_imgs = rng.integers(0, 256, size=(10, 3, 32, 32)).astype(np.float32)
+            labels = np.array(labels, dtype=np.int64)
+            train = Dataset(imgs, labels, np.arange(40), "train", 100)
+            test_imgs = rng.integers(0, 256, size=(10, 3, 32, 32)).astype(np.uint8)
             test_imgs[4] = imgs[20]
-            test = Dataset(tuple(Sample(test_imgs[i], int(labels[i]), 1000 + i)
-                                 for i in range(10)), "test", 100)
+            test = Dataset(test_imgs, labels[:10], np.arange(1000, 1010), "test", 100)
             report = find_exact_duplicates(train, test)
             assert report.within_train_pairs() == [(7, 31)]
             assert report.mismatched_within == ((7, 31),)

@@ -111,8 +111,8 @@ def run_once(member: bool, opt=SGDConfig(), J=2, E=1, seed=123, M=4):
     xs, ys = draw.training_set.stacked()
     net = small_conv_net()
     client_cfg = ClientConfig(32, J, E, optimizer=opt, shuffle_seed=seed + 2)
-    outcome, spec = run_attack(net, xs, ys, (draw.target.image, draw.target.label),
-                               M, 1e-3, client_cfg, DecisionConfig(), seed=seed + 3)
+    outcome, spec = run_attack(net, xs, ys, draw.target, M, 1e-3, client_cfg,
+                               DecisionConfig(), seed=seed + 3)
     return outcome, spec
 
 
@@ -139,10 +139,10 @@ def test_run_attack_duplicate_of_target_outside_draw_false_positives():
     draw = sample_run(source, 64, 0, seed=10)
     xs, ys = draw.training_set.stacked()
     xs = xs.copy()
-    xs[5] = draw.target.image  # plant the duplicate
+    xs[5] = draw.target[0]  # plant the duplicate
     net = small_conv_net()
-    outcome, _ = run_attack(net, xs, ys, (draw.target.image, draw.target.label),
-                            4, 1e-3, ClientConfig(32, 2, 1, shuffle_seed=1),
+    outcome, _ = run_attack(net, xs, ys, draw.target, 4, 1e-3,
+                            ClientConfig(32, 2, 1, shuffle_seed=1),
                             DecisionConfig(), seed=11)
     assert outcome.decision == 1
 
@@ -157,7 +157,7 @@ def test_outcome_invariants():
 
 def stroke_image(rng):
     """Black canvas with a few textured rectangles, like handwritten-digit data."""
-    img = np.zeros((1, 14, 14), dtype=np.float32)
+    img = np.zeros((1, 14, 14), dtype=np.uint8)
     for _ in range(rng.integers(1, 3)):
         r, c = rng.integers(0, 10, size=2)
         h, w = rng.integers(2, 5, size=2)
@@ -169,12 +169,15 @@ def test_single_matched_value_collapses_on_structured_images():
     # images sharing exactly-blank patches produce exactly equal feature
     # values, so a one-component trap fires for unrelated samples; four
     # components restore perfect rejection (why real image data breaks M=1)
-    from fedtrap.datasets import Dataset, Sample
+    from fedtrap.datasets import Dataset
 
     rng = np.random.default_rng(0)
-    samples = tuple(Sample(stroke_image(rng), int(rng.integers(1, 11)), i)
-                    for i in range(1100))
-    source = normalize(Dataset(samples, "synthetic", 10))
+    images, labels = [], []
+    for _ in range(1100):
+        images.append(stroke_image(rng))
+        labels.append(rng.integers(1, 11))
+    source = normalize(Dataset(np.stack(images), np.array(labels, dtype=np.int64),
+                               np.arange(1100, dtype=np.int64), "synthetic", 10))
     net = small_conv_net()
     false_positives = {1: 0, 4: 0}
     runs = 12
@@ -182,9 +185,8 @@ def test_single_matched_value_collapses_on_structured_images():
         for k in range(runs):
             draw = sample_run(source, 512, 0, seed=k)
             xs, ys = draw.training_set.stacked()
-            outcome, _ = run_attack(net, xs, ys,
-                                    (draw.target.image, draw.target.label),
-                                    M, 1e-3, ClientConfig(32, 16, 1, shuffle_seed=k),
+            outcome, _ = run_attack(net, xs, ys, draw.target, M, 1e-3,
+                                    ClientConfig(32, 16, 1, shuffle_seed=k),
                                     DecisionConfig(), seed=1000 + k)
             false_positives[M] += outcome.decision
     assert false_positives[1] / runs > 0.5

@@ -1,12 +1,20 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fedtrap.datasets import (Dataset, DatasetFormatError, Sample, denormalize,
+from fedtrap.datasets import (Dataset, DatasetFormatError, duplicate_report_rows,
                               find_exact_duplicates, load_cifar, load_mnist_idx,
                               normalize, sample_run, synth_dataset,
                               write_cifar_fixture, write_mnist_fixture)
+
+
+def make_dataset(images, labels, ids=None, split="synthetic", num_classes=10):
+    images = np.asarray(images, dtype=np.uint8)
+    ids = np.arange(len(images)) if ids is None else ids
+    return Dataset(images, np.asarray(labels, dtype=np.int64),
+                   np.asarray(ids, dtype=np.int64), split, num_classes)
 
 
 def hand_written_idx_pair(tmp_path, pixels, labels):
@@ -35,10 +43,12 @@ def test_mnist_fixture_parses_with_exact_pixels(tmp_path):
     ds = load_mnist_idx(img, lbl)
     assert len(ds) == 4
     assert ds.image_shape == (1, 5, 7)
-    for i, s in enumerate(ds.samples):
-        np.testing.assert_array_equal(s.image[0], pixels[i].astype(np.float32))
-        assert s.label == labels[i] + 1
-        assert s.source_id == i
+    assert ds.images.dtype == np.uint8 and not ds.normalized
+    np.testing.assert_array_equal(ds.images[:, 0], pixels)
+    np.testing.assert_array_equal(ds.labels, labels + 1)
+    np.testing.assert_array_equal(ds.ids, np.arange(4))
+    # the images are a view of the file's bytes, not a per-sample copy
+    assert not ds.images.flags.owndata and not ds.images.flags.writeable
 
 
 def test_mnist_rejects_bad_magic(tmp_path):
@@ -86,6 +96,30 @@ def test_mnist_writer_round_trips_bytes(tmp_path):
     assert out_lbl.read_bytes() == ref_lbl.read_bytes()
 
 
+def test_mnist_rejects_out_of_range_label(tmp_path):
+    img, lbl = hand_written_idx_pair(tmp_path, np.zeros((2, 3, 3), int), [4, 10])
+    with pytest.raises(DatasetFormatError, match="item 1 has label byte 10"):
+        load_mnist_idx(img, lbl)
+
+
+@pytest.mark.parametrize("which", ["images", "labels"])
+def test_mnist_rejects_bytes_past_the_declared_payload(tmp_path, which):
+    img, lbl = hand_written_idx_pair(tmp_path, np.zeros((2, 3, 3), int), [1, 2])
+    path = img if which == "images" else lbl
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(DatasetFormatError, match="oversized"):
+        load_mnist_idx(img, lbl)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0)])
+def test_mnist_rejects_empty_images(tmp_path, rows, cols):
+    img, lbl = tmp_path / "imgs", tmp_path / "lbls"
+    img.write_bytes(struct.pack(">IIII", 0x00000803, 2, rows, cols))
+    lbl.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes([1, 2]))
+    with pytest.raises(DatasetFormatError, match="empty"):
+        load_mnist_idx(img, lbl)
+
+
 # -- CIFAR -------------------------------------------------------------------
 
 
@@ -105,9 +139,8 @@ def test_cifar10_fixture_parses(tmp_path):
     path = hand_written_cifar(tmp_path, "c10.bin", [((7,), imgs[0]), ((0,), imgs[1])])
     ds = load_cifar(path, "cifar10")
     assert len(ds) == 2 and ds.num_classes == 10
-    assert ds.samples[0].label == 8 and ds.samples[1].label == 1
-    assert ds.samples[0].image[0, 0, 0] == imgs[0][0]
-    assert ds.samples[1].image[2, 31, 31] == imgs[1][-1]
+    assert ds.labels.tolist() == [8, 1]
+    np.testing.assert_array_equal(ds.images.reshape(2, 3072), imgs)
 
 
 def test_cifar100_uses_fine_label_and_ignores_coarse(tmp_path):
@@ -116,8 +149,8 @@ def test_cifar100_uses_fine_label_and_ignores_coarse(tmp_path):
     path = hand_written_cifar(tmp_path, "c100.bin", [((13, 1), img)])
     ds = load_cifar(path, "cifar100-fine")
     assert ds.num_classes == 100
-    assert ds.samples[0].label == 2
-    assert ds.label_name(ds.samples[0].label) == "aquarium_fish"
+    assert ds.labels.tolist() == [2]
+    assert ds.label_name(ds.labels[0]) == "aquarium_fish"
 
 
 def test_cifar_wrong_variant_length_error(tmp_path):
@@ -137,30 +170,87 @@ def test_cifar_writer_round_trips_bytes(tmp_path):
     write_cifar_fixture(out, imgs, fine_labels=[9, 2], coarse_labels=[4, 0])
     assert out.read_bytes() == ref.read_bytes()
     reparsed = load_cifar(out, "cifar100-fine")
-    assert [s.label for s in reparsed.samples] == [10, 3]
+    assert reparsed.labels.tolist() == [10, 3]
+
+
+@pytest.mark.parametrize("variant, head, byte", [("cifar10", (10,), 10),
+                                                ("cifar100-fine", (0, 100), 100)])
+def test_cifar_rejects_out_of_range_label(tmp_path, variant, head, byte):
+    img = np.zeros(3072, dtype=np.uint8)
+    path = hand_written_cifar(tmp_path, "c.bin", [(head, img)])
+    with pytest.raises(DatasetFormatError, match=f"label byte {byte}"):
+        load_cifar(path, variant)
+
+
+# -- the Dataset constructor ---------------------------------------------------
+
+
+def test_dataset_rejects_wrong_dtypes_lengths_and_labels():
+    images = np.zeros((3, 1, 2, 2), dtype=np.uint8)
+    labels = np.array([1, 2, 3], dtype=np.int64)
+    ids = np.arange(3, dtype=np.int64)
+    Dataset(images, labels, ids, "train", 3)
+    with pytest.raises(ValueError, match="uint8 or float32"):
+        Dataset(images.astype(np.float64), labels, ids, "train", 3)
+    with pytest.raises(ValueError, match="uint8 or float32"):
+        Dataset(images[:, 0], labels, ids, "train", 3)
+    with pytest.raises(ValueError, match="int64"):
+        Dataset(images, labels.astype(np.int32), ids, "train", 3)
+    with pytest.raises(ValueError, match="int64"):
+        Dataset(images, labels, ids.astype(np.uint8), "train", 3)
+    with pytest.raises(ValueError, match="3 images"):
+        Dataset(images, labels[:2], ids, "train", 3)
+    with pytest.raises(ValueError, match="3 images"):
+        Dataset(images, labels, ids[:2], "train", 3)
+    with pytest.raises(ValueError, match="non-empty"):
+        Dataset(images[:0], labels[:0], ids[:0], "train", 3)
+    for bad in (0, 4):
+        with pytest.raises(ValueError, match=f"label {bad} outside 1..3"):
+            Dataset(images, np.array([1, bad, 2], dtype=np.int64), ids, "train", 3)
 
 
 # -- normalization -----------------------------------------------------------
 
 
 def test_normalize_endpoints_and_midpoint():
-    img = np.array([[[0.0, 255.0, 127.5]]], dtype=np.float32)
-    ds = Dataset((Sample(img, 1, 0),), "synthetic", 2)
+    ds = make_dataset([[[[0, 255, 127, 128]]]], [1], num_classes=2)
     normed = normalize(ds)
-    np.testing.assert_array_equal(normed.samples[0].image, [[[-1.0, 1.0, 0.0]]])
-    assert normed.normalized
+    assert normed.images.dtype == np.float32 and normed.normalized
+    np.testing.assert_array_equal(normed.images[0, 0, 0, :2], [-1.0, 1.0])
+    np.testing.assert_allclose(normed.images[0, 0, 0, 2:], [-1 / 255, 1 / 255], rtol=1e-4)
+    assert normed.labels is ds.labels and normed.ids is ds.ids
 
 
 def test_normalize_round_trip_and_double_guard():
     ds = synth_dataset(10, seed=6)
     normed = normalize(ds)
-    back = denormalize(normed)
-    for a, b in zip(ds.samples, back.samples):
-        np.testing.assert_allclose(a.image, b.image, atol=1e-5)
+    back = np.rint((normed.images * np.float32(0.5) + np.float32(0.5)) * np.float32(255))
+    assert back.astype(np.uint8).tobytes() == ds.images.tobytes()
     with pytest.raises(ValueError, match="already"):
         normalize(normed)
-    with pytest.raises(ValueError, match="not normalized"):
-        denormalize(ds)
+
+
+def per_image_reference(ds):
+    """The per-sample arithmetic normalize replaced, one image at a time."""
+    return b"".join(((img.astype(np.float32) / np.float32(255) - np.float32(0.5))
+                     / np.float32(0.5)).tobytes() for img in ds.images)
+
+
+def test_normalize_is_bit_identical_to_per_image_arithmetic(tmp_path):
+    rng = np.random.default_rng(16)
+    every_byte = np.arange(256, dtype=np.uint8)
+    mnist_px = np.concatenate([every_byte, rng.integers(0, 256, 6 * 28 * 28 - 256,
+                                                        dtype=np.uint8)])
+    write_mnist_fixture(tmp_path / "i", tmp_path / "l", mnist_px.reshape(6, 28, 28),
+                        rng.integers(0, 10, 6))
+    cifar_px = np.concatenate([every_byte, rng.integers(0, 256, 4 * 3072 - 256,
+                                                        dtype=np.uint8)])
+    write_cifar_fixture(tmp_path / "c.bin", cifar_px.reshape(4, 3, 32, 32),
+                        rng.integers(0, 100, 4), rng.integers(0, 20, 4))
+    for ds in (load_mnist_idx(tmp_path / "i", tmp_path / "l"),
+               load_cifar(tmp_path / "c.bin", "cifar100-fine"),
+               synth_dataset(40, seed=16)):
+        assert normalize(ds).images.tobytes() == per_image_reference(ds)
 
 
 # -- run sampling ----------------------------------------------------------------
@@ -170,18 +260,44 @@ def test_sample_run_member_contains_target_nonmember_does_not():
     source = synth_dataset(50, seed=7)
     for seed in range(1000):
         draw = sample_run(source, 10, member_flag=seed % 2, seed=seed)
-        ids = {s.source_id for s in draw.training_set.samples}
         assert len(draw.training_set) == 10
-        assert (draw.target.source_id in ids) == bool(seed % 2)
+        assert (draw.target_id in draw.training_set.ids) == bool(seed % 2)
+        image, label = draw.target
+        assert image.tobytes() == source.images[draw.target_id].tobytes()
+        assert label == source.labels[draw.target_id] and type(label) is int
 
 
 def test_sample_run_is_deterministic():
     source = synth_dataset(50, seed=8)
     a = sample_run(source, 10, 1, seed=3)
     b = sample_run(source, 10, 1, seed=3)
-    assert [s.source_id for s in a.training_set.samples] == \
-        [s.source_id for s in b.training_set.samples]
-    assert a.target.source_id == b.target.source_id
+    assert a.training_set.ids.tolist() == b.training_set.ids.tolist()
+    assert a.target_id == b.target_id
+
+
+def test_sample_run_pins_the_setdiff_draw():
+    # the draw the non-member complement was first built with: a sorted
+    # setdiff1d of the pool against the chosen ids
+    source = synth_dataset(1200, seed=17)
+    n = len(source)
+    for seed in range(200):
+        for member in (1, 0):
+            rng = np.random.default_rng(seed)
+            chosen = rng.choice(n, size=64, replace=False)
+            pool = chosen if member else np.setdiff1d(np.arange(n), chosen)
+            target = int(rng.choice(pool))
+            draw = sample_run(source, 64, member, seed)
+            assert draw.training_set.ids.tolist() == chosen.tolist()
+            assert draw.target_id == target
+            np.testing.assert_array_equal(draw.training_set.images, source.images[chosen])
+            np.testing.assert_array_equal(draw.training_set.labels, source.labels[chosen])
+
+
+def test_run_draw_rejects_a_flag_that_disagrees_with_the_ids():
+    source = synth_dataset(20, seed=18)
+    draw = sample_run(source, 5, 1, seed=0)
+    with pytest.raises(ValueError, match="member flag"):
+        replace(draw, member_flag=0)
 
 
 def test_sample_run_rejects_oversized_draw():
@@ -197,8 +313,7 @@ def test_sample_run_inclusion_frequency_matches_combinatorics():
     trials = 10000
     for seed in range(trials):
         draw = sample_run(source, 2, 1, seed=seed)
-        for s in draw.training_set.samples:
-            counts[s.source_id] += 1
+        counts[draw.training_set.ids] += 1
     freqs = counts / trials
     np.testing.assert_allclose(freqs, 0.5, atol=0.02)
 
@@ -208,15 +323,13 @@ def test_sample_run_inclusion_frequency_matches_combinatorics():
 
 def planted_duplicate_sets():
     rng = np.random.default_rng(11)
-    imgs = rng.integers(0, 256, size=(6, 3, 8, 8)).astype(np.float32)
+    imgs = rng.integers(0, 256, size=(6, 3, 8, 8))
     imgs[4] = imgs[1]  # within-train duplicate, planted with differing labels
-    labels = [1, 2, 3, 1, 5, 2]
-    train = Dataset(tuple(Sample(imgs[i], labels[i], i) for i in range(6)),
-                    "train", 5)
-    test_imgs = rng.integers(0, 256, size=(3, 3, 8, 8)).astype(np.float32)
+    train = make_dataset(imgs, [1, 2, 3, 1, 5, 2], split="train", num_classes=5)
+    test_imgs = rng.integers(0, 256, size=(3, 3, 8, 8))
     test_imgs[0] = imgs[2]  # cross-split duplicate, same label
-    test = Dataset(tuple(Sample(test_imgs[i], 3, 100 + i) for i in range(3)),
-                   "test", 5)
+    test = make_dataset(test_imgs, [3, 3, 3], ids=[100, 101, 102], split="test",
+                        num_classes=5)
     return train, test
 
 
@@ -231,14 +344,41 @@ def test_planted_duplicates_are_found_and_flagged():
     assert report.mismatched_cross == ()           # both labeled 3
 
 
+def test_duplicate_report_ids_are_builtin_ints():
+    train, test = planted_duplicate_sets()
+    report = find_exact_duplicates(train, test)
+    ids = [i for field in (report.within_train, report.cross_split,
+                           report.mismatched_within, report.mismatched_cross)
+           for group in field for i in group]
+    assert ids and all(type(i) is int for i in ids)
+    assert type(report.cross_images) is int
+    rows = duplicate_report_rows(report, train, test)
+    assert rows == [("within_train", 1, 4, "2", "5"), ("cross_split", 2, 100, "3", "3")]
+    assert all(type(v) is int for row in rows for v in row[1:3])
+
+
 def test_duplicate_groups_are_verified_by_bytes_not_hash_alone():
     train, test = planted_duplicate_sets()
     report = find_exact_duplicates(train, test)
-    by_id = {s.source_id: s for s in train.samples}
+    by_id = dict(zip(train.ids.tolist(), train.images))
     for group in report.within_train:
-        first = by_id[group[0]].image.astype(np.uint8).tobytes()
+        first = by_id[group[0]].tobytes()
         for other in group[1:]:
-            assert by_id[other].image.astype(np.uint8).tobytes() == first
+            assert by_id[other].tobytes() == first
+
+
+def test_duplicate_scan_pairs_every_copy_across_splits():
+    rng = np.random.default_rng(19)
+    imgs = rng.integers(0, 256, size=(5, 1, 4, 4))
+    imgs[3] = imgs[0]
+    test_imgs = rng.integers(0, 256, size=(4, 1, 4, 4))
+    test_imgs[1] = test_imgs[2] = imgs[0]
+    train = make_dataset(imgs, [1, 1, 1, 2, 1])
+    test = make_dataset(test_imgs, [1, 1, 2, 1], ids=[10, 11, 12, 13])
+    report = find_exact_duplicates(train, test)
+    assert report.cross_split == ((0, 11), (0, 12), (3, 11), (3, 12))
+    assert report.mismatched_cross == ((0, 12), (3, 11))
+    assert report.cross_images == 1
 
 
 def test_duplicate_scan_rejects_mismatched_shapes_and_normalized_data():
@@ -256,13 +396,12 @@ def test_duplicate_scan_rejects_mismatched_shapes_and_normalized_data():
 def test_synth_dataset_is_deterministic_and_labeled_in_range():
     a = synth_dataset(32, num_classes=10, seed=13)
     b = synth_dataset(32, num_classes=10, seed=13)
-    for sa, sb in zip(a.samples, b.samples):
-        np.testing.assert_array_equal(sa.image, sb.image)
-        assert sa.label == sb.label
-        assert 1 <= sa.label <= 10
+    assert a.images.dtype == np.uint8
+    assert a.images.tobytes() == b.images.tobytes()
+    np.testing.assert_array_equal(a.labels, b.labels)
+    assert a.labels.min() >= 1 and a.labels.max() <= 10
     c = synth_dataset(32, num_classes=10, seed=14)
-    assert any(not np.array_equal(sa.image, sc.image)
-               for sa, sc in zip(a.samples, c.samples))
+    assert a.images.tobytes() != c.images.tobytes()
 
 
 def test_synth_dataset_has_no_duplicates_by_scan():

@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
 
-from fedtrap.fedsim import (ClientConfig, FedClient, ServerConfig, aggregate,
-                            client_train, load_parameter_vector, run_protocol,
-                            save_parameter_vector, select_fixed, select_fraction,
-                            server_round)
+from fedtrap.fedsim import ClientConfig, client_train
 from fedtrap.network import small_conv_net
 from fedtrap.optim import AdamConfig, SGDConfig, sgd_step
 from fedtrap.trap import craft_parameters, epsilon_flat_index
@@ -150,115 +147,6 @@ def test_adam_state_is_fresh_per_call():
     rng = np.random.default_rng(19)
     xs, ys = make_batch(rng, 8)
     cfg = ClientConfig(4, 2, 1, optimizer=AdamConfig(), shuffle_seed=5)
-    client = FedClient(net, xs, ys, cfg)
-    assert np.array_equal(client.respond(theta), client.respond(theta))
+    assert np.array_equal(client_train(net, theta, xs, ys, cfg),
+                          client_train(net, theta, xs, ys, cfg))
 
-
-# -- aggregation ------------------------------------------------------------
-
-
-def test_aggregate_single_answer_unchanged():
-    v = np.array([1.0, -2.0, 3.5], dtype=np.float32)
-    assert np.array_equal(aggregate([v]), v)
-
-
-def test_aggregate_opposite_vectors_cancel():
-    v = np.random.default_rng(0).normal(size=20)
-    np.testing.assert_array_equal(aggregate([v, -v]), np.zeros(20))
-
-
-def test_aggregate_matches_scalar_mean():
-    rng = np.random.default_rng(1)
-    vs = [rng.normal(size=15) for _ in range(3)]
-    got = aggregate(vs)
-    for i in range(15):
-        assert got[i] == pytest.approx((vs[0][i] + vs[1][i] + vs[2][i]) / 3,
-                                       abs=1e-12)
-
-
-def test_aggregate_rejects_empty_and_mismatched():
-    with pytest.raises(ValueError, match="no answers"):
-        aggregate([])
-    with pytest.raises(ValueError, match="mismatch"):
-        aggregate([np.zeros(3), np.zeros(4)])
-
-
-# -- server round ---------------------------------------------------------------
-
-
-def build_clients(n, seed, same_data=False):
-    net = small_conv_net()
-    net.init_random(seed)
-    rng = np.random.default_rng(seed)
-    cfg = ClientConfig(4, 2, 1, shuffle_seed=1)
-    clients = []
-    xs, ys = make_batch(rng, 8)
-    for _ in range(n):
-        if not same_data:
-            xs, ys = make_batch(rng, 8)
-        clients.append(FedClient(net, xs, ys, cfg))
-    return net, clients
-
-
-def test_server_round_single_client_equals_client_train():
-    net, clients = build_clients(1, seed=23)
-    theta = net.flatten()
-    assert np.array_equal(server_round(theta, clients), clients[0].respond(theta))
-
-
-def test_server_round_identical_clients_equals_any_answer():
-    net, clients = build_clients(3, seed=29, same_data=True)
-    theta = net.flatten()
-    out = server_round(theta, clients)
-    np.testing.assert_allclose(out, clients[0].respond(theta), rtol=1e-6)
-
-
-def test_server_round_two_clients_is_mean_of_answers():
-    net, clients = build_clients(2, seed=31)
-    theta = net.flatten()
-    answers = [c.respond(theta) for c in clients]
-    np.testing.assert_array_equal(server_round(theta, clients),
-                                  aggregate(answers))
-
-
-def test_server_round_rejects_empty_selection():
-    net, clients = build_clients(2, seed=37)
-    with pytest.raises(ValueError, match="no clients"):
-        server_round(net.flatten(), clients, select=select_fixed([]))
-
-
-def test_run_protocol_iterates_and_subsamples():
-    net, clients = build_clients(4, seed=41)
-    theta = net.flatten()
-    out = run_protocol(theta, clients,
-                       ServerConfig(iterations=2, select=select_fraction(0.5, seed=3)))
-    assert out.shape == theta.shape
-    assert not np.array_equal(out, theta)
-
-
-# -- parameter blob ----------------------------------------------------------------
-
-
-def test_blob_round_trip(tmp_path):
-    vec = np.random.default_rng(2).normal(size=257).astype(np.float32)
-    path = tmp_path / "vec.tfpv"
-    save_parameter_vector(path, vec)
-    assert np.array_equal(load_parameter_vector(path), vec)
-    raw = path.read_bytes()
-    assert raw[:4] == b"TFPV"
-    assert len(raw) == 16 + 4 * 257
-
-
-def test_blob_rejects_bad_magic_and_truncation(tmp_path):
-    path = tmp_path / "vec.tfpv"
-    save_parameter_vector(path, np.arange(5, dtype=np.float32))
-    raw = bytearray(path.read_bytes())
-    raw[:4] = b"NOPE"
-    bad = tmp_path / "bad.tfpv"
-    bad.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="magic"):
-        load_parameter_vector(bad)
-    trunc = tmp_path / "trunc.tfpv"
-    trunc.write_bytes(path.read_bytes()[:-3])
-    with pytest.raises(ValueError, match="length"):
-        load_parameter_vector(trunc)
