@@ -15,6 +15,7 @@ import numpy as np
 
 MNIST_IMAGE_MAGIC = 0x00000803
 MNIST_LABEL_MAGIC = 0x00000801
+CIFAR100_COARSE_CLASSES = 20
 
 CIFAR100_FINE_LABELS = (
     "apple", "aquarium_fish", "baby", "bear", "beaver", "bed", "bee", "beetle",
@@ -116,12 +117,16 @@ def _check_size(data: bytes, size: int, what: str, exact: bool = True) -> None:
             f"{state} {what}: expected {size} bytes, file has {len(data)}")
 
 
-def _shift_labels(raw: np.ndarray, num_classes: int) -> np.ndarray:
-    """Raw 0-based label bytes -> 1-based int64 labels."""
+def _check_label_bytes(raw: np.ndarray, num_classes: int, what: str = "label") -> None:
     if raw.max() >= num_classes:
         bad = int(np.argmax(raw >= num_classes))
-        raise DatasetFormatError(f"item {bad} has label byte {raw[bad]}, "
+        raise DatasetFormatError(f"item {bad} has {what} byte {raw[bad]}, "
                                  f"outside 0..{num_classes - 1}")
+
+
+def _shift_labels(raw: np.ndarray, num_classes: int) -> np.ndarray:
+    """Raw 0-based label bytes -> 1-based int64 labels."""
+    _check_label_bytes(raw, num_classes)
     return np.add(raw, 1, dtype=np.int64)
 
 
@@ -161,7 +166,8 @@ def load_cifar(path, variant: str, split: str = "train") -> Dataset:
     """Parse one CIFAR binary file.
 
     cifar10 records are 1 label byte + 3072 image bytes; cifar100-fine
-    records carry a coarse byte (ignored) then the fine label byte.
+    records carry a coarse byte (checked to lie in 0..19, otherwise unused)
+    then the fine label byte.
     """
     if variant == "cifar10":
         head, num_classes, names = 1, 10, None
@@ -178,6 +184,8 @@ def load_cifar(path, variant: str, split: str = "train") -> Dataset:
             f"{record}-byte {variant} record")
     n = len(data) // record
     raw = np.frombuffer(data, dtype=np.uint8).reshape(n, record)
+    if variant == "cifar100-fine":
+        _check_label_bytes(raw[:, 0], CIFAR100_COARSE_CLASSES, "coarse label")
     return Dataset(images=raw[:, head:].reshape(n, 3, 32, 32),
                    labels=_shift_labels(raw[:, head - 1], num_classes),
                    ids=np.arange(n, dtype=np.int64), split=split,

@@ -5,7 +5,9 @@ contiguous mini-batches of size B (dataset size must be exactly B*J), and
 returns the full parameter vector. Optimizer state is created fresh per
 call: the client is stateless between queries. FedSGD is the E=1, J=1
 special case. No sockets anywhere: a client is one in-process
-`client_train` call.
+`client_train` call. It trains `net.with_params(theta)`, a network over
+its own copy of the vector, and writes each optimizer step into that
+copy's flat `params`, which the layers view; that copy is returned.
 
 `client_train` keeps each sample's split activation (the feature
 extractor's output) and hands a batch's activations to
@@ -63,11 +65,12 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
                          f"({cfg.batch_size}*{cfg.num_batches})")
     if len(ys) != n:
         raise ValueError("image/label counts differ")
-    work = net.copy()
-    params = np.array(theta, dtype=net.dtype, copy=True)
-    if params.shape != (net.num_params(),):
-        raise ValueError(f"parameter vector length {params.shape} != "
+    theta = np.asarray(theta, dtype=net.dtype)
+    if theta.shape != (net.num_params(),):
+        raise ValueError(f"parameter vector length {theta.shape} != "
                          f"architecture layout ({net.num_params()},)")
+    work = net.with_params(theta)
+    params = work.params
     adam = isinstance(cfg.optimizer, AdamConfig)
     state = AdamState.fresh(params.size, dtype=net.dtype) if adam else None
     rng = np.random.default_rng(cfg.shuffle_seed)
@@ -80,7 +83,6 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
             order = rng.permutation(n)
         for j in range(cfg.num_batches):
             sel = order[j * cfg.batch_size:(j + 1) * cfg.batch_size]
-            work.set_flat(params)
             extractor = params[net.extractor_params].tobytes()
             if extractor != computed_under:
                 have[:] = False
@@ -90,8 +92,8 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
                 have[sel] = True
             grad = work.backward(xs[sel], ys[sel], features=features[sel])
             if adam:
-                params, state = adam_step(state, params, grad, cfg.optimizer)
+                params[:], state = adam_step(state, params, grad, cfg.optimizer)
             else:
-                params = sgd_step(params, grad, cfg.optimizer.lr)
+                params[:] = sgd_step(params, grad, cfg.optimizer.lr)
     return params
 

@@ -1,9 +1,11 @@
 """Feedforward network: forward pass, cross-entropy loss, exact reverse-mode gradients.
 
-Labels are 1-based (1..L) throughout. Parameters live on the layers;
-`flatten`/`set_flat` move them to and from a single flat vector whose
-layout is a pure function of the architecture (see ParameterLayout), so
-flat indices are stable across processes for a fixed architecture.
+Labels are 1-based (1..L) throughout. Parameters are stored once, in the
+flat vector `Network.params`; each Conv2D/Linear `weight` and `bias` is a
+reshaped view of its slice, so a write through either shows in the
+other. The layout is a pure function of the architecture (see
+ParameterLayout), so flat indices are stable across processes for a
+fixed architecture.
 
 The boundary `split_index` partitions the layer list into a feature
 extractor (layers before it) and a head (layers from it on). The head
@@ -27,6 +29,7 @@ Backward passes let exact zeros skip work, without changing a bit:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +84,11 @@ class ParameterLayout:
 class Network:
     """Layered model with a marked feature/head split.
 
-    Single-writer: one training run owns and mutates a Network; flat
-    parameter snapshots (plain ndarrays) can be shared freely.
+    `params` is the one flat parameter vector, in the network's dtype; the
+    layers' `weight`/`bias` arrays are views into it. The constructor
+    copies the layers' arrays in and rebinds them, so the layers belong
+    to the network from then on. Single-writer: one training run owns and
+    mutates a Network, and `with_params` gives each run its own.
     """
 
     def __init__(self, layers: list[Layer], split_index: int, num_classes: int,
@@ -115,6 +121,16 @@ class Network:
         self.input_shape = tuple(input_shape)
         self.dtype = np.dtype(dtype)
         self.layout = ParameterLayout(layers)
+        self.params = np.concatenate(
+            [getattr(layers[e.layer_index], e.name).ravel() for e in self.layout.entries]
+        ).astype(self.dtype, copy=False)
+        self._view_params()
+
+    def _view_params(self) -> None:
+        """Rebind every layer's weight and bias to its slice of `params`."""
+        for e in self.layout.entries:
+            setattr(self.layers[e.layer_index], e.name,
+                    self.params[e.offset:e.offset + e.size].reshape(e.shape))
 
     # -- structure -----------------------------------------------------
 
@@ -135,55 +151,24 @@ class Network:
         s = self.split_index
         return (s, s + 2, s + 4)
 
-    def copy(self) -> "Network":
-        dup = object.__new__(Network)
-        dup.__dict__ = dict(self.__dict__)
-        dup.layers = [self._copy_layer(l) for l in self.layers]
-        dup.layout = ParameterLayout(dup.layers)
-        return dup
-
-    def _copy_layer(self, layer: Layer) -> Layer:
-        if isinstance(layer, Conv2D):
-            out = Conv2D(layer.in_channels, layer.out_channels, layer.kernel_size,
-                         dtype=self.dtype)
-        elif isinstance(layer, Linear):
-            out = Linear(layer.in_dim, layer.out_dim, dtype=self.dtype)
-        elif isinstance(layer, MaxPool2D):
-            return MaxPool2D(layer.window)
-        else:
-            return type(layer)()
-        for name, arr in layer.params().items():
-            out.params()[name][...] = arr
-        return out
-
-    def astype(self, dtype) -> "Network":
-        dup = self.copy()
-        dup.dtype = np.dtype(dtype)
-        for layer in dup.layers:
-            for name in list(layer.params()):
-                setattr(layer, name, layer.params()[name].astype(dtype))
-        return dup
-
     # -- parameter vector ----------------------------------------------
 
-    def flatten(self) -> np.ndarray:
-        """Flat snapshot of all parameters (copy)."""
-        out = np.empty(self.layout.total, dtype=self.dtype)
-        for e in self.layout.entries:
-            arr = self.layers[e.layer_index].params()[e.name]
-            out[e.offset:e.offset + e.size] = arr.ravel()
-        return out
+    def with_params(self, values: np.ndarray) -> "Network":
+        """This architecture over a fresh copy of `values`, in `values`' dtype.
 
-    def set_flat(self, values: np.ndarray) -> None:
+        The layers are shallow copies bound to the copy, so neither this
+        network nor `values` is shared with the result.
+        """
         values = np.asarray(values)
         if values.shape != (self.layout.total,):
             raise ValueError(f"parameter vector has length {values.shape}, "
                              f"layout expects ({self.layout.total},)")
-        if values.dtype != self.dtype:
-            raise ValueError(f"parameter vector dtype {values.dtype} != network {self.dtype}")
-        for e in self.layout.entries:
-            arr = self.layers[e.layer_index].params()[e.name]
-            arr[...] = values[e.offset:e.offset + e.size].reshape(e.shape)
+        dup = copy.copy(self)
+        dup.params = values.copy()
+        dup.dtype = dup.params.dtype
+        dup.layers = [copy.copy(layer) for layer in self.layers]
+        dup._view_params()
+        return dup
 
     def num_params(self) -> int:
         return self.layout.total

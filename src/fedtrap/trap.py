@@ -115,7 +115,7 @@ def craft_parameters(net: Network, sample: tuple[np.ndarray, int], num_values: i
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     h1_idx, h2_idx, out_idx = net.head_linear_indices()
-    work = net.copy()
+    work = net.with_params(net.params)
     h1, h2, out = (work.layers[i] for i in (h1_idx, h2_idx, out_idx))
     if 2 * num_values > h1.out_dim:
         raise CraftError(f"trap needs {2 * num_values} first-hidden units, "
@@ -147,7 +147,7 @@ def craft_parameters(net: Network, sample: tuple[np.ndarray, int], num_values: i
     spec = TrapSpec(num_values=num_values, component_indices=tuple(indices),
                     etas=tuple(etas), epsilon=float(epsilon),
                     target_label=int(y_t), seed=int(seed))
-    return work.flatten(), spec
+    return work.params, spec
 
 
 def epsilon_flat_index(net: Network, spec: TrapSpec) -> int:

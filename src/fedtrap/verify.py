@@ -18,19 +18,16 @@ from .network import Network
 def central_difference_gradient(net: Network, xs: np.ndarray, ys: np.ndarray,
                                 step: float = 1e-5) -> np.ndarray:
     """Elementwise (loss(p+h) - loss(p-h)) / 2h over the flat parameter vector."""
-    base = net.flatten().astype(np.float64)
-    probe = net.astype(np.float64)
+    base = net.params.astype(np.float64)
+    probe = net.with_params(base)
     xs64 = np.asarray(xs, dtype=np.float64)
     grad = np.empty(base.size, dtype=np.float64)
-    shifted = base.copy()
     for i in range(base.size):
-        shifted[i] = base[i] + step
-        probe.set_flat(shifted)
+        probe.params[i] = base[i] + step
         up = probe.loss(xs64, ys)
-        shifted[i] = base[i] - step
-        probe.set_flat(shifted)
+        probe.params[i] = base[i] - step
         down = probe.loss(xs64, ys)
-        shifted[i] = base[i]
+        probe.params[i] = base[i]
         grad[i] = (up - down) / (2.0 * step)
     return grad
 

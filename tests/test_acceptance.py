@@ -114,8 +114,7 @@ def test_criterion_2_closed_form_equivalence():
             y_t = int(rng.integers(1, 11))
             theta, spec = craft_parameters(net, (x_t, y_t), m, eps,
                                            seed=int(rng.integers(2 ** 31)))
-            work = net.copy()
-            work.set_flat(theta)
+            work = net.with_params(theta)
             x = x_t + rng.normal(scale=rng.choice([1e-4, 0.03, 0.5]), size=12)
             a = x[list(spec.component_indices)]
             deviation = float(np.abs(a - np.array(spec.etas)).sum())
@@ -141,8 +140,7 @@ def test_criterion_3_gradient_zeroing_under_training():
         final_bias = net.layout.slice_of(net.head_linear_indices()[2], "bias")
         mask = np.ones(net.num_params(), dtype=bool)
         mask[final_bias] = False
-        probe = net.copy()
-        probe.set_flat(theta)
+        probe = net.with_params(theta)
         etas32 = np.array(spec.etas, dtype=np.float32)
         ref_cfg = ClientConfig(1, 1, 1, optimizer=SGDConfig())
         eps_ref = reference_eps(net, theta, (x_t, 5), ref_cfg, eps_idx)
@@ -249,13 +247,12 @@ def test_criterion_8_single_step_special_case():
         # 64-bit: the client pass IS one SGD step on the batch-mean gradient
         net64 = small_conv_net(dtype=np.float64)
         net64.init_random(MASTER_SEED)
-        theta = net64.flatten()
+        theta = net64.params
         rng = np.random.default_rng(MASTER_SEED)
         xs = rng.uniform(-1, 1, size=(32, 1, 14, 14))
         ys = rng.integers(1, 11, size=32)
         lr = SGDConfig().lr
-        work = net64.copy()
-        work.set_flat(theta)
+        work = net64.with_params(theta)
         grad = work.backward(xs, ys)
         phi = client_train(net64, theta, xs, ys,
                            ClientConfig(32, 1, 1, optimizer=SGDConfig(lr=lr),
@@ -275,9 +272,8 @@ def test_criterion_8_single_step_special_case():
         outcome, spec = run_attack(net, xs, ys, draw.target, 4, 1e-3,
                                    ClientConfig(32, 1, 1, optimizer=SGDConfig()),
                                    DecisionConfig(), seed=MASTER_SEED + 4)
-        probe = net.copy()
         theta_trap, _ = craft_parameters(net, draw.target, 4, 1e-3, seed=MASTER_SEED + 4)
-        probe.set_flat(theta_trap)
+        probe = net.with_params(theta_trap)
         feats = probe.forward_features(xs)[:, list(spec.component_indices)]
         devs = np.abs(feats - np.array(spec.etas, np.float32)).sum(axis=1)
         assert int((devs <= spec.epsilon).sum()) == 1

@@ -174,7 +174,9 @@ def test_cifar_writer_round_trips_bytes(tmp_path):
 
 
 @pytest.mark.parametrize("variant, head, byte", [("cifar10", (10,), 10),
-                                                ("cifar100-fine", (0, 100), 100)])
+                                                ("cifar100-fine", (0, 100), 100),
+                                                ("cifar100-fine", (20, 5), 20),
+                                                ("cifar100-fine", (200, 5), 200)])
 def test_cifar_rejects_out_of_range_label(tmp_path, variant, head, byte):
     img = np.zeros(3072, dtype=np.uint8)
     path = hand_written_cifar(tmp_path, "c.bin", [(head, img)])

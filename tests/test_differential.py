@@ -2,10 +2,12 @@
 
 `Network.backward` stops at the first all-zero cotangent and can start
 from split activations that `client_train` keeps while the feature
-extractor's parameters are byte-unchanged. The reference below does
-neither: it runs every layer's forward and backward on every batch,
-inside the original training loop. The two must agree on every bit of
-phi, including the sign of every zero.
+extractor's parameters are byte-unchanged, and it writes each step into
+its network's parameter vector in place. The reference below does none
+of that: for every batch it builds a fresh network over the current
+vector, runs every layer's forward and backward, and takes the pure
+optimizer step. The two must agree on every bit of phi, including the
+sign of every zero.
 """
 
 import itertools
@@ -16,7 +18,7 @@ import pytest
 
 from fedtrap.fedsim import ClientConfig, client_train
 from fedtrap.layers import Conv2D
-from fedtrap.network import conv_net, small_conv_net
+from fedtrap.network import conv_net, dense_net, small_conv_net
 from fedtrap.optim import AdamConfig, AdamState, SGDConfig, adam_step, sgd_step
 from fedtrap.trap import craft_parameters
 
@@ -41,8 +43,7 @@ def reference_gradient(net, xs, ys):
 
 
 def reference_client_train(net, theta, xs, ys, cfg):
-    """The training loop as it stood before any reuse: every batch from scratch."""
-    work = net.copy()
+    """The training loop with no reuse: a fresh network over the current vector per batch."""
     params = np.array(theta, dtype=net.dtype, copy=True)
     adam = isinstance(cfg.optimizer, AdamConfig)
     state = AdamState.fresh(params.size, dtype=net.dtype) if adam else None
@@ -53,8 +54,7 @@ def reference_client_train(net, theta, xs, ys, cfg):
             order = rng.permutation(len(xs))
         for j in range(cfg.num_batches):
             sel = order[j * cfg.batch_size:(j + 1) * cfg.batch_size]
-            work.set_flat(params)
-            grad = reference_gradient(work, xs[sel], ys[sel])
+            grad = reference_gradient(net.with_params(params), xs[sel], ys[sel])
             if adam:
                 params, state = adam_step(state, params, grad, cfg.optimizer)
             else:
@@ -97,15 +97,29 @@ def assert_bit_identical(net, theta, xs, ys, cfg):
 GRID = list(itertools.product([True, False], ["sgd", "adam"], [1, 2, 3], [1, 4]))
 
 
-@pytest.mark.parametrize("negative_zeros", [False, True], ids=["+0", "-0"])
-@pytest.mark.parametrize("member,opt,epochs,batches", GRID)
-def test_trap_training_is_bit_identical_to_reference(member, opt, epochs, batches,
-                                                     negative_zeros):
-    net = small_conv_net()
+def assert_trap_training_bit_identical(net, member, opt, epochs, batches, negative_zeros):
     seed = 100 * epochs + 10 * batches + 2 * member + (opt == "adam")
     theta, xs, ys = trap_case(net, 8 * batches, member, seed, negative_zeros)
     cfg = ClientConfig(8, batches, epochs, optimizer=optimizer(opt), shuffle_seed=seed)
     assert_bit_identical(net, theta, xs, ys, cfg)
+
+
+@pytest.mark.parametrize("negative_zeros", [False, True], ids=["+0", "-0"])
+@pytest.mark.parametrize("member,opt,epochs,batches", GRID)
+def test_trap_training_is_bit_identical_to_reference(member, opt, epochs, batches,
+                                                     negative_zeros):
+    assert_trap_training_bit_identical(small_conv_net(), member, opt, epochs, batches,
+                                       negative_zeros)
+
+
+@pytest.mark.parametrize("negative_zeros", [False, True], ids=["+0", "-0"])
+@pytest.mark.parametrize("member,opt,epochs,batches", GRID)
+def test_dense_net_trap_training_is_bit_identical_to_reference(member, opt, epochs, batches,
+                                                               negative_zeros):
+    """Split at 1: the extractor is a bare Flatten and owns the empty parameter slice."""
+    net = dense_net(20, (12, 8), 10)
+    assert net.split_index == 1 and net.params[net.extractor_params].size == 0
+    assert_trap_training_bit_identical(net, member, opt, epochs, batches, negative_zeros)
 
 
 @pytest.mark.parametrize("opt,epochs,batches",
@@ -118,7 +132,7 @@ def test_live_training_is_bit_identical_to_reference(opt, epochs, batches):
     xs = rng.uniform(-1, 1, size=(8 * batches, 1, 14, 14)).astype(np.float32)
     ys = rng.integers(1, 11, size=8 * batches)
     cfg = ClientConfig(8, batches, epochs, optimizer=optimizer(opt), shuffle_seed=epochs)
-    assert_bit_identical(net, net.flatten(), xs, ys, cfg)
+    assert_bit_identical(net, net.params, xs, ys, cfg)
 
 
 @pytest.mark.parametrize("member", [True, False])

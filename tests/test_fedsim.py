@@ -20,7 +20,7 @@ def test_client_train_rejects_size_mismatch():
     xs, ys = make_batch(rng, 7)
     cfg = ClientConfig(batch_size=4, num_batches=2, epochs=1)
     with pytest.raises(ValueError, match="dataset size"):
-        client_train(net, net.flatten(), xs, ys, cfg)
+        client_train(net, net.params, xs, ys, cfg)
 
 
 def test_client_train_rejects_layout_mismatch():
@@ -36,12 +36,20 @@ def test_client_train_rejects_layout_mismatch():
 def test_client_train_does_not_mutate_theta():
     net = small_conv_net()
     net.init_random(1)
-    theta = net.flatten()
+    theta = net.params.copy()
     keep = theta.copy()
     rng = np.random.default_rng(1)
     xs, ys = make_batch(rng, 8)
-    client_train(net, theta, xs, ys, ClientConfig(8, 1, 2))
+    phi = client_train(net, theta, xs, ys, ClientConfig(8, 1, 2))
     assert np.array_equal(theta, keep)
+    assert np.array_equal(net.params, keep)
+    assert not np.shares_memory(phi, theta)
+    assert not np.shares_memory(phi, net.params)
+    # theta may be the network's own vector
+    phi_own = client_train(net, net.params, xs, ys, ClientConfig(8, 1, 2))
+    assert phi_own.tobytes() == phi.tobytes()
+    assert np.array_equal(net.params, keep)
+    assert not np.shares_memory(phi_own, net.params)
 
 
 @pytest.mark.parametrize("opt", [SGDConfig(), AdamConfig()])
@@ -51,8 +59,7 @@ def test_non_triggering_data_leaves_trap_parameters_bit_exact(opt):
     x_t = rng.uniform(-1, 1, size=(1, 14, 14)).astype(np.float32)
     theta, spec = craft_parameters(net, (x_t, 4), 4, 1e-3, seed=9)
     xs, ys = make_batch(rng, 16)
-    work = net.copy()
-    work.set_flat(theta)
+    work = net.with_params(theta)
     feats = work.forward_features(xs)[:, list(spec.component_indices)]
     assert (np.abs(feats - np.array(spec.etas, np.float32)).sum(axis=1)
             > spec.epsilon).all()
@@ -68,11 +75,10 @@ def test_non_triggering_data_leaves_trap_parameters_bit_exact(opt):
 def test_single_epoch_single_batch_is_one_sgd_step():
     net = small_conv_net(dtype=np.float64)
     net.init_random(11)
-    theta = net.flatten()
+    theta = net.params
     rng = np.random.default_rng(11)
     xs, ys = make_batch(rng, 8)
-    work = net.copy()
-    work.set_flat(theta)
+    work = net.with_params(theta)
     expected = sgd_step(theta, work.backward(xs, ys), 0.05)
     # fixed order: the composition is bit-identical
     phi = client_train(net, theta, xs, ys,
@@ -88,28 +94,25 @@ def test_single_epoch_single_batch_is_one_sgd_step():
 def test_two_epochs_match_hand_loop_with_recomputed_gradients():
     net = small_conv_net(dtype=np.float64)
     net.init_random(13)
-    theta = net.flatten()
+    theta = net.params
     rng = np.random.default_rng(13)
     xs, ys = make_batch(rng, 8)
     cfg = ClientConfig(8, 1, 2, optimizer=SGDConfig(lr=0.05),
                        shuffle_per_epoch=False)
     phi = client_train(net, theta, xs, ys, cfg)
     params = theta
-    work = net.copy()
     for _ in range(2):
-        work.set_flat(params)
-        params = sgd_step(params, work.backward(xs, ys), 0.05)
+        params = sgd_step(params, net.with_params(params).backward(xs, ys), 0.05)
     assert np.array_equal(phi, params)
 
 
 def test_single_step_identity_holds_in_float32():
     net = small_conv_net()
     net.init_random(12)
-    theta = net.flatten()
+    theta = net.params
     rng = np.random.default_rng(12)
     xs, ys = make_batch(rng, 16)
-    work = net.copy()
-    work.set_flat(theta)
+    work = net.with_params(theta)
     grad = work.backward(xs, ys)
     phi = client_train(net, theta, xs, ys,
                        ClientConfig(16, 1, 1, optimizer=SGDConfig(lr=0.01),
@@ -127,7 +130,7 @@ def test_single_step_identity_holds_in_float32():
 def test_client_train_is_deterministic():
     net = small_conv_net()
     net.init_random(17)
-    theta = net.flatten()
+    theta = net.params
     rng = np.random.default_rng(17)
     xs, ys = make_batch(rng, 12)
     cfg = ClientConfig(4, 3, 2, optimizer=AdamConfig(), shuffle_seed=77)
@@ -143,7 +146,7 @@ def test_adam_state_is_fresh_per_call():
     # two identical queries must return identical answers: no moment carryover
     net = small_conv_net()
     net.init_random(19)
-    theta = net.flatten()
+    theta = net.params
     rng = np.random.default_rng(19)
     xs, ys = make_batch(rng, 8)
     cfg = ClientConfig(4, 2, 1, optimizer=AdamConfig(), shuffle_seed=5)

@@ -121,7 +121,7 @@ def test_loss_shift_invariance():
     x = rng.normal(size=4)
     base = net.loss(x, 2)
     for c in (0.5, -3.0, 100.0):
-        shifted = net.copy()
+        shifted = net.with_params(net.params)
         shifted.layers[5].bias[...] = net.layers[5].bias + c
         assert abs(shifted.loss(x, 2) - base) < 1e-12
 
@@ -187,30 +187,52 @@ def test_backward_matches_central_differences(case_seed):
 # -- parameter vector ---------------------------------------------------------
 
 
-def test_flatten_set_flat_round_trip_is_bit_exact():
+def test_layers_view_the_flat_parameter_vector():
     net = small_conv_net()
+    h2 = net.head_linear_indices()[1]
+    net.params[net.layout.index_of(h2, "bias", 0)] = 2.5
+    net.params[net.layout.index_of(0, "weight", 1, 0, 2, 2)] = -3.0
+    assert net.layers[h2].bias[0] == 2.5
+    assert net.layers[0].weight[1, 0, 2, 2] == -3.0
     net.init_random(13)
-    vec = net.flatten()
-    other = small_conv_net()
-    other.set_flat(vec)
-    assert np.array_equal(other.flatten(), vec)
-    for a, b in zip(net.layers, other.layers):
-        for name in a.params():
-            assert np.array_equal(a.params()[name], b.params()[name])
+    for e in net.layout.entries:
+        layer_array = net.layers[e.layer_index].params()[e.name]
+        assert np.shares_memory(layer_array, net.params)
+        assert np.array_equal(net.params[net.layout.slice_of(e.layer_index, e.name)],
+                              layer_array.ravel())
 
 
-def test_set_flat_rejects_wrong_length_and_dtype():
+def test_with_params_owns_a_copy_in_the_vectors_dtype():
+    net = small_conv_net()
+    net.init_random(14)
+    source = net.params.copy()
+    v = np.arange(net.num_params(), dtype=np.float64)
+    work = net.with_params(v)
+    assert work.dtype == np.float64 and work.params.dtype == np.float64
+    assert work.params.tobytes() == v.tobytes()
+    assert work.layers[0].weight.dtype == np.float64
+    work.params[:] = -1.0
+    work.init_random(15)
+    work.layers[-1].bias[0] = 7.0
+    assert np.array_equal(v, np.arange(net.num_params(), dtype=np.float64))
+    assert net.params.tobytes() == source.tobytes()
+    assert net.dtype == np.float32
+    assert not np.shares_memory(work.params, v)
+    assert not np.shares_memory(work.params, net.params)
+
+
+def test_with_params_rejects_wrong_length():
     net = small_conv_net()
     with pytest.raises(ValueError, match="length"):
-        net.set_flat(np.zeros(3, dtype=np.float32))
-    with pytest.raises(ValueError, match="dtype"):
-        net.set_flat(np.zeros(net.num_params(), dtype=np.float64))
+        net.with_params(np.zeros(3, dtype=np.float32))
+    with pytest.raises(ValueError, match="length"):
+        net.with_params(np.zeros((1, net.num_params()), dtype=np.float32))
 
 
 def test_layout_index_round_trips_through_flat_vector():
     net = small_conv_net()
     net.init_random(21)
-    vec = net.flatten()
+    vec = net.params
     h2 = net.head_linear_indices()[1]
     idx = net.layout.index_of(h2, "bias", 0)
     assert vec[idx] == net.layers[h2].bias[0]

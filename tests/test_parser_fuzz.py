@@ -83,6 +83,8 @@ def test_cifar_parser_accepts_or_raises_format_error(written, read, n, data, cha
         path.write_bytes(mutate(records, changes))
         ds = parse((path, read), load_cifar)
     if not changes and written == read:
-        fine = np.frombuffer(records, dtype=np.uint8).reshape(n, head + 3072)[:, head - 1]
-        num_classes = 10 if read == "cifar10" else 100
-        assert (ds is not None) == bool((fine < num_classes).all())
+        raw = np.frombuffer(records, dtype=np.uint8).reshape(n, head + 3072)
+        valid = raw[:, head - 1] < (10 if read == "cifar10" else 100)
+        if read == "cifar100-fine":
+            valid &= raw[:, 0] < 20
+        assert (ds is not None) == bool(valid.all())

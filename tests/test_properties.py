@@ -53,8 +53,7 @@ def test_non_triggering_training_changes_only_final_biases(net, opt, epochs, bat
     xs = rng.uniform(-1, 1, size=(n, *net.input_shape)).astype(np.float32)
     ys = rng.integers(1, net.num_classes + 1, size=n)
 
-    probe = net.copy()
-    probe.set_flat(theta)
+    probe = net.with_params(theta)
     feats = probe.forward_features(xs)[:, list(spec.component_indices)]
     deviation = np.abs(feats - np.array(spec.etas, np.float32)).sum(axis=1)
     assume((deviation > spec.epsilon).all())

@@ -118,8 +118,7 @@ def craft_on_small_net(M=4, eps=1e-3, seed=5, label=3, dtype=np.float32):
 
 def test_crafted_target_logit_is_margin_minus_one():
     net, x_t, theta, spec = craft_on_small_net()
-    work = net.copy()
-    work.set_flat(theta)
+    work = net.with_params(theta)
     logits = work.forward(x_t)
     others = np.delete(logits, spec.target_label - 1)
     np.testing.assert_array_equal(others, np.full(9, -1.0, dtype=np.float32))
@@ -128,8 +127,7 @@ def test_crafted_target_logit_is_margin_minus_one():
 
 def test_crafted_non_triggering_input_gives_flat_logits():
     net, x_t, theta, spec = craft_on_small_net()
-    work = net.copy()
-    work.set_flat(theta)
+    work = net.with_params(theta)
     rng = np.random.default_rng(3)
     x_other = rng.uniform(-1, 1, size=(1, 14, 14)).astype(np.float32)
     a = work.forward_features(x_other)[list(spec.component_indices)]
@@ -145,6 +143,20 @@ def test_crafting_is_deterministic():
     assert spec1 == spec2
     _, _, theta3, _ = craft_on_small_net(seed=43)
     assert not np.array_equal(theta1, theta3)
+
+
+def test_crafting_returns_a_vector_of_its_own():
+    net = small_conv_net()
+    net.init_random(44)
+    before = net.params.copy()
+    x_t = np.random.default_rng(44).uniform(-1, 1, size=(1, 14, 14)).astype(np.float32)
+    theta, _ = craft_parameters(net, (x_t, 2), 4, 1e-3, seed=44)
+    assert not np.shares_memory(theta, net.params)
+    assert net.params.tobytes() == before.tobytes()
+    # a second craft must not write into the first one's vector
+    kept = theta.copy()
+    craft_parameters(net, (x_t, 5), 4, 1e-3, seed=45)
+    assert theta.tobytes() == kept.tobytes()
 
 
 def test_crafting_rejects_narrow_head():
@@ -196,8 +208,7 @@ def test_network_matches_output_oracle_on_random_tuples():
         y_t = int(rng.integers(1, 11))
         theta, spec = craft_parameters(net, (x_t, y_t), m, eps,
                                        seed=int(rng.integers(2 ** 31)))
-        work = net.copy()
-        work.set_flat(theta)
+        work = net.with_params(theta)
         x = x_t + rng.normal(scale=rng.choice([1e-4, 0.03, 1.0]), size=12)
         a = x[list(spec.component_indices)]
         expected = trap_output_oracle(a, spec.etas, eps)
@@ -216,8 +227,7 @@ def test_network_eps_derivative_matches_indicator():
         y_t = int(rng.integers(1, 11))
         theta, spec = craft_parameters(net, (x_t, y_t), m, eps,
                                        seed=int(rng.integers(2 ** 31)))
-        work = net.copy()
-        work.set_flat(theta)
+        work = net.with_params(theta)
         x = x_t + rng.normal(scale=rng.choice([1e-4, 0.05]), size=12)
         a = x[list(spec.component_indices)]
         dev = float(np.abs(a - np.array(spec.etas)).sum())
@@ -233,8 +243,7 @@ def test_network_eps_derivative_matches_indicator():
 def test_self_trigger_indicator_is_one():
     for seed in range(10):
         net, x_t, theta, spec = craft_on_small_net(seed=seed)
-        work = net.copy()
-        work.set_flat(theta)
+        work = net.with_params(theta)
         a = work.forward_features(x_t)[list(spec.component_indices)]
         assert np.abs(a - np.array(spec.etas, dtype=np.float32)).sum() <= spec.epsilon
         assert trap_eps_grad_oracle(a.astype(np.float64), spec.etas, spec.epsilon) == 1
@@ -242,8 +251,7 @@ def test_self_trigger_indicator_is_one():
 
 def test_gradient_zeroing_on_non_triggering_batch():
     net, x_t, theta, spec = craft_on_small_net()
-    work = net.copy()
-    work.set_flat(theta)
+    work = net.with_params(theta)
     rng = np.random.default_rng(51)
     xs = rng.uniform(-1, 1, size=(8, 1, 14, 14)).astype(np.float32)
     feats = work.forward_features(xs)[:, list(spec.component_indices)]
@@ -267,8 +275,7 @@ def test_backward_eps_component_matches_loss_grad_oracle():
         y_t = int(rng.integers(1, 11))
         theta, spec = craft_parameters(net, (x_t, y_t), m, eps,
                                        seed=int(rng.integers(2 ** 31)))
-        work = net.copy()
-        work.set_flat(theta)
+        work = net.with_params(theta)
         x = x_t + rng.normal(scale=rng.choice([1e-3, 0.5]), size=12)
         y = int(rng.integers(1, 11))
         a = x[list(spec.component_indices)]
