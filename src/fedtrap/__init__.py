@@ -6,14 +6,14 @@ training the change (or exact non-change) of a single monitored parameter
 reveals whether a chosen target sample was in the client's training data.
 """
 
-from .attack import AttackOutcome, DecisionConfig, decide, decision_statistic, reference_eps, run_attack
+from .attack import AttackOutcome, decide, decision_statistic, reference_eps, run_attack
 from .datasets import (Dataset, DuplicateReport, RunDraw, find_exact_duplicates, load_cifar,
                        load_mnist_idx, normalize, sample_run, synth_dataset)
 from .fedsim import ClientConfig, client_train
 from .harness import (ExperimentConfig, MetricsReport, RunRecord, compute_metrics,
                       emit_results, run_experiment)
 from .network import Network, conv_net, dense_net, small_conv_net
-from .optim import AdamConfig, AdamState, SGDConfig, adam_step, sgd_step
+from .optim import AdamState, adam_step, sgd_step
 from .trap import (TrapSpec, craft_parameters, epsilon_flat_index, select_components,
                    trap_eps_grad_oracle, trap_loss_eps_grad_oracle, trap_loss_oracle,
                    trap_output_oracle)
@@ -21,7 +21,7 @@ from .trap import (TrapSpec, craft_parameters, epsilon_flat_index, select_compon
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackOutcome", "DecisionConfig", "decide", "decision_statistic",
+    "AttackOutcome", "decide", "decision_statistic",
     "reference_eps", "run_attack",
     "Dataset", "DuplicateReport", "RunDraw", "find_exact_duplicates",
     "load_cifar", "load_mnist_idx", "normalize", "sample_run", "synth_dataset",
@@ -29,7 +29,7 @@ __all__ = [
     "ExperimentConfig", "MetricsReport", "RunRecord", "compute_metrics",
     "emit_results", "run_experiment",
     "Network", "conv_net", "dense_net", "small_conv_net",
-    "AdamConfig", "AdamState", "SGDConfig", "adam_step", "sgd_step",
+    "AdamState", "adam_step", "sgd_step",
     "TrapSpec", "craft_parameters", "epsilon_flat_index", "select_components",
     "trap_eps_grad_oracle", "trap_loss_eps_grad_oracle", "trap_loss_oracle",
     "trap_output_oracle",

@@ -6,11 +6,14 @@ value after one reference optimizer step on the target sample alone. The
 statistic Delta = B * |eps_client - eps| / |eps_reference - eps| is 0 up to
 machine precision when nothing in the client's data triggered the trap
 (those components never receive gradient), and well above the threshold
-when the target was present.
+xi when the target was present. The server needs only the client's
+training recipe, a `ClientConfig`, which the reference step replays on
+the target alone, and the float xi.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,18 +21,6 @@ import numpy as np
 from .fedsim import ClientConfig, client_train
 from .network import Network
 from .trap import TrapSpec, craft_parameters, epsilon_flat_index
-
-
-@dataclass(frozen=True)
-class DecisionConfig:
-    threshold: float = 0.1   # xi
-    batch_size: int = 32
-
-    def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -55,8 +46,7 @@ def reference_eps(net: Network, theta: np.ndarray, sample: tuple[np.ndarray, int
         raise ValueError(f"margin index {eps_index} outside layout "
                          f"0..{net.num_params() - 1}")
     x_t, y_t = sample
-    single = replace(cfg, batch_size=1, num_batches=1, epochs=1,
-                     shuffle_per_epoch=False)
+    single = replace(cfg, batch_size=1, num_batches=1, epochs=1)
     phi = client_train(net, theta, np.asarray(x_t, dtype=net.dtype)[None],
                        np.asarray([y_t]), single)
     return float(phi[eps_index])
@@ -77,8 +67,10 @@ def decide(delta: float, xi: float) -> int:
     """1 iff delta >= xi (boundary counts as membership).
 
     A non-finite delta (a diverged client) raises instead of reading as
-    "non-member".
+    "non-member", and so does a threshold that is not finite and positive.
     """
+    if not 0 < xi < math.inf:
+        raise ValueError(f"threshold xi must be finite and positive, got {xi!r}")
     if not np.isfinite(delta):
         raise ValueError(f"delta {delta!r} is not finite")
     if delta < 0:
@@ -88,7 +80,7 @@ def decide(delta: float, xi: float) -> int:
 
 def run_attack(net: Network, xs: np.ndarray, ys: np.ndarray,
                sample: tuple[np.ndarray, int], num_values: int, epsilon: float,
-               client_cfg: ClientConfig, decision_cfg: DecisionConfig,
+               client_cfg: ClientConfig, threshold: float,
                seed: int) -> tuple[AttackOutcome, TrapSpec]:
     """Craft, query the client on (xs, ys), run the reference step, decide."""
     theta, spec = craft_parameters(net, sample, num_values, epsilon, seed)
@@ -101,7 +93,7 @@ def run_attack(net: Network, xs: np.ndarray, ys: np.ndarray,
     eps_ref = reference_eps(net, theta, sample, client_cfg, eps_index)
     delta = decision_statistic(eps_initial, eps_client, eps_ref,
                                client_cfg.batch_size)
-    outcome = AttackOutcome(delta=delta, decision=decide(delta, decision_cfg.threshold),
+    outcome = AttackOutcome(delta=delta, decision=decide(delta, threshold),
                             eps_initial=eps_initial, eps_client=eps_client,
                             eps_reference=eps_ref)
     return outcome, spec

@@ -1,13 +1,16 @@
 """FedAvg client simulation.
 
 A client receives a flat parameter vector, trains for E epochs over J
-contiguous mini-batches of size B (dataset size must be exactly B*J), and
-returns the full parameter vector. Optimizer state is created fresh per
-call: the client is stateless between queries. FedSGD is the E=1, J=1
-special case. No sockets anywhere: a client is one in-process
-`client_train` call. It trains `net.with_params(theta)`, a network over
-its own copy of the vector, and writes each optimizer step into that
-copy's flat `params`, which the layers view; that copy is returned.
+contiguous mini-batches of size B of a fresh random permutation of its
+data (dataset size must be exactly B*J), and returns the full parameter
+vector. `ClientConfig` is this whole recipe: B, J, E, the optimizer
+("sgd" or "adam"), its learning rate and the shuffle seed. Optimizer
+state is created fresh per call: the client is stateless between
+queries. FedSGD is the E=1, J=1 special case. No sockets anywhere: a
+client is one in-process `client_train` call. It trains
+`net.with_params(theta)`, a network over its own copy of the vector, and
+writes each optimizer step into that copy's flat `params`, which the
+layers view; that copy is returned.
 
 `client_train` keeps each sample's split activation (the feature
 extractor's output) and hands a batch's activations to
@@ -26,12 +29,13 @@ the first epoch batches normally run only the head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .network import Network
-from .optim import AdamConfig, AdamState, OptimizerConfig, SGDConfig, adam_step, sgd_step
+from .optim import DEFAULT_LR, AdamState, adam_step, sgd_step
 
 
 @dataclass(frozen=True)
@@ -39,13 +43,19 @@ class ClientConfig:
     batch_size: int
     num_batches: int
     epochs: int
-    optimizer: OptimizerConfig = field(default_factory=SGDConfig)
+    optimizer: str = "sgd"           # sgd | adam
+    lr: float | None = None          # None -> DEFAULT_LR[optimizer]
     shuffle_seed: int = 0
-    shuffle_per_epoch: bool = True
 
     def __post_init__(self):
         if self.batch_size < 1 or self.num_batches < 1 or self.epochs < 1:
             raise ValueError("batch_size, num_batches and epochs must be >= 1")
+        if self.optimizer not in DEFAULT_LR:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.lr is None:
+            object.__setattr__(self, "lr", DEFAULT_LR[self.optimizer])
+        elif not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
 
     @property
     def num_samples(self) -> int:
@@ -71,16 +81,14 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
                          f"architecture layout ({net.num_params()},)")
     work = net.with_params(theta)
     params = work.params
-    adam = isinstance(cfg.optimizer, AdamConfig)
+    adam = cfg.optimizer == "adam"
     state = AdamState.fresh(params.size, dtype=net.dtype) if adam else None
     rng = np.random.default_rng(cfg.shuffle_seed)
-    order = np.arange(n)
     features = np.empty((n, net.feature_width), dtype=net.dtype)
     have = np.zeros(n, dtype=bool)
     computed_under = None
     for _ in range(cfg.epochs):
-        if cfg.shuffle_per_epoch:
-            order = rng.permutation(n)
+        order = rng.permutation(n)
         for j in range(cfg.num_batches):
             sel = order[j * cfg.batch_size:(j + 1) * cfg.batch_size]
             extractor = params[net.extractor_params].tobytes()
@@ -92,8 +100,8 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
                 have[sel] = True
             grad = work.backward(xs[sel], ys[sel], features=features[sel])
             if adam:
-                params[:], state = adam_step(state, params, grad, cfg.optimizer)
+                params[:], state = adam_step(state, params, grad, cfg.lr)
             else:
-                params[:] = sgd_step(params, grad, cfg.optimizer.lr)
+                params[:] = sgd_step(params, grad, cfg.lr)
     return params
 

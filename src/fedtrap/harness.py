@@ -10,21 +10,18 @@ from __future__ import annotations
 
 import csv
 import json
-import time
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .attack import DecisionConfig, run_attack
+from .attack import run_attack
 from .datasets import Dataset, load_cifar, load_mnist_idx, normalize, sample_run, synth_dataset
 from .fedsim import ClientConfig
 from .network import Network, conv_net, small_conv_net
-from .optim import AdamConfig, SGDConfig
-
-DEFAULT_SGD_LR = SGDConfig().lr
-DEFAULT_ADAM_LR = AdamConfig().lr
+from .optim import DEFAULT_LR
 
 SYNTH_POOL_EXTRA = 512
 SYNTH_IMAGE_SHAPE = (1, 14, 14)
@@ -50,7 +47,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.dataset not in ("mnist", "cifar10", "cifar100", "synthetic"):
             raise ValueError(f"unknown dataset {self.dataset!r}")
-        if self.optimizer not in ("sgd", "adam"):
+        if self.optimizer not in DEFAULT_LR:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.num_batches < 1 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("J, E and B must be >= 1")
@@ -58,8 +55,10 @@ class ExperimentConfig:
             raise ValueError("M must be >= 1")
         if self.runs < 2 or self.runs % 2:
             raise ValueError("runs must be even and >= 2 (half member, half not)")
-        if self.epsilon <= 0 or self.threshold <= 0:
-            raise ValueError("epsilon and threshold must be positive")
+        if not (0 < self.epsilon < math.inf and 0 < self.threshold < math.inf):
+            raise ValueError("epsilon and threshold must be finite and positive")
+        if self.lr is not None and not 0 < self.lr < math.inf:
+            raise ValueError("lr must be finite and positive")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -69,14 +68,7 @@ class ExperimentConfig:
 
     @property
     def effective_lr(self) -> float:
-        if self.lr is not None:
-            return self.lr
-        return DEFAULT_ADAM_LR if self.optimizer == "adam" else DEFAULT_SGD_LR
-
-    def optimizer_config(self):
-        if self.optimizer == "adam":
-            return AdamConfig(lr=self.effective_lr)
-        return SGDConfig(lr=self.effective_lr)
+        return self.lr if self.lr is not None else DEFAULT_LR[self.optimizer]
 
     def echo(self) -> dict:
         """All effective hyperparameters, marking assumed defaults."""
@@ -93,7 +85,6 @@ class RunRecord:
     member_flag: int    # t
     delta: float
     decision: int       # t_hat
-    wall_time: float
     seed: int
 
 
@@ -156,24 +147,20 @@ def execute_run(net: Network, source_norm: Dataset, cfg: ExperimentConfig,
                 run_id: int) -> RunRecord:
     t = 1 if run_id % 2 == 0 else 0
     seed = derive_seed(cfg.master_seed, run_id)
-    started = time.perf_counter()
     try:
         draw = sample_run(source_norm, cfg.num_samples, t, derive_seed(seed, 1))
         xs, ys = draw.training_set.stacked()
         client_cfg = ClientConfig(batch_size=cfg.batch_size,
-                                  num_batches=cfg.num_batches,
-                                  epochs=cfg.epochs, optimizer=cfg.optimizer_config(),
+                                  num_batches=cfg.num_batches, epochs=cfg.epochs,
+                                  optimizer=cfg.optimizer, lr=cfg.effective_lr,
                                   shuffle_seed=derive_seed(seed, 2))
-        decision_cfg = DecisionConfig(threshold=cfg.threshold,
-                                      batch_size=cfg.batch_size)
         outcome, _ = run_attack(net, xs, ys, draw.target,
                                 cfg.num_values, cfg.epsilon, client_cfg,
-                                decision_cfg, seed=derive_seed(seed, 3))
+                                cfg.threshold, seed=derive_seed(seed, 3))
     except Exception as err:
         raise RuntimeError(f"run {run_id} (seed {seed}) failed: {err}") from err
     return RunRecord(run_id=run_id, member_flag=t, delta=outcome.delta,
-                     decision=outcome.decision,
-                     wall_time=time.perf_counter() - started, seed=seed)
+                     decision=outcome.decision, seed=seed)
 
 
 _WORKER: dict = {}
@@ -275,6 +262,5 @@ def parse_results(path) -> list[RunRecord]:
                                      member_flag=int(row["t"]),
                                      delta=float(row["delta"]),
                                      decision=int(row["t_hat"]),
-                                     wall_time=0.0,
                                      seed=int(row["seed"])))
     return records

@@ -4,6 +4,11 @@ Both steps leave a component bit-identical whenever its gradient has been
 exactly zero at every step so far: SGD because p - lr*0 == p, Adam because
 zero moments stay zero and 0/(sqrt(0)+eps) == 0. The membership decision
 relies on this, so the updates are kept in this exact form.
+
+An optimizer is named by a string, "sgd" or "adam"; `DEFAULT_LR` holds
+each one's learning rate for a run that sets none. Adam's betas and eps
+are fixed at the usual values. Both steps are pure: they return new
+arrays and leave their inputs alone.
 """
 
 from __future__ import annotations
@@ -12,31 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+DEFAULT_LR = {"sgd": 1e-2, "adam": 1e-3}
 
-@dataclass(frozen=True)
-class SGDConfig:
-    lr: float = 1e-2
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-
-
-@dataclass(frozen=True)
-class AdamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.lr <= 0 or self.eps <= 0:
-            raise ValueError("lr and eps must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
-
-
-OptimizerConfig = SGDConfig | AdamConfig
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _check_layouts(params: np.ndarray, grad: np.ndarray) -> None:
@@ -63,15 +48,15 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
-              cfg: AdamConfig) -> tuple[np.ndarray, AdamState]:
+              lr: float) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update; returns new params and advanced state."""
     _check_layouts(params, grad)
     _check_layouts(params, state.m)
     t = state.t + 1
-    m = cfg.beta1 * state.m + (1 - cfg.beta1) * grad
-    v = cfg.beta2 * state.v + (1 - cfg.beta2) * grad * grad
-    m_hat = m / (1 - cfg.beta1 ** t)
-    v_hat = v / (1 - cfg.beta2 ** t)
-    step = params.dtype.type(cfg.lr) * m_hat / (np.sqrt(v_hat) + params.dtype.type(cfg.eps))
+    m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1 - ADAM_BETA1 ** t)
+    v_hat = v / (1 - ADAM_BETA2 ** t)
+    step = params.dtype.type(lr) * m_hat / (np.sqrt(v_hat) + params.dtype.type(ADAM_EPS))
     return (params - step).astype(params.dtype, copy=False), AdamState(
         m.astype(params.dtype, copy=False), v.astype(params.dtype, copy=False), t)

@@ -58,11 +58,8 @@ class TrapSpec:
             raise ValueError("indices/etas must have length num_values")
         if len(set(self.component_indices)) != self.num_values:
             raise ValueError("component indices must be distinct")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-
-    def pair_units(self, m: int) -> tuple[int, int]:
-        return 2 * m, 2 * m + 1
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
 
     @property
     def aggregator_unit(self) -> int:
@@ -112,8 +109,8 @@ def craft_parameters(net: Network, sample: tuple[np.ndarray, int], num_values: i
     x_t, y_t = sample
     if not 1 <= y_t <= net.num_classes:
         raise ValueError(f"target label {y_t} outside 1..{net.num_classes}")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be finite and positive")
     h1_idx, h2_idx, out_idx = net.head_linear_indices()
     work = net.with_params(net.params)
     h1, h2, out = (work.layers[i] for i in (h1_idx, h2_idx, out_idx))

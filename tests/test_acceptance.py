@@ -15,14 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedtrap.attack import DecisionConfig, decision_statistic, reference_eps, run_attack
+from fedtrap.attack import decision_statistic, reference_eps, run_attack
 from fedtrap.cli import build_parser
 from fedtrap.datasets import (Dataset, find_exact_duplicates, load_cifar, normalize,
                               sample_run, synth_dataset)
 from fedtrap.fedsim import ClientConfig, client_train
 from fedtrap.harness import ExperimentConfig, run_experiment
 from fedtrap.network import dense_net, small_conv_net
-from fedtrap.optim import AdamConfig, SGDConfig, sgd_step
+from fedtrap.optim import DEFAULT_LR, sgd_step
 from fedtrap.trap import (craft_parameters, epsilon_flat_index,
                           trap_eps_grad_oracle, trap_output_oracle)
 from fedtrap.verify import run_gradient_check_suite
@@ -142,7 +142,7 @@ def test_criterion_3_gradient_zeroing_under_training():
         mask[final_bias] = False
         probe = net.with_params(theta)
         etas32 = np.array(spec.etas, dtype=np.float32)
-        ref_cfg = ClientConfig(1, 1, 1, optimizer=SGDConfig())
+        ref_cfg = ClientConfig(1, 1, 1, optimizer="sgd")
         eps_ref = reference_eps(net, theta, (x_t, 5), ref_cfg, eps_idx)
 
         batches = 0
@@ -153,7 +153,7 @@ def test_criterion_3_gradient_zeroing_under_training():
                 continue  # astronomically unlikely; resample to keep the premise
             ys = rng.integers(1, 11, size=16)
             epochs = (1, 2, 4)[batches % 3]
-            for opt in (SGDConfig(), AdamConfig()):
+            for opt in ("sgd", "adam"):
                 cfg = ClientConfig(8, 2, epochs, optimizer=opt,
                                    shuffle_seed=batches)
                 phi = client_train(net, theta, xs, ys, cfg)
@@ -251,12 +251,12 @@ def test_criterion_8_single_step_special_case():
         rng = np.random.default_rng(MASTER_SEED)
         xs = rng.uniform(-1, 1, size=(32, 1, 14, 14))
         ys = rng.integers(1, 11, size=32)
-        lr = SGDConfig().lr
+        lr = DEFAULT_LR["sgd"]
+        # the gradient over the client's one-epoch order
+        order = np.random.default_rng(0).permutation(32)
         work = net64.with_params(theta)
-        grad = work.backward(xs, ys)
-        phi = client_train(net64, theta, xs, ys,
-                           ClientConfig(32, 1, 1, optimizer=SGDConfig(lr=lr),
-                                        shuffle_per_epoch=False))
+        grad = work.backward(xs[order], ys[order])
+        phi = client_train(net64, theta, xs, ys, ClientConfig(32, 1, 1, lr=lr, shuffle_seed=0))
         assert np.array_equal(phi, sgd_step(theta, grad, lr))
         # the literal delta form is exact up to the single rounding of
         # theta - lr*grad, i.e. one ulp of theta per component
@@ -270,8 +270,8 @@ def test_criterion_8_single_step_special_case():
         xs, ys = draw.training_set.stacked()
         net = small_conv_net()
         outcome, spec = run_attack(net, xs, ys, draw.target, 4, 1e-3,
-                                   ClientConfig(32, 1, 1, optimizer=SGDConfig()),
-                                   DecisionConfig(), seed=MASTER_SEED + 4)
+                                   ClientConfig(32, 1, 1, optimizer="sgd"),
+                                   0.1, seed=MASTER_SEED + 4)
         theta_trap, _ = craft_parameters(net, draw.target, 4, 1e-3, seed=MASTER_SEED + 4)
         probe = net.with_params(theta_trap)
         feats = probe.forward_features(xs)[:, list(spec.component_indices)]

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from fedtrap.attack import (AttackOutcome, DecisionConfig, DegenerateTrapError,
-                            decide, decision_statistic, reference_eps, run_attack)
+from fedtrap.attack import (AttackOutcome, DegenerateTrapError, decide,
+                            decision_statistic, reference_eps, run_attack)
 from fedtrap.datasets import normalize, sample_run, synth_dataset
 from fedtrap.fedsim import ClientConfig
 from fedtrap.network import small_conv_net
-from fedtrap.optim import AdamConfig, SGDConfig
 from fedtrap.trap import craft_parameters, epsilon_flat_index
 
 
@@ -23,7 +22,7 @@ def crafted_setup(seed=7, label=3, M=4, eps=1e-3, dtype=np.float32):
 
 def test_reference_eps_sgd_increases_margin():
     net, x_t, y_t, theta, spec = crafted_setup()
-    cfg = ClientConfig(32, 1, 1, optimizer=SGDConfig(lr=1e-2))
+    cfg = ClientConfig(32, 1, 1, optimizer="sgd", lr=1e-2)
     idx = epsilon_flat_index(net, spec)
     ref = reference_eps(net, theta, (x_t, y_t), cfg, idx)
     # the target self-triggers and the descent direction raises the margin:
@@ -34,7 +33,7 @@ def test_reference_eps_sgd_increases_margin():
 
 def test_reference_eps_adam_moves_by_about_lr():
     net, x_t, y_t, theta, spec = crafted_setup()
-    cfg = ClientConfig(32, 1, 1, optimizer=AdamConfig(lr=1e-3))
+    cfg = ClientConfig(32, 1, 1, optimizer="adam", lr=1e-3)
     idx = epsilon_flat_index(net, spec)
     ref = reference_eps(net, theta, (x_t, y_t), cfg, idx)
     assert abs(ref - spec.epsilon) == pytest.approx(1e-3, rel=1e-3)
@@ -45,7 +44,7 @@ def test_reference_eps_non_triggering_sample_is_exact_fixed_point():
     net, x_t, y_t, theta, spec = crafted_setup()
     idx = epsilon_flat_index(net, spec)
     other = np.random.default_rng(1).uniform(-1, 1, size=(1, 14, 14)).astype(np.float32)
-    for opt in (SGDConfig(), AdamConfig()):
+    for opt in ("sgd", "adam"):
         cfg = ClientConfig(32, 1, 1, optimizer=opt)
         assert reference_eps(net, theta, (other, y_t), cfg, idx) == theta[idx]
 
@@ -102,22 +101,29 @@ def test_decide_rejects_non_finite_delta(delta):
         decide(delta, 0.1)
 
 
+@pytest.mark.parametrize("xi", [0.0, -1.0, float("nan"), float("inf")])
+def test_decide_rejects_bad_threshold(xi):
+    # a NaN threshold would read every member as "non-member"
+    with pytest.raises(ValueError, match="threshold xi must be finite and positive"):
+        decide(0.5, xi)
+
+
 # -- end-to-end ---------------------------------------------------------------------
 
 
-def run_once(member: bool, opt=SGDConfig(), J=2, E=1, seed=123, M=4):
+def run_once(member: bool, opt="sgd", J=2, E=1, seed=123, M=4):
     source = normalize(synth_dataset(200, seed=seed))
     draw = sample_run(source, 64, int(member), seed=seed + 1)
     xs, ys = draw.training_set.stacked()
     net = small_conv_net()
     client_cfg = ClientConfig(32, J, E, optimizer=opt, shuffle_seed=seed + 2)
     outcome, spec = run_attack(net, xs, ys, draw.target, M, 1e-3, client_cfg,
-                               DecisionConfig(), seed=seed + 3)
+                               0.1, seed=seed + 3)
     return outcome, spec
 
 
 def test_run_attack_member_is_detected():
-    for opt in (SGDConfig(), AdamConfig()):
+    for opt in ("sgd", "adam"):
         outcome, _ = run_once(member=True, opt=opt)
         assert outcome.decision == 1
         assert outcome.delta >= 0.1
@@ -125,7 +131,7 @@ def test_run_attack_member_is_detected():
 
 
 def test_run_attack_non_member_delta_is_exactly_zero():
-    for opt in (SGDConfig(), AdamConfig()):
+    for opt in ("sgd", "adam"):
         outcome, _ = run_once(member=False, opt=opt)
         assert outcome.delta == 0.0
         assert outcome.decision == 0
@@ -142,8 +148,7 @@ def test_run_attack_duplicate_of_target_outside_draw_false_positives():
     xs[5] = draw.target[0]  # plant the duplicate
     net = small_conv_net()
     outcome, _ = run_attack(net, xs, ys, draw.target, 4, 1e-3,
-                            ClientConfig(32, 2, 1, shuffle_seed=1),
-                            DecisionConfig(), seed=11)
+                            ClientConfig(32, 2, 1, shuffle_seed=1), 0.1, seed=11)
     assert outcome.decision == 1
 
 
@@ -187,7 +192,7 @@ def test_single_matched_value_collapses_on_structured_images():
             xs, ys = draw.training_set.stacked()
             outcome, _ = run_attack(net, xs, ys, draw.target, M, 1e-3,
                                     ClientConfig(32, 16, 1, shuffle_seed=k),
-                                    DecisionConfig(), seed=1000 + k)
+                                    0.1, seed=1000 + k)
             false_positives[M] += outcome.decision
     assert false_positives[1] / runs > 0.5
     assert false_positives[4] == 0

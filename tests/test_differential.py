@@ -19,7 +19,7 @@ import pytest
 from fedtrap.fedsim import ClientConfig, client_train
 from fedtrap.layers import Conv2D
 from fedtrap.network import conv_net, dense_net, small_conv_net
-from fedtrap.optim import AdamConfig, AdamState, SGDConfig, adam_step, sgd_step
+from fedtrap.optim import AdamState, adam_step, sgd_step
 from fedtrap.trap import craft_parameters
 
 
@@ -45,20 +45,18 @@ def reference_gradient(net, xs, ys):
 def reference_client_train(net, theta, xs, ys, cfg):
     """The training loop with no reuse: a fresh network over the current vector per batch."""
     params = np.array(theta, dtype=net.dtype, copy=True)
-    adam = isinstance(cfg.optimizer, AdamConfig)
+    adam = cfg.optimizer == "adam"
     state = AdamState.fresh(params.size, dtype=net.dtype) if adam else None
     rng = np.random.default_rng(cfg.shuffle_seed)
-    order = np.arange(len(xs))
     for _ in range(cfg.epochs):
-        if cfg.shuffle_per_epoch:
-            order = rng.permutation(len(xs))
+        order = rng.permutation(len(xs))
         for j in range(cfg.num_batches):
             sel = order[j * cfg.batch_size:(j + 1) * cfg.batch_size]
             grad = reference_gradient(net.with_params(params), xs[sel], ys[sel])
             if adam:
-                params, state = adam_step(state, params, grad, cfg.optimizer)
+                params, state = adam_step(state, params, grad, cfg.lr)
             else:
-                params = sgd_step(params, grad, cfg.optimizer.lr)
+                params = sgd_step(params, grad, cfg.lr)
     return params
 
 
@@ -83,8 +81,7 @@ def trap_case(net, n, member, seed, negative_zeros):
     return theta, xs, ys
 
 
-def optimizer(name):
-    return AdamConfig(lr=1e-3) if name == "adam" else SGDConfig(lr=0.05)
+LR = {"sgd": 0.05, "adam": 1e-3}
 
 
 def assert_bit_identical(net, theta, xs, ys, cfg):
@@ -100,7 +97,7 @@ GRID = list(itertools.product([True, False], ["sgd", "adam"], [1, 2, 3], [1, 4])
 def assert_trap_training_bit_identical(net, member, opt, epochs, batches, negative_zeros):
     seed = 100 * epochs + 10 * batches + 2 * member + (opt == "adam")
     theta, xs, ys = trap_case(net, 8 * batches, member, seed, negative_zeros)
-    cfg = ClientConfig(8, batches, epochs, optimizer=optimizer(opt), shuffle_seed=seed)
+    cfg = ClientConfig(8, batches, epochs, optimizer=opt, lr=LR[opt], shuffle_seed=seed)
     assert_bit_identical(net, theta, xs, ys, cfg)
 
 
@@ -131,7 +128,7 @@ def test_live_training_is_bit_identical_to_reference(opt, epochs, batches):
     rng = np.random.default_rng(batches)
     xs = rng.uniform(-1, 1, size=(8 * batches, 1, 14, 14)).astype(np.float32)
     ys = rng.integers(1, 11, size=8 * batches)
-    cfg = ClientConfig(8, batches, epochs, optimizer=optimizer(opt), shuffle_seed=epochs)
+    cfg = ClientConfig(8, batches, epochs, optimizer=opt, lr=LR[opt], shuffle_seed=epochs)
     assert_bit_identical(net, net.params, xs, ys, cfg)
 
 
@@ -139,7 +136,7 @@ def test_live_training_is_bit_identical_to_reference(opt, epochs, batches):
 def test_conv_net_j16_e2_adam_is_bit_identical_to_reference(member):
     net = conv_net((1, 28, 28), 10)
     theta, xs, ys = trap_case(net, 32 * 16, member, seed=401, negative_zeros=False)
-    cfg = ClientConfig(32, 16, 2, optimizer=AdamConfig(), shuffle_seed=5)
+    cfg = ClientConfig(32, 16, 2, optimizer="adam", shuffle_seed=5)
     assert_bit_identical(net, theta, xs, ys, cfg)
 
 
@@ -158,6 +155,6 @@ def test_extractor_runs_once_per_sample_under_a_trap(monkeypatch):
     theta, xs, ys = trap_case(net, 32, member=True, seed=3, negative_zeros=False)
     monkeypatch.setattr(Conv2D, "forward", counting("forward", forward))
     monkeypatch.setattr(Conv2D, "backward", counting("backward", backward))
-    client_train(net, theta, xs, ys, ClientConfig(8, 4, 3, optimizer=AdamConfig()))
+    client_train(net, theta, xs, ys, ClientConfig(8, 4, 3, optimizer="adam"))
     # two conv layers, four batches, first epoch only
     assert calls == {"forward": 2 * 4, "backward": 0}

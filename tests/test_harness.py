@@ -11,7 +11,7 @@ from fedtrap.harness import (ExperimentConfig, MetricsReport, RunRecord,
 
 def record(run_id, t, delta, t_hat, seed=0):
     return RunRecord(run_id=run_id, member_flag=t, delta=delta, decision=t_hat,
-                     wall_time=0.0, seed=seed)
+                     seed=seed)
 
 
 # -- metrics ------------------------------------------------------------------
@@ -253,6 +253,11 @@ def test_cli_configuration_errors_exit_1_in_every_subcommand(command, tmp_path, 
     assert cli_main([command, "--dataset", "mnist", "--data-dir", str(tmp_path),
                      "--J", "2"]) == 1
     assert "has only 40 samples" in capsys.readouterr().err
+    # non-finite or non-positive numbers are configuration errors, not failed runs
+    for flag, value in [("--xi", "nan"), ("--xi", "inf"), ("--lr", "0"), ("--lr", "-1"),
+                        ("--lr", "nan"), ("--eps", "nan"), ("--eps", "inf")]:
+        assert cli_main([command, "--B", "8", flag, value]) == 1, (flag, value)
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_attack_one_prints_outcome(capsys):

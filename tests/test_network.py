@@ -1,6 +1,8 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,8 +254,11 @@ print(json.dumps(entries))
 def test_layout_is_stable_across_processes():
     net = small_conv_net()
     here = [(e.layer_index, e.name, list(e.shape), e.offset) for e in net.layout.entries]
+    # the child imports fedtrap from this checkout even when it is not installed
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     out = subprocess.run([sys.executable, "-c", LAYOUT_PROBE],
-                         capture_output=True, text=True, check=True)
+                         capture_output=True, text=True, check=True, env=env)
     import json
     assert json.loads(out.stdout) == [list(e) for e in map(list, here)]
 

@@ -172,6 +172,16 @@ def test_crafting_rejects_oversized_component_count():
         craft_parameters(net, (np.zeros(6), 1), num_values=7, epsilon=1e-3, seed=0)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-3, float("nan"), float("inf")])
+def test_crafting_and_spec_reject_bad_epsilon(eps):
+    net = dense_net(6, (24, 16), 10, dtype=np.float64)
+    with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        craft_parameters(net, (np.ones(6), 1), num_values=2, epsilon=eps, seed=0)
+    with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        TrapSpec(num_values=1, component_indices=(0,), etas=(0.5,), epsilon=eps,
+                 target_label=1, seed=0)
+
+
 def test_degenerate_target_warns_but_crafts():
     net = dense_net(4, (10, 8), 5, dtype=np.float64)
     with pytest.warns(UserWarning, match="nonzero"):
