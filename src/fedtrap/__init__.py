@@ -8,7 +8,7 @@ reveals whether a chosen target sample was in the client's training data.
 
 from .attack import AttackOutcome, decide, decision_statistic, reference_eps, run_attack
 from .datasets import (Dataset, DuplicateReport, RunDraw, find_exact_duplicates, load_cifar,
-                       load_mnist_idx, normalize, sample_run, synth_dataset)
+                       load_mnist_idx, sample_run, synth_dataset)
 from .fedsim import ClientConfig, client_train
 from .harness import (ExperimentConfig, MetricsReport, RunRecord, compute_metrics,
                       emit_results, run_experiment)
@@ -24,7 +24,7 @@ __all__ = [
     "AttackOutcome", "decide", "decision_statistic",
     "reference_eps", "run_attack",
     "Dataset", "DuplicateReport", "RunDraw", "find_exact_duplicates",
-    "load_cifar", "load_mnist_idx", "normalize", "sample_run", "synth_dataset",
+    "load_cifar", "load_mnist_idx", "sample_run", "synth_dataset",
     "ClientConfig", "client_train",
     "ExperimentConfig", "MetricsReport", "RunRecord", "compute_metrics",
     "emit_results", "run_experiment",

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import harness
 from .datasets import (duplicate_report_rows, find_exact_duplicates, load_cifar,
-                       load_mnist_idx, normalize, write_cifar_fixture,
-                       write_mnist_fixture)
+                       load_mnist_idx, write_cifar_fixture, write_mnist_fixture)
 from .verify import run_gradient_check_suite
 
 
@@ -57,7 +56,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_attack_one(args) -> int:
     cfg = _experiment_config(args, runs=2)
-    source = normalize(harness.build_source(cfg))
+    source = harness.build_source(cfg)
     net = harness.build_network(cfg, source)
     record = harness.execute_run(net, source, cfg, run_id=0 if args.member else 1)
     print(f"member_flag={record.member_flag} delta={record.delta!r} "
@@ -66,6 +65,10 @@ def cmd_attack_one(args) -> int:
 
 
 def cmd_dedup(args) -> int:
+    needed = (("train_images", "train_labels", "test_images", "test_labels")
+              if args.format == "mnist" else ("train", "test"))
+    if missing := [name for name in needed if getattr(args, name) is None]:
+        raise ValueError(f"--format {args.format} needs --{missing[0].replace('_', '-')}")
     if args.format == "mnist":
         train = load_mnist_idx(args.train_images, args.train_labels, split="train")
         test = load_mnist_idx(args.test_images, args.test_labels, split="test")
@@ -91,6 +94,8 @@ def cmd_dedup(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.networks < 1:
+        raise ValueError("--networks must be >= 1")
     results = run_gradient_check_suite(args.networks, seed=args.seed, step=args.step)
     ok = True
     for i, r in enumerate(results):
@@ -192,7 +197,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as err:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {err}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,9 +1,9 @@
 """Dataset ingestion, normalization, run sampling, and exact-duplicate scanning.
 
-A `Dataset` holds its images as one array: a parsed file's own uint8
-bytes until `normalize` maps them to float32 in [-1, 1]. Labels are
-1-based everywhere. Duplicate detection compares the raw bytes, so it
-runs before normalization.
+A `Dataset` holds its images as one array of a parsed file's own uint8
+bytes. Pixels become float32 in [-1, 1] only in the rows a run draws:
+`Dataset.stacked` and `sample_run`'s target. Labels are 1-based
+everywhere. Duplicate detection compares the raw bytes.
 """
 
 from __future__ import annotations
@@ -43,10 +43,9 @@ class DatasetFormatError(ValueError):
 class Dataset:
     """N samples as three arrays.
 
-    `images` is (N, C, H, W): uint8 raw pixels (a parsed file's own bytes),
-    or float32 once `normalize` has mapped them to [-1, 1]. `labels`
-    (1..num_classes) and `ids` (position in the originating file) are (N,)
-    int64.
+    `images` is (N, C, H, W) uint8 raw pixels (a parsed file's own bytes).
+    `labels` (1..num_classes) and `ids` (position in the originating file)
+    are (N,) int64.
     """
 
     images: np.ndarray
@@ -57,8 +56,8 @@ class Dataset:
     label_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.images.dtype not in (np.uint8, np.float32) or self.images.ndim != 4:
-            raise ValueError("images must be an (N, C, H, W) uint8 or float32 array, "
+        if self.images.dtype != np.uint8 or self.images.ndim != 4:
+            raise ValueError("images must be an (N, C, H, W) uint8 array, "
                              f"got {self.images.dtype} {self.images.shape}")
         if self.labels.dtype != np.int64 or self.ids.dtype != np.int64:
             raise ValueError(f"labels and ids must be int64, got {self.labels.dtype} "
@@ -77,16 +76,12 @@ class Dataset:
         return len(self.images)
 
     @property
-    def normalized(self) -> bool:
-        return self.images.dtype == np.float32
-
-    @property
     def image_shape(self) -> tuple[int, ...]:
         return self.images.shape[1:]
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """(N,C,H,W) float32 images and (N,) int64 labels, in order, as new arrays."""
-        return self.images.astype(np.float32), self.labels.copy()
+        """Normalized (N,C,H,W) float32 images and (N,) int64 labels, as new arrays."""
+        return _normalized(self.images), self.labels.copy()
 
     def label_name(self, label: int) -> str:
         if self.label_names is not None:
@@ -98,7 +93,7 @@ class Dataset:
 class RunDraw:
     member_flag: int                  # t: 1 if the target is inside the training set
     training_set: Dataset
-    target: tuple[np.ndarray, int]    # (image, label), as run_attack takes it
+    target: tuple[np.ndarray, int]    # (normalized image, label), as run_attack takes it
     target_id: int
 
     def __post_init__(self):
@@ -195,26 +190,30 @@ def load_cifar(path, variant: str, split: str = "train") -> Dataset:
 # -- normalization -----------------------------------------------------------
 
 
-def normalize(dataset: Dataset) -> Dataset:
-    """Map raw pixels p -> (p/255 - 0.5)/0.5 in float32, range [-1, 1].
+def _normalized(pixels: np.ndarray) -> np.ndarray:
+    """Map raw pixels p -> (p/255 - 0.5)/0.5 in a new float32 array, range [-1, 1].
 
     Each in-place step rounds to float32 exactly as the per-image
     expression does, so the result is bit-identical to it.
     """
-    if dataset.normalized:
-        raise ValueError("dataset is already normalized")
-    images = dataset.images.astype(np.float32)
+    images = pixels.astype(np.float32)
     images /= np.float32(255)
     images -= np.float32(0.5)
     images /= np.float32(0.5)
-    return replace(dataset, images=images)
+    return images
+
+
+def normalize(dataset: Dataset) -> Dataset:
+    """Pass-through kept for the frozen `perfbench/workloads.py`: runs normalize
+    the rows they draw. The next benchmark change drops that call, then this."""
+    return dataset
 
 
 # -- run sampling -------------------------------------------------------------
 
 
 def sample_run(source: Dataset, num_samples: int, member_flag: int, seed: int) -> RunDraw:
-    """Draw a size-N training set and a target inside (t=1) or outside (t=0) it."""
+    """Draw a raw size-N training set and a normalized target in (t=1) or out of (t=0) it."""
     if num_samples >= len(source):
         raise ValueError(f"need num_samples < |source| ({num_samples} >= {len(source)})")
     rng = np.random.default_rng(seed)
@@ -228,7 +227,7 @@ def sample_run(source: Dataset, num_samples: int, member_flag: int, seed: int) -
     training = replace(source, images=source.images[chosen], labels=source.labels[chosen],
                        ids=source.ids[chosen])
     return RunDraw(member_flag=int(bool(member_flag)), training_set=training,
-                   target=(source.images[target], int(source.labels[target])),
+                   target=(_normalized(source.images[target]), int(source.labels[target])),
                    target_id=int(source.ids[target]))
 
 
@@ -260,8 +259,6 @@ def find_exact_duplicates(train: Dataset, test: Dataset) -> DuplicateReport:
     """
     if train.image_shape != test.image_shape:
         raise ValueError(f"image shapes differ: {train.image_shape} vs {test.image_shape}")
-    if train.normalized or test.normalized:
-        raise ValueError("duplicate scan operates on raw-valued datasets")
     train_ids, train_labels = train.ids.tolist(), train.labels.tolist()
     test_ids, test_labels = test.ids.tolist(), test.labels.tolist()
 

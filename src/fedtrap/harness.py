@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .attack import run_attack
-from .datasets import Dataset, load_cifar, load_mnist_idx, normalize, sample_run, synth_dataset
+from .datasets import Dataset, load_cifar, load_mnist_idx, sample_run, synth_dataset
 from .fedsim import ClientConfig
 from .network import Network, conv_net, small_conv_net
 from .optim import DEFAULT_LR
@@ -143,12 +143,12 @@ def build_network(cfg: ExperimentConfig, source: Dataset) -> Network:
     return net
 
 
-def execute_run(net: Network, source_norm: Dataset, cfg: ExperimentConfig,
+def execute_run(net: Network, source: Dataset, cfg: ExperimentConfig,
                 run_id: int) -> RunRecord:
     t = 1 if run_id % 2 == 0 else 0
     seed = derive_seed(cfg.master_seed, run_id)
     try:
-        draw = sample_run(source_norm, cfg.num_samples, t, derive_seed(seed, 1))
+        draw = sample_run(source, cfg.num_samples, t, derive_seed(seed, 1))
         xs, ys = draw.training_set.stacked()
         client_cfg = ClientConfig(batch_size=cfg.batch_size,
                                   num_batches=cfg.num_batches, epochs=cfg.epochs,
@@ -167,10 +167,8 @@ _WORKER: dict = {}
 
 
 def _worker_init(cfg: ExperimentConfig) -> None:
-    source = normalize(build_source(cfg))
-    _WORKER["cfg"] = cfg
-    _WORKER["net"] = build_network(cfg, source)
-    _WORKER["source"] = source
+    source = build_source(cfg)
+    _WORKER.update(cfg=cfg, net=build_network(cfg, source), source=source)
 
 
 def _worker_run(run_id: int) -> RunRecord:
@@ -178,15 +176,15 @@ def _worker_run(run_id: int) -> RunRecord:
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[RunRecord], MetricsReport]:
-    source_norm = normalize(build_source(cfg))
-    net = build_network(cfg, source_norm)
+    source = build_source(cfg)
+    net = build_network(cfg, source)
 
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_worker_init,
-                                 initargs=(cfg,)) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, cfg.runs),
+                                 initializer=_worker_init, initargs=(cfg,)) as pool:
             records = list(pool.map(_worker_run, range(cfg.runs)))
     else:
-        records = [execute_run(net, source_norm, cfg, rid) for rid in range(cfg.runs)]
+        records = [execute_run(net, source, cfg, rid) for rid in range(cfg.runs)]
     records.sort(key=lambda r: r.run_id)
     return records, compute_metrics(records)
 

@@ -17,8 +17,8 @@ import pytest
 
 from fedtrap.attack import decision_statistic, reference_eps, run_attack
 from fedtrap.cli import build_parser
-from fedtrap.datasets import (Dataset, find_exact_duplicates, load_cifar, normalize,
-                              sample_run, synth_dataset)
+from fedtrap.datasets import (Dataset, find_exact_duplicates, load_cifar, sample_run,
+                              synth_dataset)
 from fedtrap.fedsim import ClientConfig, client_train
 from fedtrap.harness import ExperimentConfig, run_experiment
 from fedtrap.network import dense_net, small_conv_net
@@ -265,7 +265,7 @@ def test_criterion_8_single_step_special_case():
         assert np.array_equal((theta - phi)[grad == 0], np.zeros((grad == 0).sum()))
 
         # synthetic run with exactly one triggering sample in one batch
-        source = normalize(synth_dataset(200, seed=MASTER_SEED + 2))
+        source = synth_dataset(200, seed=MASTER_SEED + 2)
         draw = sample_run(source, 32, 1, seed=MASTER_SEED + 3)
         xs, ys = draw.training_set.stacked()
         net = small_conv_net()

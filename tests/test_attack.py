@@ -3,7 +3,7 @@ import pytest
 
 from fedtrap.attack import (AttackOutcome, DegenerateTrapError, decide,
                             decision_statistic, reference_eps, run_attack)
-from fedtrap.datasets import normalize, sample_run, synth_dataset
+from fedtrap.datasets import sample_run, synth_dataset
 from fedtrap.fedsim import ClientConfig
 from fedtrap.network import small_conv_net
 from fedtrap.trap import craft_parameters, epsilon_flat_index
@@ -112,7 +112,7 @@ def test_decide_rejects_bad_threshold(xi):
 
 
 def run_once(member: bool, opt="sgd", J=2, E=1, seed=123, M=4):
-    source = normalize(synth_dataset(200, seed=seed))
+    source = synth_dataset(200, seed=seed)
     draw = sample_run(source, 64, int(member), seed=seed + 1)
     xs, ys = draw.training_set.stacked()
     net = small_conv_net()
@@ -141,7 +141,7 @@ def test_run_attack_non_member_delta_is_exactly_zero():
 def test_run_attack_duplicate_of_target_outside_draw_false_positives():
     # the documented failure mode: a byte-identical copy of the target hides
     # in the client data even though the target itself was not drawn
-    source = normalize(synth_dataset(200, seed=9))
+    source = synth_dataset(200, seed=9)
     draw = sample_run(source, 64, 0, seed=10)
     xs, ys = draw.training_set.stacked()
     xs = xs.copy()
@@ -181,8 +181,8 @@ def test_single_matched_value_collapses_on_structured_images():
     for _ in range(1100):
         images.append(stroke_image(rng))
         labels.append(rng.integers(1, 11))
-    source = normalize(Dataset(np.stack(images), np.array(labels, dtype=np.int64),
-                               np.arange(1100, dtype=np.int64), "synthetic", 10))
+    source = Dataset(np.stack(images), np.array(labels, dtype=np.int64),
+                     np.arange(1100, dtype=np.int64), "synthetic", 10)
     net = small_conv_net()
     false_positives = {1: 0, 4: 0}
     runs = 12

@@ -6,7 +6,7 @@ import pytest
 
 from fedtrap.datasets import (Dataset, DatasetFormatError, duplicate_report_rows,
                               find_exact_duplicates, load_cifar, load_mnist_idx,
-                              normalize, sample_run, synth_dataset,
+                              sample_run, synth_dataset,
                               write_cifar_fixture, write_mnist_fixture)
 
 
@@ -43,7 +43,7 @@ def test_mnist_fixture_parses_with_exact_pixels(tmp_path):
     ds = load_mnist_idx(img, lbl)
     assert len(ds) == 4
     assert ds.image_shape == (1, 5, 7)
-    assert ds.images.dtype == np.uint8 and not ds.normalized
+    assert ds.images.dtype == np.uint8
     np.testing.assert_array_equal(ds.images[:, 0], pixels)
     np.testing.assert_array_equal(ds.labels, labels + 1)
     np.testing.assert_array_equal(ds.ids, np.arange(4))
@@ -192,9 +192,10 @@ def test_dataset_rejects_wrong_dtypes_lengths_and_labels():
     labels = np.array([1, 2, 3], dtype=np.int64)
     ids = np.arange(3, dtype=np.int64)
     Dataset(images, labels, ids, "train", 3)
-    with pytest.raises(ValueError, match="uint8 or float32"):
-        Dataset(images.astype(np.float64), labels, ids, "train", 3)
-    with pytest.raises(ValueError, match="uint8 or float32"):
+    for dtype in (np.float32, np.float64):
+        with pytest.raises(ValueError, match="uint8 array"):
+            Dataset(images.astype(dtype), labels, ids, "train", 3)
+    with pytest.raises(ValueError, match="uint8 array"):
         Dataset(images[:, 0], labels, ids, "train", 3)
     with pytest.raises(ValueError, match="int64"):
         Dataset(images, labels.astype(np.int32), ids, "train", 3)
@@ -216,26 +217,25 @@ def test_dataset_rejects_wrong_dtypes_lengths_and_labels():
 
 def test_normalize_endpoints_and_midpoint():
     ds = make_dataset([[[[0, 255, 127, 128]]]], [1], num_classes=2)
-    normed = normalize(ds)
-    assert normed.images.dtype == np.float32 and normed.normalized
-    np.testing.assert_array_equal(normed.images[0, 0, 0, :2], [-1.0, 1.0])
-    np.testing.assert_allclose(normed.images[0, 0, 0, 2:], [-1 / 255, 1 / 255], rtol=1e-4)
-    assert normed.labels is ds.labels and normed.ids is ds.ids
+    xs, ys = ds.stacked()
+    assert xs.dtype == np.float32 and ds.images.dtype == np.uint8
+    np.testing.assert_array_equal(xs[0, 0, 0, :2], [-1.0, 1.0])
+    np.testing.assert_allclose(xs[0, 0, 0, 2:], [-1 / 255, 1 / 255], rtol=1e-4)
+    np.testing.assert_array_equal(ys, ds.labels)
+    assert not np.shares_memory(ys, ds.labels)
 
 
-def test_normalize_round_trip_and_double_guard():
+def test_normalize_round_trip():
     ds = synth_dataset(10, seed=6)
-    normed = normalize(ds)
-    back = np.rint((normed.images * np.float32(0.5) + np.float32(0.5)) * np.float32(255))
+    xs, _ = ds.stacked()
+    back = np.rint((xs * np.float32(0.5) + np.float32(0.5)) * np.float32(255))
     assert back.astype(np.uint8).tobytes() == ds.images.tobytes()
-    with pytest.raises(ValueError, match="already"):
-        normalize(normed)
 
 
-def per_image_reference(ds):
-    """The per-sample arithmetic normalize replaced, one image at a time."""
+def per_image_reference(images):
+    """The per-sample arithmetic of (p/255 - 0.5)/0.5, one image at a time."""
     return b"".join(((img.astype(np.float32) / np.float32(255) - np.float32(0.5))
-                     / np.float32(0.5)).tobytes() for img in ds.images)
+                     / np.float32(0.5)).tobytes() for img in images)
 
 
 def test_normalize_is_bit_identical_to_per_image_arithmetic(tmp_path):
@@ -252,7 +252,11 @@ def test_normalize_is_bit_identical_to_per_image_arithmetic(tmp_path):
     for ds in (load_mnist_idx(tmp_path / "i", tmp_path / "l"),
                load_cifar(tmp_path / "c.bin", "cifar100-fine"),
                synth_dataset(40, seed=16)):
-        assert normalize(ds).images.tobytes() == per_image_reference(ds)
+        assert ds.stacked()[0].tobytes() == per_image_reference(ds.images)
+        for seed, member in ((0, 1), (1, 0), (2, 1)):
+            draw = sample_run(ds, 2, member, seed)
+            target = ds.images[ds.ids == draw.target_id]
+            assert draw.target[0].tobytes() == per_image_reference(target)
 
 
 # -- run sampling ----------------------------------------------------------------
@@ -260,12 +264,13 @@ def test_normalize_is_bit_identical_to_per_image_arithmetic(tmp_path):
 
 def test_sample_run_member_contains_target_nonmember_does_not():
     source = synth_dataset(50, seed=7)
+    normalized, _ = source.stacked()
     for seed in range(1000):
         draw = sample_run(source, 10, member_flag=seed % 2, seed=seed)
         assert len(draw.training_set) == 10
         assert (draw.target_id in draw.training_set.ids) == bool(seed % 2)
         image, label = draw.target
-        assert image.tobytes() == source.images[draw.target_id].tobytes()
+        assert image.tobytes() == normalized[draw.target_id].tobytes()
         assert label == source.labels[draw.target_id] and type(label) is int
 
 
@@ -383,13 +388,11 @@ def test_duplicate_scan_pairs_every_copy_across_splits():
     assert report.cross_images == 1
 
 
-def test_duplicate_scan_rejects_mismatched_shapes_and_normalized_data():
-    train, test = planted_duplicate_sets()
+def test_duplicate_scan_rejects_mismatched_shapes():
+    train, _ = planted_duplicate_sets()
     small = synth_dataset(3, image_shape=(3, 4, 4), seed=12)
     with pytest.raises(ValueError, match="shapes"):
         find_exact_duplicates(train, small)
-    with pytest.raises(ValueError, match="raw"):
-        find_exact_duplicates(normalize(train), test)
 
 
 # -- synthetic generator --------------------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +150,37 @@ def test_run_experiment_worker_pool_matches_serial():
     assert [(r.run_id, r.delta) for r in serial] == [(r.run_id, r.delta) for r in pooled]
 
 
+def test_worker_pool_is_no_larger_than_the_run_count(monkeypatch):
+    import fedtrap.harness as harness_mod
+
+    started = []
+
+    class InlinePool:
+        """Records the pool size and runs the workers' calls in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness_mod, "_WORKER", {})
+    cfg = tiny_cfg(workers=1000)
+    pooled, _ = run_experiment(cfg)
+    assert started == [cfg.runs]
+    assert cfg.echo()["workers"] == 1000
+    serial, _ = run_experiment(tiny_cfg())
+    assert [(r.run_id, r.delta) for r in serial] == [(r.run_id, r.delta) for r in pooled]
+
+
 def test_metric_identities_on_random_record_sets():
     rng = np.random.default_rng(21)
     for _ in range(50):
@@ -258,6 +293,32 @@ def test_cli_configuration_errors_exit_1_in_every_subcommand(command, tmp_path, 
                         ("--lr", "nan"), ("--eps", "nan"), ("--eps", "inf")]:
         assert cli_main([command, "--B", "8", flag, value]) == 1, (flag, value)
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_dedup_and_gradcheck_configuration_errors_exit_1(capsys):
+    # a path the chosen --format needs is missing: the message names the flag
+    for argv, flag in [(["dedup"], "--train"),
+                       (["dedup", "--format", "cifar10", "--train", "x.bin"], "--test"),
+                       (["dedup", "--format", "mnist", "--train-images", "i",
+                         "--train-labels", "l", "--test-images", "j"], "--test-labels")]:
+        assert cli_main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"needs {flag}" in err, argv
+    for networks in ("0", "-1"):
+        assert cli_main(["gradcheck", "--networks", networks]) == 1
+        assert "--networks must be >= 1" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, capsys):
+    # the child imports fedtrap from this checkout even when it is not installed
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    argv = ["attack-one", "--dataset", "synthetic", "--B", "8", "--seed", "1"]
+    out = subprocess.run([sys.executable, "-m", "fedtrap", *argv], cwd=tmp_path,
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert cli_main(argv) == 0
+    assert out.stdout == capsys.readouterr().out
 
 
 def test_cli_attack_one_prints_outcome(capsys):
