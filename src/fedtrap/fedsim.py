@@ -25,6 +25,16 @@ invalidates them all. Under a planted trap the extractor gets gradient
 only from a batch in which a sample other than the target fires the
 trap (the target sits exactly on the pair units' ReLU kink), so after
 the first epoch batches normally run only the head.
+
+Optimizer steps cover only `params[lo:]`, where `lo` is the lowest index
+whose gradient bytes have ever been anything but +0.0. Below it both
+steps are exact fixed points (see `optim`), so stepping the suffix alone,
+with Adam's moments sliced the same way and its step count kept global,
+changes no bit. Bytes, not values: a -0.0 gradient counts as written,
+since SGD turns a -0.0 parameter into +0.0 under it. The suffix is short
+under a trap: `Network.backward` fills the gradient from the last layer
+down, the layout is in layer order, and the zero-cotangent stop usually
+ends in the final Linear.
 """
 
 from __future__ import annotations
@@ -83,6 +93,8 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
     params = work.params
     adam = cfg.optimizer == "adam"
     state = AdamState.fresh(params.size, dtype=net.dtype) if adam else None
+    bits = np.dtype(f"u{params.itemsize}")
+    lo = params.size
     rng = np.random.default_rng(cfg.shuffle_seed)
     features = np.empty((n, net.feature_width), dtype=net.dtype)
     have = np.zeros(n, dtype=bool)
@@ -99,9 +111,15 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
                 features[sel] = work.forward_features(xs[sel])
                 have[sel] = True
             grad = work.backward(xs[sel], ys[sel], features=features[sel])
+            written = np.flatnonzero(grad[:lo].view(bits))
+            if written.size:
+                lo = int(written[0])
             if adam:
-                params[:], state = adam_step(state, params, grad, cfg.lr)
+                params[lo:], tail = adam_step(
+                    AdamState(state.m[lo:], state.v[lo:], state.t),
+                    params[lo:], grad[lo:], cfg.lr)
+                state.m[lo:], state.v[lo:], state.t = tail.m, tail.v, tail.t
             else:
-                params[:] = sgd_step(params, grad, cfg.lr)
+                params[lo:] = sgd_step(params[lo:], grad[lo:], cfg.lr)
     return params
 

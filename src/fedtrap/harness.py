@@ -2,13 +2,14 @@
 
 Per-run seeds are derived from (master_seed, run_id) through SeedSequence,
 so runs are reproducible and independent of execution order; with
-workers > 1 the runs execute in separate processes and are merged back in
-run-id order.
+workers > 1 the runs execute in separate processes, each limiting numpy's
+bundled OpenBLAS to one thread, and are merged back in run-id order.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -166,7 +167,28 @@ def execute_run(net: Network, source: Dataset, cfg: ExperimentConfig,
 _WORKER: dict = {}
 
 
+def _single_blas_thread() -> None:
+    """Limit this process's BLAS to one thread, if it is numpy's scipy-openblas.
+
+    Worker processes already run in parallel; a multi-threaded BLAS in
+    each of them oversubscribes the cores. The bundled OpenBLAS reads its
+    thread variables only when it loads, which is before a forked worker
+    starts, so the count is set through its own call. The library is a
+    dependency of numpy's linalg extension, so a handle to that extension
+    finds the symbol. Other BLAS builds lack it and are left as they are.
+    """
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    try:
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        return
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    set_threads(1)
+
+
 def _worker_init(cfg: ExperimentConfig) -> None:
+    _single_blas_thread()
     source = build_source(cfg)
     _WORKER.update(cfg=cfg, net=build_network(cfg, source), source=source)
 

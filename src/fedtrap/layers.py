@@ -6,7 +6,12 @@ a pure `forward(x) -> (y, cache)` on batched arrays, and
 (Conv2D, Linear) also expose `init_random` / `init_dead`.
 
 Convention: ReLU's derivative at exactly 0 is 0 (strict `x > 0` mask).
-The pooling argmax breaks ties toward the first (lowest-index) position.
+Max pooling picks the first (lowest-index) maximal position of each
+window, in row-major window order. The forward pass folds `np.maximum`
+over the window's strided views in reverse order, which keeps the first
+position on a tie (+0.0 against -0.0 included) and builds no index; its
+cache is the input itself. The backward pass finds the same position
+with `argmax` over the cached input and routes the gradient there.
 """
 
 from __future__ import annotations
@@ -117,26 +122,29 @@ class MaxPool2D:
         return (c, h // self.window, w // self.window)
 
     def forward(self, x: np.ndarray):
-        n = x.shape[0]
-        c, oh, ow = self.out_shape(x.shape[1:])
+        self.out_shape(x.shape[1:])
         k = self.window
+        views = [x[:, :, i::k, j::k] for i in range(k) for j in range(k)]
+        out = views[-1].copy()
+        # np.maximum returns its second operand on a tie, so folding in
+        # reverse window order keeps the first maximal position, as argmax does
+        for v in reversed(views[:-1]):
+            np.maximum(out, v, out=out)
+        return out, x
+
+    def backward(self, dout: np.ndarray, x: np.ndarray):
+        n, c, h, w = x.shape
+        k = self.window
+        oh, ow = h // k, w // k
         win = (x.reshape(n, c, oh, k, ow, k)
                 .transpose(0, 1, 2, 4, 3, 5)
                 .reshape(n, c, oh, ow, k * k))
         idx = win.argmax(axis=-1)
-        out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-        return out, (x.shape, idx)
-
-    def backward(self, dout: np.ndarray, cache):
-        x_shape, idx = cache
-        n, c, h, w = x_shape
-        k = self.window
-        oh, ow = h // k, w // k
         dwin = np.zeros((n, c, oh, ow, k * k), dtype=dout.dtype)
         np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
         dx = (dwin.reshape(n, c, oh, ow, k, k)
                   .transpose(0, 1, 2, 4, 3, 5)
-                  .reshape(x_shape))
+                  .reshape(x.shape))
         return dx, {}
 
 

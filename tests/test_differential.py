@@ -3,14 +3,16 @@
 `Network.backward` stops at the first all-zero cotangent and can start
 from split activations that `client_train` keeps while the feature
 extractor's parameters are byte-unchanged, and it writes each step into
-its network's parameter vector in place. The reference below does none
-of that: for every batch it builds a fresh network over the current
-vector, runs every layer's forward and backward, and takes the pure
-optimizer step. The two must agree on every bit of phi, including the
-sign of every zero.
+its network's parameter vector in place, over the suffix that has ever
+had gradient. The reference below does none of that: for every batch it
+builds a fresh network over the current vector, runs every layer's
+forward and backward, and takes the pure optimizer step over the whole
+vector. The two must agree on every bit of phi, including the sign of
+every zero.
 """
 
 import itertools
+import sys
 import warnings
 
 import numpy as np
@@ -18,7 +20,7 @@ import pytest
 
 from fedtrap.fedsim import ClientConfig, client_train
 from fedtrap.layers import Conv2D
-from fedtrap.network import conv_net, dense_net, small_conv_net
+from fedtrap.network import Network, conv_net, dense_net, small_conv_net
 from fedtrap.optim import AdamState, adam_step, sgd_step
 from fedtrap.trap import craft_parameters
 
@@ -158,3 +160,37 @@ def test_extractor_runs_once_per_sample_under_a_trap(monkeypatch):
     client_train(net, theta, xs, ys, ClientConfig(8, 4, 3, optimizer="adam"))
     # two conv layers, four batches, first epoch only
     assert calls == {"forward": 2 * 4, "backward": 0}
+
+
+def test_negative_zero_gradient_below_the_written_suffix_is_stepped(monkeypatch):
+    """A -0.0 gradient is written: SGD turns the -0.0 parameter under it into +0.0.
+
+    From the second batch on, every gradient gets -0.0 at a conv weight, far
+    below the final layer where the trap's gradients end. A step that skips
+    entries whose gradient compares equal to zero leaves that parameter -0.0.
+    """
+    net = small_conv_net()
+    theta, xs, ys = trap_case(net, 32, member=False, seed=6, negative_zeros=True)
+    index = net.layout.index_of(3, "weight", 0, 0, 0, 0)
+    theta[index] = -0.0
+
+    def negative_zero_after_first_call(gradient):
+        calls = []
+
+        def wrapped(*args, **kwargs):
+            grad = gradient(*args, **kwargs)
+            calls.append(None)
+            if len(calls) > 1:
+                assert grad[index] == 0
+                grad[index] = -0.0
+            return grad
+        return wrapped
+
+    monkeypatch.setattr(Network, "backward",
+                        negative_zero_after_first_call(Network.backward))
+    monkeypatch.setattr(sys.modules[__name__], "reference_gradient",
+                        negative_zero_after_first_call(reference_gradient))
+    cfg = ClientConfig(8, 4, 2, optimizer="sgd", lr=LR["sgd"], shuffle_seed=6)
+    phi = client_train(net, theta, xs, ys, cfg)
+    assert phi.tobytes() == reference_client_train(net, theta, xs, ys, cfg).tobytes()
+    assert phi[index] == 0 and not np.signbit(phi[index])

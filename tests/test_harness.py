@@ -1,7 +1,9 @@
+import ctypes
 import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +152,36 @@ def test_run_experiment_worker_pool_matches_serial():
     assert [(r.run_id, r.delta) for r in serial] == [(r.run_id, r.delta) for r in pooled]
 
 
+def openblas_threads(count=None):
+    """This process's scipy-openblas thread count, after setting it to `count` if given."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    if count is not None:
+        set_threads = lib.scipy_openblas_set_num_threads64_
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(count)
+    get_threads = lib.scipy_openblas_get_num_threads64_
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return get_threads()
+
+
+def test_workers_run_a_single_blas_thread():
+    import fedtrap.harness as harness_mod
+
+    if not hasattr(ctypes.CDLL(np.linalg._umath_linalg.__file__),
+                   "scipy_openblas_get_num_threads64_"):
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    before = openblas_threads()
+    try:
+        # a worker forked from a two-thread parent starts with two
+        assert openblas_threads(2) == 2
+        with ProcessPoolExecutor(max_workers=1, initializer=harness_mod._worker_init,
+                                 initargs=(tiny_cfg(workers=2),)) as pool:
+            assert pool.submit(openblas_threads).result(timeout=120) == 1
+        assert openblas_threads() == 2
+    finally:
+        openblas_threads(before)
+
+
 def test_worker_pool_is_no_larger_than_the_run_count(monkeypatch):
     import fedtrap.harness as harness_mod
 
@@ -173,6 +205,8 @@ def test_worker_pool_is_no_larger_than_the_run_count(monkeypatch):
 
     monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(harness_mod, "_WORKER", {})
+    # the fake runs the initializer here; keep this process's BLAS threads
+    monkeypatch.setattr(harness_mod, "_single_blas_thread", lambda: None)
     cfg = tiny_cfg(workers=1000)
     pooled, _ = run_experiment(cfg)
     assert started == [cfg.runs]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,81 @@ def test_maxpool_tie_routes_to_first_position():
     out, cache = layer.forward(x)
     assert out[0, 0, 0, 0] == 3.0
     dx, _ = layer.backward(np.ones((1, 1, 1, 1)), cache)
+    np.testing.assert_array_equal(dx[0, 0], [[1.0, 0.0], [0.0, 0.0]])
+
+
+def pool_by_argmax(x, k):
+    """Window reshape, first-index argmax and gather: an independent reference pool.
+
+    Returns the pooled values and the routing index, one per window.
+    """
+    n, c, h, w = x.shape
+    win = (x.reshape(n, c, h // k, k, w // k, k)
+            .transpose(0, 1, 2, 4, 3, 5)
+            .reshape(n, c, h // k, w // k, k * k))
+    idx = win.argmax(axis=-1)
+    return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0], idx
+
+
+def route_by_index(dout, idx, k):
+    """Gradient that puts each dout entry at its window's reference position."""
+    n, c, oh, ow = dout.shape
+    dx = np.zeros((n, c, oh, k, ow, k), dtype=dout.dtype)
+    a, b = np.divmod(idx, k)
+    nn, cc, ii, jj = np.indices(dout.shape)
+    dx[nn, cc, ii, a, jj, b] = dout
+    return dx.reshape(n, c, oh * k, ow * k)
+
+
+SIGNED_EDGES = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf])
+
+
+def every_2x2_window():
+    """One sample per window over SIGNED_EDGES: all 6**4 of them, ties in every order."""
+    windows = np.array(list(itertools.product(SIGNED_EDGES, repeat=4)))
+    return windows.reshape(-1, 1, 2, 2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_maxpool_matches_argmax_reference_byte_for_byte(k, dtype):
+    rng = np.random.default_rng(k)
+    inputs = [rng.choice(SIGNED_EDGES, size=shape)
+              for shape in [(1, 1, k, k), (3, 2, 2 * k, 5 * k), (5, 3, 4 * k, 3 * k)]]
+    if k == 2:
+        inputs.append(every_2x2_window())
+    layer = MaxPool2D(k)
+    for x in inputs:
+        x = x.astype(dtype)
+        out, cache = layer.forward(x)
+        expected, idx = pool_by_argmax(x, k)
+        assert out.dtype == dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+        dout = rng.normal(size=out.shape).astype(dtype)
+        dx, _ = layer.backward(dout, cache)
+        assert dx.tobytes() == route_by_index(dout, idx, k).tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_maxpool_nan_window_gives_nan_at_the_same_positions(k):
+    rng = np.random.default_rng(k)
+    x = rng.choice(np.append(SIGNED_EDGES, np.nan), size=(4, 2, 3 * k, 2 * k))
+    out, _ = MaxPool2D(k).forward(x)
+    expected, _ = pool_by_argmax(x, k)
+    nan = np.isnan(expected)
+    assert nan.any() and (~nan).any()
+    np.testing.assert_array_equal(np.isnan(out), nan)
+    assert out[~nan].tobytes() == expected[~nan].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("window", [(-0.0, 0.0, 0.0, 0.0), (0.0, -0.0, -0.0, -0.0)])
+def test_maxpool_signed_zero_tie_keeps_and_routes_to_first_position(window, dtype):
+    x = np.array(window, dtype=dtype).reshape(1, 1, 2, 2)
+    layer = MaxPool2D(2)
+    out, cache = layer.forward(x)
+    assert out.tobytes() == x[:, :, :1, :1].tobytes()
+    dx, _ = layer.backward(np.ones((1, 1, 1, 1), dtype=dtype), cache)
     np.testing.assert_array_equal(dx[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
 
