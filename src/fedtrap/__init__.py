@@ -13,7 +13,7 @@ from .fedsim import ClientConfig, client_train
 from .harness import (ExperimentConfig, MetricsReport, RunRecord, compute_metrics,
                       emit_results, run_experiment)
 from .network import Network, conv_net, dense_net, small_conv_net
-from .optim import AdamState, adam_step, sgd_step
+from .optim import adam_step, sgd_step
 from .trap import (TrapSpec, craft_parameters, epsilon_flat_index, select_components,
                    trap_eps_grad_oracle, trap_loss_eps_grad_oracle, trap_loss_oracle,
                    trap_output_oracle)
@@ -29,7 +29,7 @@ __all__ = [
     "ExperimentConfig", "MetricsReport", "RunRecord", "compute_metrics",
     "emit_results", "run_experiment",
     "Network", "conv_net", "dense_net", "small_conv_net",
-    "AdamState", "adam_step", "sgd_step",
+    "adam_step", "sgd_step",
     "TrapSpec", "craft_parameters", "epsilon_flat_index", "select_components",
     "trap_eps_grad_oracle", "trap_loss_eps_grad_oracle", "trap_loss_oracle",
     "trap_output_oracle",

@@ -96,6 +96,8 @@ def cmd_dedup(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.networks < 1:
         raise ValueError("--networks must be >= 1")
+    if not 0 < args.step < np.inf:
+        raise ValueError(f"--step must be finite and positive, got {args.step!r}")
     results = run_gradient_check_suite(args.networks, seed=args.seed, step=args.step)
     ok = True
     for i, r in enumerate(results):

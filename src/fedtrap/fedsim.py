@@ -29,12 +29,13 @@ the first epoch batches normally run only the head.
 Optimizer steps cover only `params[lo:]`, where `lo` is the lowest index
 whose gradient bytes have ever been anything but +0.0. Below it both
 steps are exact fixed points (see `optim`), so stepping the suffix alone,
-with Adam's moments sliced the same way and its step count kept global,
-changes no bit. Bytes, not values: a -0.0 gradient counts as written,
-since SGD turns a -0.0 parameter into +0.0 under it. The suffix is short
-under a trap: `Network.backward` fills the gradient from the last layer
-down, the layout is in layer order, and the zero-cotangent stop usually
-ends in the final Linear.
+with Adam's moment vectors m and v sliced the same way and its step
+count t kept global, changes no bit. The steps write in place, so each is
+one call on views of the client's own buffers. Bytes, not values: a -0.0
+gradient counts as written, since SGD turns a -0.0 parameter into +0.0
+under it. The suffix is short under a trap: `Network.backward` fills the
+gradient from the last layer down, the layout is in layer order, and the
+zero-cotangent stop usually ends in the final Linear.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import Network
-from .optim import DEFAULT_LR, AdamState, adam_step, sgd_step
+from .optim import DEFAULT_LR, adam_step, sgd_step
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,8 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
     work = net.with_params(theta)
     params = work.params
     adam = cfg.optimizer == "adam"
-    state = AdamState.fresh(params.size, dtype=net.dtype) if adam else None
+    if adam:
+        m, v, t = np.zeros_like(params), np.zeros_like(params), 0
     bits = np.dtype(f"u{params.itemsize}")
     lo = params.size
     rng = np.random.default_rng(cfg.shuffle_seed)
@@ -115,11 +117,9 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
             if written.size:
                 lo = int(written[0])
             if adam:
-                params[lo:], tail = adam_step(
-                    AdamState(state.m[lo:], state.v[lo:], state.t),
-                    params[lo:], grad[lo:], cfg.lr)
-                state.m[lo:], state.v[lo:], state.t = tail.m, tail.v, tail.t
+                t += 1
+                adam_step(params[lo:], grad[lo:], m[lo:], v[lo:], t, cfg.lr)
             else:
-                params[lo:] = sgd_step(params[lo:], grad[lo:], cfg.lr)
+                sgd_step(params[lo:], grad[lo:], cfg.lr)
     return params
 

@@ -207,7 +207,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[RunRecord], MetricsRepor
             records = list(pool.map(_worker_run, range(cfg.runs)))
     else:
         records = [execute_run(net, source, cfg, rid) for rid in range(cfg.runs)]
-    records.sort(key=lambda r: r.run_id)
     return records, compute_metrics(records)
 
 

@@ -7,13 +7,14 @@ relies on this, so the updates are kept in this exact form.
 
 An optimizer is named by a string, "sgd" or "adam"; `DEFAULT_LR` holds
 each one's learning rate for a run that sets none. Adam's betas and eps
-are fixed at the usual values. Both steps are pure: they return new
-arrays and leave their inputs alone.
+are fixed at the usual values. Both steps write in place into the arrays
+they are given (for Adam: the parameters and the moments m and v) and
+return None, so a caller can step views of its own buffers, such as a
+suffix `params[lo:]`. Python floats are weak scalars, so every operation
+rounds in the arrays' own dtype.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,39 +25,27 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _check_layouts(params: np.ndarray, grad: np.ndarray) -> None:
-    if params.shape != grad.shape:
-        raise ValueError(f"parameter/gradient layout mismatch: "
-                         f"{params.shape} vs {grad.shape}")
+def _check_layouts(params: np.ndarray, *others: np.ndarray) -> None:
+    for other in others:
+        if params.shape != other.shape:
+            raise ValueError(f"layout mismatch: parameters {params.shape} "
+                             f"vs {other.shape}")
 
 
-def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    """params - lr*grad, in the params dtype."""
+def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> None:
+    """params -= lr*grad, in the params dtype."""
     _check_layouts(params, grad)
-    return params - params.dtype.type(lr) * grad
+    params -= params.dtype.type(lr) * grad
 
 
-@dataclass
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-    @classmethod
-    def fresh(cls, size: int, dtype=np.float32) -> "AdamState":
-        return cls(m=np.zeros(size, dtype=dtype), v=np.zeros(size, dtype=dtype))
-
-
-def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
-              lr: float) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns new params and advanced state."""
-    _check_layouts(params, grad)
-    _check_layouts(params, state.m)
-    t = state.t + 1
-    m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grad * grad
+def adam_step(params: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
+              t: int, lr: float) -> None:
+    """One bias-corrected Adam update of params, m and v; t counts from 1."""
+    _check_layouts(params, grad, m, v)
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * grad * grad
     m_hat = m / (1 - ADAM_BETA1 ** t)
     v_hat = v / (1 - ADAM_BETA2 ** t)
-    step = params.dtype.type(lr) * m_hat / (np.sqrt(v_hat) + params.dtype.type(ADAM_EPS))
-    return (params - step).astype(params.dtype, copy=False), AdamState(
-        m.astype(params.dtype, copy=False), v.astype(params.dtype, copy=False), t)
+    params -= params.dtype.type(lr) * m_hat / (np.sqrt(v_hat) + params.dtype.type(ADAM_EPS))

@@ -210,13 +210,17 @@ def test_criterion_5_member_margin():
 def test_criterion_6_more_matched_values_strengthen_the_margin():
     with criterion(6, "M=8 member margin"):
         sgd_e1 = (("sgd", 1, 1), ("sgd", 16, 1))
-        m8 = member_deltas(desk_grid("synthetic", num_values=8,
-                                     optimizers=("sgd",), epochs=(1,)),
-                           only=sgd_e1)
-        if mnist_available():
-            m8 += member_deltas(desk_grid("mnist", num_values=8,
-                                          optimizers=("sgd",), epochs=(1,)),
-                                only=sgd_e1)
+        # Some targets have fewer than 8 nonzero feature components, so
+        # crafting matches a zero value and warns. That is the case this
+        # criterion measures, so the warning is expected, not a fault.
+        with pytest.warns(UserWarning, match="fewer nonzero feature components"):
+            m8 = member_deltas(desk_grid("synthetic", num_values=8,
+                                         optimizers=("sgd",), epochs=(1,)),
+                               only=sgd_e1)
+            if mnist_available():
+                m8 += member_deltas(desk_grid("mnist", num_values=8,
+                                              optimizers=("sgd",), epochs=(1,)),
+                                    only=sgd_e1)
         primary = min(m8) >= 1.00 - 1e-3
         if primary:
             print(f"criterion 6 outcome: primary bound holds "
@@ -257,7 +261,9 @@ def test_criterion_8_single_step_special_case():
         work = net64.with_params(theta)
         grad = work.backward(xs[order], ys[order])
         phi = client_train(net64, theta, xs, ys, ClientConfig(32, 1, 1, lr=lr, shuffle_seed=0))
-        assert np.array_equal(phi, sgd_step(theta, grad, lr))
+        expected = theta.copy()
+        sgd_step(expected, grad, lr)
+        assert np.array_equal(phi, expected)
         # the literal delta form is exact up to the single rounding of
         # theta - lr*grad, i.e. one ulp of theta per component
         slack = np.spacing(np.abs(theta))

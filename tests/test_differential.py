@@ -2,12 +2,12 @@
 
 `Network.backward` stops at the first all-zero cotangent and can start
 from split activations that `client_train` keeps while the feature
-extractor's parameters are byte-unchanged, and it writes each step into
-its network's parameter vector in place, over the suffix that has ever
+extractor's parameters are byte-unchanged, and `client_train` steps only
+the suffix of its parameter vector (and of Adam's moments) that has ever
 had gradient. The reference below does none of that: for every batch it
 builds a fresh network over the current vector, runs every layer's
-forward and backward, and takes the pure optimizer step over the whole
-vector. The two must agree on every bit of phi, including the sign of
+forward and backward, and steps the whole of its own copy of the vector
+in place. The two must agree on every bit of phi, including the sign of
 every zero.
 """
 
@@ -21,7 +21,7 @@ import pytest
 from fedtrap.fedsim import ClientConfig, client_train
 from fedtrap.layers import Conv2D
 from fedtrap.network import Network, conv_net, dense_net, small_conv_net
-from fedtrap.optim import AdamState, adam_step, sgd_step
+from fedtrap.optim import adam_step, sgd_step
 from fedtrap.trap import craft_parameters
 
 
@@ -48,7 +48,7 @@ def reference_client_train(net, theta, xs, ys, cfg):
     """The training loop with no reuse: a fresh network over the current vector per batch."""
     params = np.array(theta, dtype=net.dtype, copy=True)
     adam = cfg.optimizer == "adam"
-    state = AdamState.fresh(params.size, dtype=net.dtype) if adam else None
+    m, v, t = np.zeros_like(params), np.zeros_like(params), 0
     rng = np.random.default_rng(cfg.shuffle_seed)
     for _ in range(cfg.epochs):
         order = rng.permutation(len(xs))
@@ -56,9 +56,10 @@ def reference_client_train(net, theta, xs, ys, cfg):
             sel = order[j * cfg.batch_size:(j + 1) * cfg.batch_size]
             grad = reference_gradient(net.with_params(params), xs[sel], ys[sel])
             if adam:
-                params, state = adam_step(state, params, grad, cfg.lr)
+                t += 1
+                adam_step(params, grad, m, v, t, cfg.lr)
             else:
-                params = sgd_step(params, grad, cfg.lr)
+                sgd_step(params, grad, cfg.lr)
     return params
 
 

@@ -82,9 +82,12 @@ def test_single_epoch_single_batch_is_one_sgd_step():
     phi = client_train(net, theta, xs, ys, ClientConfig(8, 1, 1, lr=0.05, shuffle_seed=4))
     # in the client's order the composition is bit-identical
     order = np.random.default_rng(4).permutation(8)
-    assert np.array_equal(phi, sgd_step(theta, work.backward(xs[order], ys[order]), 0.05))
+    expected = theta.copy()
+    sgd_step(expected, work.backward(xs[order], ys[order]), 0.05)
+    assert np.array_equal(phi, expected)
     # the shuffle only permutes the in-batch summation
-    expected = sgd_step(theta, work.backward(xs, ys), 0.05)
+    expected = theta.copy()
+    sgd_step(expected, work.backward(xs, ys), 0.05)
     np.testing.assert_allclose(phi, expected, rtol=1e-12)
 
 
@@ -96,12 +99,12 @@ def test_two_epochs_match_hand_loop_with_recomputed_gradients():
     xs, ys = make_batch(rng, 8)
     cfg = ClientConfig(8, 1, 2, lr=0.05, shuffle_seed=6)
     phi = client_train(net, theta, xs, ys, cfg)
-    params = theta
+    params = theta.copy()
     rng = np.random.default_rng(6)
     for _ in range(2):
         order = rng.permutation(8)
         grad = net.with_params(params).backward(xs[order], ys[order])
-        params = sgd_step(params, grad, 0.05)
+        sgd_step(params, grad, 0.05)
     assert np.array_equal(phi, params)
 
 
@@ -116,7 +119,9 @@ def test_single_step_identity_holds_in_float32():
     grad = work.backward(xs[order], ys[order])
     phi = client_train(net, theta, xs, ys, ClientConfig(16, 1, 1, lr=0.01, shuffle_seed=0))
     # the composition form is bit-exact even in float32
-    assert np.array_equal(phi, sgd_step(theta, grad, 0.01))
+    expected = theta.copy()
+    sgd_step(expected, grad, 0.01)
+    assert np.array_equal(phi, expected)
     # the literal subtraction form cancels ~|theta| down to ~|lr*grad|,
     # amplifying float32 rounding by their norm ratio
     delta = theta.astype(np.float64) - phi.astype(np.float64)

@@ -150,6 +150,8 @@ def test_run_experiment_worker_pool_matches_serial():
     serial, _ = run_experiment(tiny_cfg())
     pooled, _ = run_experiment(tiny_cfg(workers=2))
     assert [(r.run_id, r.delta) for r in serial] == [(r.run_id, r.delta) for r in pooled]
+    # both paths return records in run-id order without sorting them
+    assert [r.run_id for r in pooled] == list(range(len(pooled)))
 
 
 def openblas_threads(count=None):
@@ -341,6 +343,9 @@ def test_cli_dedup_and_gradcheck_configuration_errors_exit_1(capsys):
     for networks in ("0", "-1"):
         assert cli_main(["gradcheck", "--networks", networks]) == 1
         assert "--networks must be >= 1" in capsys.readouterr().err
+    for step in ("0", "-1", "nan", "inf"):
+        assert cli_main(["gradcheck", "--networks", "1", "--step", step]) == 1, step
+        assert capsys.readouterr().err.startswith("error: --step must be finite and positive")
 
 
 def test_python_dash_m_runs_the_cli(tmp_path, capsys):

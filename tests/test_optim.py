@@ -2,24 +2,28 @@ import numpy as np
 import pytest
 
 from fedtrap.fedsim import ClientConfig
-from fedtrap.optim import DEFAULT_LR, AdamState, adam_step, sgd_step
+from fedtrap.optim import DEFAULT_LR, adam_step, sgd_step
 
 
 def test_sgd_zero_gradient_is_bit_exact_identity():
     params = np.array([1.5, -0.25, 3.0], dtype=np.float32)
-    out = sgd_step(params, np.zeros_like(params), lr=0.1)
-    assert np.array_equal(out, params)
+    out = params.copy()
+    assert sgd_step(out, np.zeros_like(params), lr=0.1) is None
+    assert out.tobytes() == params.tobytes()
 
 
 def test_sgd_arithmetic():
-    out = sgd_step(np.array([1.0]), np.array([0.5]), lr=0.1)
+    out = np.array([1.0])
+    sgd_step(out, np.array([0.5]), lr=0.1)
     assert out[0] == pytest.approx(0.95)
 
 
 def test_sgd_composes_linearly_with_fixed_gradient():
     params = np.array([2.0, -1.0], dtype=np.float64)
     grad = np.array([0.5, 0.25])
-    twice = sgd_step(sgd_step(params, grad, 0.1), grad, 0.1)
+    twice = params.copy()
+    sgd_step(twice, grad, 0.1)
+    sgd_step(twice, grad, 0.1)
     np.testing.assert_allclose(twice, params - 0.2 * grad, rtol=1e-15)
 
 
@@ -30,10 +34,10 @@ def test_sgd_rejects_layout_mismatch():
 
 def test_adam_zero_gradient_component_never_moves():
     params = np.array([1.0, 2.0], dtype=np.float32)
-    state = AdamState.fresh(2)
+    m, v = np.zeros_like(params), np.zeros_like(params)
     grad = np.array([0.0, 0.3], dtype=np.float32)
-    for _ in range(5):
-        params, state = adam_step(state, params, grad, 1e-3)
+    for t in range(1, 6):
+        assert adam_step(params, grad, m, v, t, 1e-3) is None
     assert params[0] == np.float32(1.0)   # bit-exact: moments stayed zero
     assert params[1] != np.float32(2.0)
 
@@ -41,9 +45,8 @@ def test_adam_zero_gradient_component_never_moves():
 def test_adam_first_step_magnitude_is_nearly_lr():
     lr = 1e-3
     for g in (0.5, -2.0, 1e-4):
-        params = np.array([0.0], dtype=np.float64)
-        new, _ = adam_step(AdamState.fresh(1, np.float64), params,
-                           np.array([g]), lr)
+        new = np.array([0.0], dtype=np.float64)
+        adam_step(new, np.array([g]), np.zeros(1), np.zeros(1), 1, lr)
         expected = lr * abs(g) / (abs(g) + 1e-8)
         assert abs(new[0]) == pytest.approx(expected, rel=1e-9)
         assert np.sign(new[0]) == -np.sign(g)
@@ -65,23 +68,65 @@ def scalar_adam_trace(grads, lr):
 def test_adam_matches_scalar_reference_over_steps():
     lr = 0.01
     grads = [0.4, 0.4]
-    params = np.array([0.0], dtype=np.float64)
-    state = AdamState.fresh(1, np.float64)
-    for g in grads:
-        params, state = adam_step(state, params, np.array([g]), lr)
+    params, m, v = np.zeros(1), np.zeros(1), np.zeros(1)
+    for t, g in enumerate(grads, start=1):
+        adam_step(params, np.array([g]), m, v, t, lr)
     assert params[0] == pytest.approx(scalar_adam_trace(grads, lr), rel=1e-12)
     # and a longer, varied trace
     grads = [0.4, -0.1, 0.05, 2.0, -0.7]
-    params = np.array([0.0], dtype=np.float64)
-    state = AdamState.fresh(1, np.float64)
-    for g in grads:
-        params, state = adam_step(state, params, np.array([g]), lr)
+    params, m, v = np.zeros(1), np.zeros(1), np.zeros(1)
+    for t, g in enumerate(grads, start=1):
+        adam_step(params, np.array([g]), m, v, t, lr)
     assert params[0] == pytest.approx(scalar_adam_trace(grads, lr), rel=1e-12)
 
 
 def test_adam_rejects_layout_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        adam_step(AdamState.fresh(2), np.zeros(3), np.zeros(3), 1e-3)
+        adam_step(np.zeros(3), np.zeros(3), np.zeros(2), np.zeros(3), 1, 1e-3)
+    with pytest.raises(ValueError, match="mismatch"):
+        adam_step(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(2), 1, 1e-3)
+    with pytest.raises(ValueError, match="mismatch"):
+        adam_step(np.zeros(3), np.zeros(4), np.zeros(3), np.zeros(3), 1, 1e-3)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("opt", ["sgd", "adam"])
+def test_suffix_steps_write_through_and_match_whole_vector_steps(opt, dtype):
+    """The contract `client_train` relies on when it steps only params[lo:].
+
+    Below lo every gradient so far has been +0.0 and the moments are zero.
+    Stepping views of the suffix, with Adam's step count kept global, must
+    write into the base arrays, leave every prefix byte alone and give the
+    bytes that stepping the whole vector gives. lo only moves down, as in
+    client training, so entries join the suffix with t already past 1.
+    """
+    rng = np.random.default_rng(3)
+    n, schedule = 12, (12, 8, 8, 5, 5, 0)
+    params = rng.normal(size=n).astype(dtype)
+    params[[0, 6]] = -0.0
+    params[[1, 9]] = 0.0
+    whole = params.copy()
+    m, v = np.zeros(n, dtype), np.zeros(n, dtype)
+    whole_m, whole_v = m.copy(), v.copy()
+    for t, lo in enumerate(schedule, start=1):
+        grad = rng.normal(size=n).astype(dtype)
+        grad[:lo] = 0.0
+        grad[lo:][::4] = -0.0
+        before = [arr.tobytes() for arr in (params, m, v)]
+        if opt == "adam":
+            adam_step(params[lo:], grad[lo:], m[lo:], v[lo:], t, 1e-2)
+            adam_step(whole, grad, whole_m, whole_v, t, 1e-2)
+            stepped = (params, m, v)
+        else:
+            sgd_step(params[lo:], grad[lo:], 0.1)
+            sgd_step(whole, grad, 0.1)
+            stepped = (params,)
+        prefix = lo * params.itemsize
+        for arr, arr_whole, arr_before in zip(stepped, (whole, whole_m, whole_v), before):
+            assert arr.tobytes()[:prefix] == arr_before[:prefix]
+            assert arr.tobytes() == arr_whole.tobytes()
+            if lo < n:
+                assert arr.tobytes()[prefix:] != arr_before[prefix:]
 
 
 def test_config_validation():
