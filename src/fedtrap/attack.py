@@ -42,9 +42,9 @@ def reference_eps(net: Network, theta: np.ndarray, sample: tuple[np.ndarray, int
 
     Uses the client's optimizer and learning rate at batch size 1.
     """
-    if not 0 <= eps_index < net.num_params():
+    if not 0 <= eps_index < net.layout.total:
         raise ValueError(f"margin index {eps_index} outside layout "
-                         f"0..{net.num_params() - 1}")
+                         f"0..{net.layout.total - 1}")
     x_t, y_t = sample
     single = replace(cfg, batch_size=1, num_batches=1, epochs=1)
     phi = client_train(net, theta, np.asarray(x_t, dtype=net.dtype)[None],

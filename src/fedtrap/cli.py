@@ -9,6 +9,7 @@ binary formats). Exit codes: 0 ok, 1 configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -18,6 +19,15 @@ from . import harness
 from .datasets import (duplicate_report_rows, find_exact_duplicates, load_cifar,
                        load_mnist_idx, write_cifar_fixture, write_mnist_fixture)
 from .verify import run_gradient_check_suite
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads every dash-digit token as a value: argparse before Python 3.13
+    takes `-1e-5` for a flag, so `--step -1e-5` never reached its range check."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
@@ -142,8 +152,8 @@ def cmd_fixtures(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fedtrap",
-                                     description="Trap-network membership-inference laboratory")
+    parser = _Parser(prog="fedtrap",
+                     description="Trap-network membership-inference laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("experiment", help="run many seeded attack runs")

@@ -87,9 +87,9 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
     if len(ys) != n:
         raise ValueError("image/label counts differ")
     theta = np.asarray(theta, dtype=net.dtype)
-    if theta.shape != (net.num_params(),):
+    if theta.shape != (net.layout.total,):
         raise ValueError(f"parameter vector length {theta.shape} != "
-                         f"architecture layout ({net.num_params()},)")
+                         f"architecture layout ({net.layout.total},)")
     work = net.with_params(theta)
     params = work.params
     adam = cfg.optimizer == "adam"

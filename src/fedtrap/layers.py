@@ -1,9 +1,13 @@
 """Layer primitives for the feedforward engine.
 
-Every layer exposes the same surface: shape inference (`out_shape`),
-a pure `forward(x) -> (y, cache)` on batched arrays, and
-`backward(dout, cache) -> (dx, param_grads)`. Parameter-carrying layers
-(Conv2D, Linear) also expose `init_random` / `init_dead`.
+Every layer exposes the same surface: the shapes of its parameters
+(`param_shapes`, empty for a parameter-free layer), shape inference
+(`out_shape`), a pure `forward(x) -> (y, cache)` on batched arrays, and
+`backward(dout, cache) -> (dx, param_grads)`. A layer allocates no
+parameter array: the `Network` it belongs to allocates the flat vector
+and binds each `weight` and `bias` to a view of its slice. Conv2D and
+Linear share `init_random` / `init_dead`, which write through those
+views.
 
 Convention: ReLU's derivative at exactly 0 is 0 (strict `x > 0` mask).
 Max pooling picks the first (lowest-index) maximal position of each
@@ -16,6 +20,8 @@ with `argmax` over the cached input and routes the gradient there.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -24,28 +30,19 @@ class ShapeError(ValueError):
     """Raised when an input does not match what a layer expects."""
 
 
-class Conv2D:
-    """Valid (unpadded) 2-D convolution, stride 1. Weight shape (out, in, k, k)."""
+class _WeightBias:
+    """Init shared by the layers whose `weight` and `bias` a Network binds.
 
-    kind = "conv2d"
+    The weight's first axis is the output unit; the rest is its fan-in.
+    """
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 dtype=np.float32):
-        if min(in_channels, out_channels, kernel_size) < 1:
-            raise ValueError("conv2d dimensions must be positive")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.weight = np.zeros((out_channels, in_channels, kernel_size, kernel_size),
-                               dtype=dtype)
-        self.bias = np.zeros(out_channels, dtype=dtype)
+    param_shapes: dict[str, tuple[int, ...]]
+    weight: np.ndarray
+    bias: np.ndarray
 
     @property
     def fan_in(self) -> int:
-        return self.in_channels * self.kernel_size ** 2
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight, "bias": self.bias}
+        return math.prod(self.param_shapes["weight"][1:])
 
     def init_random(self, rng: np.random.Generator) -> None:
         bound = 1.0 / np.sqrt(self.fan_in)
@@ -55,6 +52,21 @@ class Conv2D:
     def init_dead(self) -> None:
         self.weight[...] = 0.0
         self.bias[...] = -1.0
+
+
+class Conv2D(_WeightBias):
+    """Valid (unpadded) 2-D convolution, stride 1. Weight shape (out, in, k, k)."""
+
+    kind = "conv2d"
+
+    def __init__(self, in_channels: int, out_channels: int, kernel_size: int):
+        if min(in_channels, out_channels, kernel_size) < 1:
+            raise ValueError("conv2d dimensions must be positive")
+        self.in_channels = in_channels
+        self.out_channels = out_channels
+        self.kernel_size = kernel_size
+        self.param_shapes = {"weight": (out_channels, in_channels, kernel_size, kernel_size),
+                             "bias": (out_channels,)}
 
     def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(in_shape) != 3:
@@ -104,14 +116,12 @@ class MaxPool2D:
     """Non-overlapping max pooling: window w, stride w. Requires divisible H, W."""
 
     kind = "maxpool2d"
+    param_shapes: dict[str, tuple[int, ...]] = {}
 
     def __init__(self, window: int):
         if window < 1:
             raise ValueError("pool window must be positive")
         self.window = window
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {}
 
     def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(in_shape) != 3:
@@ -150,9 +160,7 @@ class MaxPool2D:
 
 class Flatten:
     kind = "flatten"
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {}
+    param_shapes: dict[str, tuple[int, ...]] = {}
 
     def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         return (int(np.prod(in_shape)),)
@@ -166,9 +174,7 @@ class Flatten:
 
 class ReLU:
     kind = "relu"
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {}
+    param_shapes: dict[str, tuple[int, ...]] = {}
 
     def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         return in_shape
@@ -180,34 +186,17 @@ class ReLU:
         return dout * (cache > 0), {}
 
 
-class Linear:
+class Linear(_WeightBias):
     """Dense layer y = x @ W.T + b. Weight shape (out, in): weight[u, j] feeds unit u."""
 
     kind = "linear"
 
-    def __init__(self, in_dim: int, out_dim: int, dtype=np.float32):
+    def __init__(self, in_dim: int, out_dim: int):
         if min(in_dim, out_dim) < 1:
             raise ValueError("linear dimensions must be positive")
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.weight = np.zeros((out_dim, in_dim), dtype=dtype)
-        self.bias = np.zeros(out_dim, dtype=dtype)
-
-    @property
-    def fan_in(self) -> int:
-        return self.in_dim
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight, "bias": self.bias}
-
-    def init_random(self, rng: np.random.Generator) -> None:
-        bound = 1.0 / np.sqrt(self.fan_in)
-        self.weight[...] = rng.uniform(-bound, bound, self.weight.shape)
-        self.bias[...] = rng.uniform(-bound, bound, self.bias.shape)
-
-    def init_dead(self) -> None:
-        self.weight[...] = 0.0
-        self.bias[...] = -1.0
+        self.param_shapes = {"weight": (out_dim, in_dim), "bias": (out_dim,)}
 
     def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(in_shape) != 1 or in_shape[0] != self.in_dim:

@@ -1,11 +1,12 @@
 """Feedforward network: forward pass, cross-entropy loss, exact reverse-mode gradients.
 
 Labels are 1-based (1..L) throughout. Parameters are stored once, in the
-flat vector `Network.params`; each Conv2D/Linear `weight` and `bias` is a
-reshaped view of its slice, so a write through either shows in the
-other. The layout is a pure function of the architecture (see
-ParameterLayout), so flat indices are stable across processes for a
-fixed architecture.
+flat vector `Network.params`. Layers only declare their parameter
+shapes; the network lays them out, allocates the vector as zeros in its
+dtype, and binds each Conv2D/Linear `weight` and `bias` to a reshaped
+view of its slice, so a write through either shows in the other. The
+layout is a pure function of the architecture (see ParameterLayout), so
+flat indices are stable across processes for a fixed architecture.
 
 The boundary `split_index` partitions the layer list into a feature
 extractor (layers before it) and a head (layers from it on). The head
@@ -58,9 +59,9 @@ class ParameterLayout:
         self.entries: list[LayoutEntry] = []
         offset = 0
         for i, layer in enumerate(layers):
-            for name, arr in layer.params().items():
-                self.entries.append(LayoutEntry(i, name, arr.shape, offset))
-                offset += arr.size
+            for name, shape in layer.param_shapes.items():
+                self.entries.append(LayoutEntry(i, name, shape, offset))
+                offset += self.entries[-1].size
         self.total = offset
         self._by_key = {(e.layer_index, e.name): e for e in self.entries}
 
@@ -84,11 +85,11 @@ class ParameterLayout:
 class Network:
     """Layered model with a marked feature/head split.
 
-    `params` is the one flat parameter vector, in the network's dtype; the
-    layers' `weight`/`bias` arrays are views into it. The constructor
-    copies the layers' arrays in and rebinds them, so the layers belong
-    to the network from then on. Single-writer: one training run owns and
-    mutates a Network, and `with_params` gives each run its own.
+    `params` is the one flat parameter vector; its dtype is the network's.
+    The constructor allocates it as zeros and binds the layers'
+    `weight`/`bias` to views into it, so the layers belong to the network
+    from then on. Single-writer: one training run owns and mutates a
+    Network, and `with_params` gives each run its own.
     """
 
     def __init__(self, layers: list[Layer], split_index: int, num_classes: int,
@@ -119,11 +120,8 @@ class Network:
         self.split_index = split_index
         self.num_classes = num_classes
         self.input_shape = tuple(input_shape)
-        self.dtype = np.dtype(dtype)
         self.layout = ParameterLayout(layers)
-        self.params = np.concatenate(
-            [getattr(layers[e.layer_index], e.name).ravel() for e in self.layout.entries]
-        ).astype(self.dtype, copy=False)
+        self.params = np.zeros(self.layout.total, dtype=dtype)
         self._view_params()
 
     def _view_params(self) -> None:
@@ -133,6 +131,10 @@ class Network:
                     self.params[e.offset:e.offset + e.size].reshape(e.shape))
 
     # -- structure -----------------------------------------------------
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.params.dtype
 
     @property
     def feature_width(self) -> int:
@@ -165,25 +167,21 @@ class Network:
                              f"layout expects ({self.layout.total},)")
         dup = copy.copy(self)
         dup.params = values.copy()
-        dup.dtype = dup.params.dtype
         dup.layers = [copy.copy(layer) for layer in self.layers]
         dup._view_params()
         return dup
-
-    def num_params(self) -> int:
-        return self.layout.total
 
     def init_random(self, seed: int) -> None:
         """Fan-in-scaled uniform init of every parameter layer, seeded."""
         rng = np.random.default_rng(seed)
         for layer in self.layers:
-            if layer.params():
+            if layer.param_shapes:
                 layer.init_random(rng)
 
     def init_dead(self) -> None:
         """All weights 0, all biases -1: every hidden ReLU is dead."""
         for layer in self.layers:
-            if layer.params():
+            if layer.param_shapes:
                 layer.init_dead()
 
     # -- forward -------------------------------------------------------
@@ -316,57 +314,48 @@ def _cross_entropy(logits: np.ndarray, ys: np.ndarray) -> np.ndarray:
 # -- stock architectures ------------------------------------------------
 
 
+def _head(width: int, hidden: tuple[int, int], num_classes: int) -> list[Layer]:
+    """The Linear-ReLU-Linear-ReLU-Linear head every stock network ends in."""
+    return [Linear(width, hidden[0]), ReLU(),
+            Linear(hidden[0], hidden[1]), ReLU(),
+            Linear(hidden[1], num_classes)]
+
+
+def _two_block_net(input_shape: tuple[int, int, int], num_classes: int,
+                   channels: tuple[int, int], kernel_size: int,
+                   hidden: tuple[int, int], dtype) -> Network:
+    """Two conv/ReLU/pool blocks and Flatten, then the head; split after Flatten."""
+    c1, c2 = channels
+    extractor: list[Layer] = [
+        Conv2D(input_shape[0], c1, kernel_size), ReLU(), MaxPool2D(2),
+        Conv2D(c1, c2, kernel_size), ReLU(), MaxPool2D(2),
+        Flatten(),
+    ]
+    probe = tuple(input_shape)
+    for layer in extractor:
+        probe = layer.out_shape(probe)
+    return Network(extractor + _head(probe[0], hidden, num_classes),
+                   split_index=len(extractor), num_classes=num_classes,
+                   input_shape=input_shape, dtype=dtype)
+
+
 def conv_net(input_shape: tuple[int, int, int], num_classes: int,
              dtype=np.float32) -> Network:
     """Two conv/pool blocks then a three-layer dense head; split after Flatten.
 
     For (1,28,28) the flattened feature width is 256; for (3,32,32) it is 400.
     """
-    c = input_shape[0]
-    layers: list[Layer] = [
-        Conv2D(c, 6, 5, dtype=dtype), ReLU(), MaxPool2D(2),
-        Conv2D(6, 16, 5, dtype=dtype), ReLU(), MaxPool2D(2),
-        Flatten(),
-    ]
-    probe = tuple(input_shape)
-    for layer in layers:
-        probe = layer.out_shape(probe)
-    width = probe[0]
-    layers += [Linear(width, 120, dtype=dtype), ReLU(),
-               Linear(120, 84, dtype=dtype), ReLU(),
-               Linear(84, num_classes, dtype=dtype)]
-    return Network(layers, split_index=7, num_classes=num_classes,
-                   input_shape=input_shape, dtype=dtype)
+    return _two_block_net(input_shape, num_classes, (6, 16), 5, (120, 84), dtype)
 
 
 def small_conv_net(input_shape: tuple[int, int, int] = (1, 14, 14),
                    num_classes: int = 10, dtype=np.float32) -> Network:
     """Compact variant for synthetic data and fast tests (feature width 32)."""
-    c = input_shape[0]
-    layers: list[Layer] = [
-        Conv2D(c, 4, 3, dtype=dtype), ReLU(), MaxPool2D(2),
-        Conv2D(4, 8, 3, dtype=dtype), ReLU(), MaxPool2D(2),
-        Flatten(),
-    ]
-    probe = tuple(input_shape)
-    for layer in layers:
-        probe = layer.out_shape(probe)
-    width = probe[0]
-    layers += [Linear(width, 24, dtype=dtype), ReLU(),
-               Linear(24, 16, dtype=dtype), ReLU(),
-               Linear(16, num_classes, dtype=dtype)]
-    return Network(layers, split_index=7, num_classes=num_classes,
-                   input_shape=input_shape, dtype=dtype)
+    return _two_block_net(input_shape, num_classes, (4, 8), 3, (24, 16), dtype)
 
 
 def dense_net(in_dim: int, hidden: tuple[int, int], num_classes: int,
               dtype=np.float32) -> Network:
     """Flatten-only feature part: the head sees the raw input vector (split 1)."""
-    layers: list[Layer] = [
-        Flatten(),
-        Linear(in_dim, hidden[0], dtype=dtype), ReLU(),
-        Linear(hidden[0], hidden[1], dtype=dtype), ReLU(),
-        Linear(hidden[1], num_classes, dtype=dtype),
-    ]
-    return Network(layers, split_index=1, num_classes=num_classes,
-                   input_shape=(in_dim,), dtype=dtype)
+    return Network([Flatten(), *_head(in_dim, hidden, num_classes)], split_index=1,
+                   num_classes=num_classes, input_shape=(in_dim,), dtype=dtype)

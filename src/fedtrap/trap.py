@@ -120,7 +120,7 @@ def craft_parameters(net: Network, sample: tuple[np.ndarray, int], num_values: i
 
     rng = np.random.default_rng(seed)
     for layer in work.layers[:work.split_index]:
-        if layer.params():
+        if layer.param_shapes:
             layer.init_random(rng)
     for layer in (h1, h2, out):
         layer.init_dead()

@@ -11,8 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .harness import derive_seed
 from .layers import Conv2D, Flatten, Linear, MaxPool2D, ReLU
-from .network import Network
+from .network import Network, dense_net
+
+CASE_BATCH = 3
+KINK_MARGIN = 1e-6   # least |ReLU input| of a checkable case
+POOL_MARGIN = 1e-4   # least gap between a pool window's two largest inputs
+RTOL = 1e-4
+ATOL = 1e-8
 
 
 def central_difference_gradient(net: Network, xs: np.ndarray, ys: np.ndarray,
@@ -72,79 +79,65 @@ def _random_small_net(rng: np.random.Generator) -> Network:
     classes = int(rng.integers(2, 6))
     if kind == 0:
         d = int(rng.integers(3, 9))
-        layers = [Flatten(),
-                  Linear(d, int(rng.integers(4, 9)), dtype=np.float64), ReLU()]
-        layers += [Linear(layers[1].out_dim, int(rng.integers(3, 7)), dtype=np.float64), ReLU()]
-        layers += [Linear(layers[3].out_dim, classes, dtype=np.float64)]
-        return Network(layers, 1, classes, (d,), dtype=np.float64)
+        hidden = (int(rng.integers(4, 9)), int(rng.integers(3, 7)))
+        return dense_net(d, hidden, classes, dtype=np.float64)
     if kind == 1:
         c, h = int(rng.integers(1, 3)), int(rng.integers(6, 9))
-        conv = Conv2D(c, int(rng.integers(2, 4)), 3, dtype=np.float64)
+        conv = Conv2D(c, int(rng.integers(2, 4)), 3)
         flat_w = conv.out_channels * (h - 2) ** 2
         layers = [conv, ReLU(), Flatten(),
-                  Linear(flat_w, 8, dtype=np.float64), ReLU(),
-                  Linear(8, 6, dtype=np.float64), ReLU(),
-                  Linear(6, classes, dtype=np.float64)]
+                  Linear(flat_w, 8), ReLU(), Linear(8, 6), ReLU(), Linear(6, classes)]
         return Network(layers, 3, classes, (c, h, h), dtype=np.float64)
     c, h = 1, int(rng.choice([6, 8, 10]))
-    conv = Conv2D(c, 2, 3, dtype=np.float64)
+    conv = Conv2D(c, 2, 3)
     pooled = (h - 2) // 2
     layers = [conv, ReLU(), MaxPool2D(2), Flatten(),
-              Linear(2 * pooled * pooled, 8, dtype=np.float64), ReLU(),
-              Linear(8, 5, dtype=np.float64), ReLU(),
-              Linear(5, classes, dtype=np.float64)]
+              Linear(2 * pooled * pooled, 8), ReLU(), Linear(8, 5), ReLU(), Linear(5, classes)]
     return Network(layers, 4, classes, (c, h, h), dtype=np.float64)
 
 
-def sample_checkable_case(seed: int, batch: int = 3,
-                          kink_margin: float = 1e-6,
-                          pool_margin: float = 1e-4):
+def sample_checkable_case(seed: int):
     """A random (net, xs, ys) whose loss is differentiable at every parameter.
 
-    Resamples until no ReLU input is within `kink_margin` of 0 and no pool
-    window is within `pool_margin` of an argmax tie, so the finite-difference
+    Resamples until no ReLU input is within KINK_MARGIN of 0 and no pool
+    window is within POOL_MARGIN of an argmax tie, so the finite-difference
     comparison never straddles a kink.
     """
     rng = np.random.default_rng(seed)
     while True:
         net = _random_small_net(rng)
         net.init_random(int(rng.integers(0, 2 ** 31)))
-        xs = rng.normal(size=(batch, *net.input_shape))
-        ys = rng.integers(1, net.num_classes + 1, size=batch)
-        near_kink = any(np.abs(pre).min() < kink_margin
+        xs = rng.normal(size=(CASE_BATCH, *net.input_shape))
+        ys = rng.integers(1, net.num_classes + 1, size=CASE_BATCH)
+        near_kink = any(np.abs(pre).min() < KINK_MARGIN
                         for pre in relu_preactivations(net, xs))
-        near_tie = any(g.min() < pool_margin for g in pool_window_gaps(net, xs))
+        near_tie = any(g.min() < POOL_MARGIN for g in pool_window_gaps(net, xs))
         if not (near_kink or near_tie):
             return net, xs, ys
 
 
 def gradient_check(net: Network, xs: np.ndarray, ys: np.ndarray,
-                   step: float = 1e-5, rtol: float = 1e-4,
-                   atol: float = 1e-8) -> GradCheckResult:
+                   step: float = 1e-5) -> GradCheckResult:
     """Compare reverse-mode against central differences, elementwise.
 
-    Components are held to |analytic - numeric| <= max(rtol*scale, atol);
-    the atol floor absorbs the h^-1-amplified rounding noise of the
+    Components are held to |analytic - numeric| <= max(RTOL*scale, ATOL);
+    the ATOL floor absorbs the h^-1-amplified rounding noise of the
     difference quotient on near-zero gradients.
     """
     analytic = net.backward(xs, ys).astype(np.float64)
     numeric = central_difference_gradient(net, xs, ys, step)
     diff = np.abs(analytic - numeric)
     scale = np.maximum(np.abs(analytic), np.abs(numeric))
-    rel = diff / np.maximum(scale, atol / rtol)
+    rel = diff / np.maximum(scale, ATOL / RTOL)
     worst = float(rel.max()) if rel.size else 0.0
-    return GradCheckResult(num_params=net.num_params(), max_rel_error=worst,
-                           passed=worst < rtol)
+    return GradCheckResult(num_params=net.layout.total, max_rel_error=worst,
+                           passed=worst < RTOL)
 
 
 def run_gradient_check_suite(num_networks: int = 20, seed: int = 0,
                              step: float = 1e-5) -> list[GradCheckResult]:
     results = []
     for i in range(num_networks):
-        net, xs, ys = sample_checkable_case(derive(seed, i))
+        net, xs, ys = sample_checkable_case(derive_seed(seed, i))
         results.append(gradient_check(net, xs, ys, step=step))
     return results
-
-
-def derive(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])

@@ -138,7 +138,7 @@ def test_criterion_3_gradient_zeroing_under_training():
         theta, spec = craft_parameters(net, (x_t, 5), 4, 1e-3, seed=77)
         eps_idx = epsilon_flat_index(net, spec)
         final_bias = net.layout.slice_of(net.head_linear_indices()[2], "bias")
-        mask = np.ones(net.num_params(), dtype=bool)
+        mask = np.ones(net.layout.total, dtype=bool)
         mask[final_bias] = False
         probe = net.with_params(theta)
         etas32 = np.array(spec.etas, dtype=np.float32)

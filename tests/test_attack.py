@@ -53,7 +53,7 @@ def test_reference_eps_rejects_bad_index():
     net, x_t, y_t, theta, _ = crafted_setup()
     cfg = ClientConfig(32, 1, 1)
     with pytest.raises(ValueError, match="index"):
-        reference_eps(net, theta, (x_t, y_t), cfg, net.num_params() + 5)
+        reference_eps(net, theta, (x_t, y_t), cfg, net.layout.total + 5)
 
 
 # -- decision statistic -----------------------------------------------------------

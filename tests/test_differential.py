@@ -36,7 +36,7 @@ def reference_gradient(net, xs, ys):
     e = np.exp(z)
     d = e / e.sum(axis=1, keepdims=True)
     d[np.arange(len(ys)), np.asarray(ys) - 1] -= 1.0
-    grad = np.zeros(net.num_params(), dtype=net.dtype)
+    grad = np.zeros(net.layout.total, dtype=net.dtype)
     for i in range(len(net.layers) - 1, -1, -1):
         d, pgrads = net.layers[i].backward(d, caches[i])
         for name, g in pgrads.items():

@@ -329,6 +329,11 @@ def test_cli_configuration_errors_exit_1_in_every_subcommand(command, tmp_path, 
                         ("--lr", "nan"), ("--eps", "nan"), ("--eps", "inf")]:
         assert cli_main([command, "--B", "8", flag, value]) == 1, (flag, value)
         assert capsys.readouterr().err.startswith("error: ")
+    # a negative number in scientific notation is a value, not a flag
+    for flag, value in [("--lr", "-1e-3"), ("--eps", "-1e-3")]:
+        assert cli_main([command, "--B", "8", flag, value]) == 1, (flag, value)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite and positive" in err, (flag, err)
 
 
 def test_cli_dedup_and_gradcheck_configuration_errors_exit_1(capsys):
@@ -343,7 +348,7 @@ def test_cli_dedup_and_gradcheck_configuration_errors_exit_1(capsys):
     for networks in ("0", "-1"):
         assert cli_main(["gradcheck", "--networks", networks]) == 1
         assert "--networks must be >= 1" in capsys.readouterr().err
-    for step in ("0", "-1", "nan", "inf"):
+    for step in ("0", "-1", "-1e-5", "nan", "inf"):
         assert cli_main(["gradcheck", "--networks", "1", "--step", step]) == 1, step
         assert capsys.readouterr().err.startswith("error: --step must be finite and positive")
 

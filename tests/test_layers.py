@@ -22,8 +22,9 @@ def conv_by_loops(x, weight, bias):
 
 def test_conv2d_matches_direct_loops():
     rng = np.random.default_rng(3)
-    layer = Conv2D(2, 3, 3, dtype=np.float64)
-    layer.init_random(rng)
+    layer = Conv2D(2, 3, 3)
+    layer.weight, layer.bias = (rng.uniform(-1, 1, shape)
+                                for shape in layer.param_shapes.values())
     x = rng.normal(size=(4, 2, 6, 5))
     out, _ = layer.forward(x)
     expected = conv_by_loops(x, layer.weight, layer.bias)
@@ -153,16 +154,16 @@ def test_relu_derivative_is_zero_at_exactly_zero():
 
 
 def test_linear_identity_weight_passes_input_through():
-    layer = Linear(3, 3, dtype=np.float64)
-    layer.weight[...] = np.eye(3)
+    layer = Linear(3, 3)
+    layer.weight, layer.bias = np.eye(3), np.zeros(layer.param_shapes["bias"])
     x = np.array([[0.5, -2.0, 7.0]])
     out, _ = layer.forward(x)
     np.testing.assert_array_equal(out, x)
 
 
 def test_linear_gradients_hand_case():
-    layer = Linear(2, 1, dtype=np.float64)
-    layer.weight[...] = [[3.0, -1.0]]
+    layer = Linear(2, 1)
+    layer.weight, layer.bias = np.array([[3.0, -1.0]]), np.zeros(layer.param_shapes["bias"])
     x = np.array([[2.0, 5.0]])
     out, cache = layer.forward(x)
     assert out[0, 0] == 1.0

@@ -53,9 +53,7 @@ def test_forward_matches_straight_line_matrix_arithmetic():
 
 
 def test_forward_features_split_zero_returns_flattened_input():
-    layers = [Linear(4, 4, dtype=np.float64), ReLU(),
-              Linear(4, 3, dtype=np.float64), ReLU(),
-              Linear(3, 2, dtype=np.float64)]
+    layers = [Linear(4, 4), ReLU(), Linear(4, 3), ReLU(), Linear(3, 2)]
     net = Network(layers, split_index=0, num_classes=2, input_shape=(4,),
                   dtype=np.float64)
     x = np.array([1.0, 2.0, 3.0, 4.0])
@@ -198,7 +196,7 @@ def test_layers_view_the_flat_parameter_vector():
     assert net.layers[0].weight[1, 0, 2, 2] == -3.0
     net.init_random(13)
     for e in net.layout.entries:
-        layer_array = net.layers[e.layer_index].params()[e.name]
+        layer_array = getattr(net.layers[e.layer_index], e.name)
         assert np.shares_memory(layer_array, net.params)
         assert np.array_equal(net.params[net.layout.slice_of(e.layer_index, e.name)],
                               layer_array.ravel())
@@ -208,7 +206,7 @@ def test_with_params_owns_a_copy_in_the_vectors_dtype():
     net = small_conv_net()
     net.init_random(14)
     source = net.params.copy()
-    v = np.arange(net.num_params(), dtype=np.float64)
+    v = np.arange(net.layout.total, dtype=np.float64)
     work = net.with_params(v)
     assert work.dtype == np.float64 and work.params.dtype == np.float64
     assert work.params.tobytes() == v.tobytes()
@@ -216,7 +214,7 @@ def test_with_params_owns_a_copy_in_the_vectors_dtype():
     work.params[:] = -1.0
     work.init_random(15)
     work.layers[-1].bias[0] = 7.0
-    assert np.array_equal(v, np.arange(net.num_params(), dtype=np.float64))
+    assert np.array_equal(v, np.arange(net.layout.total, dtype=np.float64))
     assert net.params.tobytes() == source.tobytes()
     assert net.dtype == np.float32
     assert not np.shares_memory(work.params, v)
@@ -228,7 +226,7 @@ def test_with_params_rejects_wrong_length():
     with pytest.raises(ValueError, match="length"):
         net.with_params(np.zeros(3, dtype=np.float32))
     with pytest.raises(ValueError, match="length"):
-        net.with_params(np.zeros((1, net.num_params()), dtype=np.float32))
+        net.with_params(np.zeros((1, net.layout.total), dtype=np.float32))
 
 
 def test_layout_index_round_trips_through_flat_vector():
@@ -270,6 +268,25 @@ def test_conv_net_feature_widths_match_contract():
     assert conv_net((1, 28, 28), 10).feature_width == 256
     assert conv_net((3, 32, 32), 100).feature_width == 400
     assert small_conv_net().feature_width == 32
+
+
+TWO_BLOCK_KINDS = ["conv2d", "relu", "maxpool2d", "conv2d", "relu", "maxpool2d", "flatten",
+                   "linear", "relu", "linear", "relu", "linear"]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("build, total, extractor_stop", [
+    (lambda dtype: conv_net((1, 28, 28), 10, dtype=dtype), 44426, 2572),
+    (lambda dtype: conv_net((3, 32, 32), 100, dtype=dtype), 69656, 2872),
+    (lambda dtype: small_conv_net(dtype=dtype), 1698, 336),
+])
+def test_stock_architectures_are_pinned(build, total, extractor_stop, dtype):
+    net = build(dtype)
+    assert [layer.kind for layer in net.layers] == TWO_BLOCK_KINDS
+    assert (net.layout.total, net.extractor_params.stop) == (total, extractor_stop)
+    # a fresh network's parameters are +0.0 in its own dtype
+    assert net.dtype == net.params.dtype == dtype
+    assert net.params.tobytes() == bytes(net.params.nbytes)
 
 
 def test_finite_outputs_on_finite_inputs():

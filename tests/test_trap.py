@@ -187,7 +187,7 @@ def test_degenerate_target_warns_but_crafts():
     with pytest.warns(UserWarning, match="nonzero"):
         theta, spec = craft_parameters(net, (np.zeros(4), 2), 3, 1e-3, seed=1)
     assert spec.etas == (0.0, 0.0, 0.0)
-    assert theta.size == net.num_params()
+    assert theta.size == net.layout.total
 
 
 def test_trap_spec_json_round_trip_and_epsilon_index():
