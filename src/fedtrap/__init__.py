@@ -14,9 +14,7 @@ from .harness import (ExperimentConfig, MetricsReport, RunRecord, compute_metric
                       emit_results, run_experiment)
 from .network import Network, conv_net, dense_net, small_conv_net
 from .optim import adam_step, sgd_step
-from .trap import (TrapSpec, craft_parameters, epsilon_flat_index, select_components,
-                   trap_eps_grad_oracle, trap_loss_eps_grad_oracle, trap_loss_oracle,
-                   trap_output_oracle)
+from .trap import TrapSpec, craft_parameters, epsilon_flat_index, select_components
 
 __version__ = "0.1.0"
 
@@ -31,6 +29,4 @@ __all__ = [
     "Network", "conv_net", "dense_net", "small_conv_net",
     "adam_step", "sgd_step",
     "TrapSpec", "craft_parameters", "epsilon_flat_index", "select_components",
-    "trap_eps_grad_oracle", "trap_loss_eps_grad_oracle", "trap_loss_oracle",
-    "trap_output_oracle",
 ]

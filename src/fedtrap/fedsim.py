@@ -12,30 +12,26 @@ client is one in-process `client_train` call. It trains
 writes each optimizer step into that copy's flat `params`, which the
 layers view; that copy is returned.
 
-`client_train` keeps each sample's split activation (the feature
-extractor's output) and hands a batch's activations to
-`Network.backward` once every sample in it has one. They depend only on
-the sample and the extractor's parameters, so they stay exact while the
-extractor slice of the parameter vector is byte-equal to the slice they
-were computed under. Bytes, not values, are compared: -0.0 == 0.0, but a
-parameter whose sign of zero changed is a different parameter vector.
-Any step that changes an extractor byte, such as a batch that sends
-gradient into the extractor or Adam momentum from an earlier one,
-invalidates them all. Under a planted trap the extractor gets gradient
-only from a batch in which a sample other than the target fires the
-trap (the target sits exactly on the pair units' ReLU kink), so after
-the first epoch batches normally run only the head.
-
 Optimizer steps cover only `params[lo:]`, where `lo` is the lowest index
-whose gradient bytes have ever been anything but +0.0. Below it both
-steps are exact fixed points (see `optim`), so stepping the suffix alone,
-with Adam's moment vectors m and v sliced the same way and its step
-count t kept global, changes no bit. The steps write in place, so each is
-one call on views of the client's own buffers. Bytes, not values: a -0.0
-gradient counts as written, since SGD turns a -0.0 parameter into +0.0
-under it. The suffix is short under a trap: `Network.backward` fills the
-gradient from the last layer down, the layout is in layer order, and the
-zero-cotangent stop usually ends in the final Linear.
+whose gradient bytes have ever been anything but +0.0. Bytes, not values:
+a -0.0 gradient counts as written, since SGD turns a -0.0 parameter into
++0.0 under it. Below `lo` both steps are exact fixed points (see `optim`),
+so stepping the suffix alone, with Adam's moment vectors m and v sliced
+the same way and its step count t kept global, changes no bit; the steps
+write in place, on views of the client's own buffers. The same rule
+makes reusing split activations (the feature extractor's output) exact.
+They depend only on the sample and the extractor's parameters, which are
+the prefix of the layout up to `net.extractor_params.stop`. While `lo` is
+at or above that stop, no step has written a byte of the extractor, so
+the first epoch computes each sample's activation once (an epoch is a
+permutation) and every batch hands its activations to `Network.backward`.
+Once `lo` falls below the stop it stays there, and `backward` runs the
+extractor itself, once per batch. Under a planted trap the extractor gets
+gradient only from a batch in which a sample other than the target fires
+the trap (the target sits exactly on the pair units' ReLU kink), and the
+suffix is short: `Network.backward` fills the gradient from the last
+layer down, the layout is in layer order, and the zero-cotangent stop
+usually ends in the final Linear.
 """
 
 from __future__ import annotations
@@ -60,7 +56,7 @@ class ClientConfig:
 
     def __post_init__(self):
         if self.batch_size < 1 or self.num_batches < 1 or self.epochs < 1:
-            raise ValueError("batch_size, num_batches and epochs must be >= 1")
+            raise ValueError("batch_size (B), num_batches (J) and epochs (E) must be >= 1")
         if self.optimizer not in DEFAULT_LR:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.lr is None:
@@ -97,22 +93,19 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
         m, v, t = np.zeros_like(params), np.zeros_like(params), 0
     bits = np.dtype(f"u{params.itemsize}")
     lo = params.size
+    extractor_stop = net.extractor_params.stop
     rng = np.random.default_rng(cfg.shuffle_seed)
     features = np.empty((n, net.feature_width), dtype=net.dtype)
-    have = np.zeros(n, dtype=bool)
-    computed_under = None
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for j in range(cfg.num_batches):
             sel = order[j * cfg.batch_size:(j + 1) * cfg.batch_size]
-            extractor = params[net.extractor_params].tobytes()
-            if extractor != computed_under:
-                have[:] = False
-                computed_under = extractor
-            if not have[sel].all():
-                features[sel] = work.forward_features(xs[sel])
-                have[sel] = True
-            grad = work.backward(xs[sel], ys[sel], features=features[sel])
+            if lo >= extractor_stop:
+                if epoch == 0:
+                    features[sel] = work.forward_features(xs[sel])
+                grad = work.backward(xs[sel], ys[sel], features=features[sel])
+            else:
+                grad = work.backward(xs[sel], ys[sel])
             written = np.flatnonzero(grad[:lo].view(bits))
             if written.size:
                 lo = int(written[0])

@@ -22,7 +22,6 @@ from .attack import run_attack
 from .datasets import Dataset, load_cifar, load_mnist_idx, sample_run, synth_dataset
 from .fedsim import ClientConfig
 from .network import Network, conv_net, small_conv_net
-from .optim import DEFAULT_LR
 
 SYNTH_POOL_EXTRA = 512
 SYNTH_IMAGE_SHAPE = (1, 14, 14)
@@ -48,18 +47,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.dataset not in ("mnist", "cifar10", "cifar100", "synthetic"):
             raise ValueError(f"unknown dataset {self.dataset!r}")
-        if self.optimizer not in DEFAULT_LR:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.num_batches < 1 or self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("J, E and B must be >= 1")
+        self.client_config()  # B, J, E, optimizer and lr are ClientConfig's to check
         if self.num_values < 1:
             raise ValueError("M must be >= 1")
         if self.runs < 2 or self.runs % 2:
             raise ValueError("runs must be even and >= 2 (half member, half not)")
         if not (0 < self.epsilon < math.inf and 0 < self.threshold < math.inf):
             raise ValueError("epsilon and threshold must be finite and positive")
-        if self.lr is not None and not 0 < self.lr < math.inf:
-            raise ValueError("lr must be finite and positive")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -69,7 +63,13 @@ class ExperimentConfig:
 
     @property
     def effective_lr(self) -> float:
-        return self.lr if self.lr is not None else DEFAULT_LR[self.optimizer]
+        return self.client_config().lr
+
+    def client_config(self, shuffle_seed: int = 0) -> ClientConfig:
+        """The client's training recipe for one run."""
+        return ClientConfig(batch_size=self.batch_size, num_batches=self.num_batches,
+                            epochs=self.epochs, optimizer=self.optimizer, lr=self.lr,
+                            shuffle_seed=shuffle_seed)
 
     def echo(self) -> dict:
         """All effective hyperparameters, marking assumed defaults."""
@@ -151,12 +151,8 @@ def execute_run(net: Network, source: Dataset, cfg: ExperimentConfig,
     try:
         draw = sample_run(source, cfg.num_samples, t, derive_seed(seed, 1))
         xs, ys = draw.training_set.stacked()
-        client_cfg = ClientConfig(batch_size=cfg.batch_size,
-                                  num_batches=cfg.num_batches, epochs=cfg.epochs,
-                                  optimizer=cfg.optimizer, lr=cfg.effective_lr,
-                                  shuffle_seed=derive_seed(seed, 2))
-        outcome, _ = run_attack(net, xs, ys, draw.target,
-                                cfg.num_values, cfg.epsilon, client_cfg,
+        outcome, _ = run_attack(net, xs, ys, draw.target, cfg.num_values, cfg.epsilon,
+                                cfg.client_config(derive_seed(seed, 2)),
                                 cfg.threshold, seed=derive_seed(seed, 3))
     except Exception as err:
         raise RuntimeError(f"run {run_id} (seed {seed}) failed: {err}") from err

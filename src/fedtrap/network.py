@@ -31,6 +31,7 @@ Backward passes let exact zeros skip work, without changing a bit:
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +47,7 @@ class LayoutEntry:
     name: str  # "weight" | "bias"
     shape: tuple[int, ...]
     offset: int
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape))
+    stop: int  # offset + size, computed once when the layout is built
 
 
 class ParameterLayout:
@@ -60,8 +58,9 @@ class ParameterLayout:
         offset = 0
         for i, layer in enumerate(layers):
             for name, shape in layer.param_shapes.items():
-                self.entries.append(LayoutEntry(i, name, shape, offset))
-                offset += self.entries[-1].size
+                stop = offset + math.prod(shape)
+                self.entries.append(LayoutEntry(i, name, shape, offset, stop))
+                offset = stop
         self.total = offset
         self._by_key = {(e.layer_index, e.name): e for e in self.entries}
 
@@ -73,7 +72,7 @@ class ParameterLayout:
 
     def slice_of(self, layer_index: int, name: str) -> slice:
         e = self.entry(layer_index, name)
-        return slice(e.offset, e.offset + e.size)
+        return slice(e.offset, e.stop)
 
     def index_of(self, layer_index: int, name: str, *coords: int) -> int:
         e = self.entry(layer_index, name)
@@ -128,7 +127,7 @@ class Network:
         """Rebind every layer's weight and bias to its slice of `params`."""
         for e in self.layout.entries:
             setattr(self.layers[e.layer_index], e.name,
-                    self.params[e.offset:e.offset + e.size].reshape(e.shape))
+                    self.params[e.offset:e.stop].reshape(e.shape))
 
     # -- structure -----------------------------------------------------
 
@@ -269,18 +268,7 @@ class Network:
             if extractor_caches is None:
                 _, extractor_caches = self._run(xs, 0, s, keep_caches=True)
             self._backprop(d, extractor_caches, grad)
-        return grad / len(ys)
-
-    def logit_grad(self, x: np.ndarray, logit_index: int) -> np.ndarray:
-        """Flat gradient of logits[logit_index] for one input (not through the loss)."""
-        xs = self._as_batch(x)
-        if xs.shape[0] != 1:
-            raise ValueError("logit_grad takes a single input")
-        logits, caches = self._run(xs, 0, len(self.layers), keep_caches=True)
-        seed = np.zeros_like(logits)
-        seed[0, logit_index] = 1.0
-        grad = np.zeros(self.layout.total, dtype=self.dtype)
-        self._backprop(seed, caches, grad)
+        grad /= len(ys)
         return grad
 
     def _backprop(self, d: np.ndarray, caches: list, grad: np.ndarray,

@@ -1,4 +1,4 @@
-"""Crafting trap parameters around a target sample, plus closed-form oracles.
+"""Crafting trap parameters around a target sample.
 
 The planted subnetwork computes b = ReLU(margin - sum_m |a_m - eta_m|)
 where a_m are selected feature components of the input and eta_m their
@@ -25,10 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import Network
-
-
-class KinkError(ValueError):
-    """Derivative requested exactly on a ReLU boundary."""
 
 
 class CraftError(ValueError):
@@ -151,48 +147,3 @@ def epsilon_flat_index(net: Network, spec: TrapSpec) -> int:
     """Flat position of the margin (aggregator bias) in `net`'s layout."""
     _, h2_idx, _ = net.head_linear_indices()
     return net.layout.index_of(h2_idx, "bias", spec.aggregator_unit)
-
-
-# -- closed-form oracles --------------------------------------------------
-
-
-def _deviation(a, etas) -> float:
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    etas = np.asarray(etas, dtype=np.float64).reshape(-1)
-    if a.shape != etas.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {etas.shape}")
-    return float(np.abs(a - etas).sum())
-
-
-def trap_output_oracle(a, etas, epsilon: float) -> float:
-    """b = ReLU(epsilon - sum |a_m - eta_m|)."""
-    return max(0.0, epsilon - _deviation(a, etas))
-
-
-def trap_eps_grad_oracle(a, etas, epsilon: float) -> int:
-    """db/d(margin): 1 inside the l1 ball of radius epsilon, else 0."""
-    dev = _deviation(a, etas)
-    if dev == epsilon:
-        raise KinkError("deviation sits exactly on the margin boundary")
-    return 1 if dev < epsilon else 0
-
-
-def trap_loss_oracle(b: float, y: int, y_t: int, num_classes: int) -> float:
-    """Cross-entropy when only the target logit is lifted by b above the rest."""
-    if num_classes < 2:
-        raise ValueError("need at least two classes")
-    hit = 1.0 if y == y_t else 0.0
-    return -b * hit + math.log(num_classes - 1 + math.exp(b))
-
-
-def trap_loss_eps_grad_oracle(a, etas, epsilon: float, y: int, y_t: int,
-                              num_classes: int) -> float:
-    """d(loss)/d(margin): indicator times (softmax mass at the target - hit)."""
-    if num_classes < 2:
-        raise ValueError("need at least two classes")
-    indicator = trap_eps_grad_oracle(a, etas, epsilon)
-    if not indicator:
-        return 0.0
-    b = trap_output_oracle(a, etas, epsilon)
-    hit = 1.0 if y == y_t else 0.0
-    return math.exp(b) / (num_classes - 1 + math.exp(b)) - hit

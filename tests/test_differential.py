@@ -1,10 +1,10 @@
 """Bit-identical differential test: optimized client training against a plain reference.
 
 `Network.backward` stops at the first all-zero cotangent and can start
-from split activations that `client_train` keeps while the feature
-extractor's parameters are byte-unchanged, and `client_train` steps only
-the suffix of its parameter vector (and of Adam's moments) that has ever
-had gradient. The reference below does none of that: for every batch it
+from split activations, and `client_train` steps only the suffix of its
+parameter vector (and of Adam's moments) that has ever had gradient; it
+reuses the activations of its first epoch while that suffix starts at or
+after the feature extractor's parameters. The reference below does none of that: for every batch it
 builds a fresh network over the current vector, runs every layer's
 forward and backward, and steps the whole of its own copy of the vector
 in place. The two must agree on every bit of phi, including the sign of
@@ -143,10 +143,8 @@ def test_conv_net_j16_e2_adam_is_bit_identical_to_reference(member):
     assert_bit_identical(net, theta, xs, ys, cfg)
 
 
-def test_extractor_runs_once_per_sample_under_a_trap(monkeypatch):
-    """Under the trap the extractor is never backpropagated and its outputs are reused."""
+def count_conv_calls(monkeypatch):
     calls = {"forward": 0, "backward": 0}
-    forward, backward = Conv2D.forward, Conv2D.backward
 
     def counting(kind, fn):
         def wrapped(self, *args):
@@ -154,13 +152,73 @@ def test_extractor_runs_once_per_sample_under_a_trap(monkeypatch):
             return fn(self, *args)
         return wrapped
 
+    for kind in calls:
+        monkeypatch.setattr(Conv2D, kind, counting(kind, getattr(Conv2D, kind)))
+    return calls
+
+
+def test_extractor_runs_once_per_sample_under_a_trap(monkeypatch):
+    """Under the trap the extractor is never backpropagated and its outputs are reused."""
     net = small_conv_net()
     theta, xs, ys = trap_case(net, 32, member=True, seed=3, negative_zeros=False)
-    monkeypatch.setattr(Conv2D, "forward", counting("forward", forward))
-    monkeypatch.setattr(Conv2D, "backward", counting("backward", backward))
+    calls = count_conv_calls(monkeypatch)
     client_train(net, theta, xs, ys, ClientConfig(8, 4, 3, optimizer="adam"))
     # two conv layers, four batches, first epoch only
     assert calls == {"forward": 2 * 4, "backward": 0}
+
+
+@pytest.mark.parametrize("opt", ["sgd", "adam"])
+def test_live_training_runs_the_extractor_forward_once_per_batch(monkeypatch, opt):
+    """Only the first batch, still on theta's extractor, computes its activations twice.
+
+    It fills the first epoch's cache, then sends gradient into the extractor,
+    which `backward` must run again with caches. Every later batch runs it
+    once, inside `backward`.
+    """
+    net = small_conv_net()
+    net.init_random(4)
+    rng = np.random.default_rng(4)
+    xs = rng.uniform(-1, 1, size=(32, 1, 14, 14)).astype(np.float32)
+    ys = rng.integers(1, 11, size=32)
+    calls = count_conv_calls(monkeypatch)
+    epochs, batches = 2, 4
+    client_train(net, net.params, xs, ys,
+                 ClientConfig(8, batches, epochs, optimizer=opt, lr=LR[opt]))
+    # two conv layers
+    assert calls == {"forward": 2 * (epochs * batches + 1),
+                     "backward": 2 * epochs * batches}
+
+
+@pytest.mark.parametrize("opt,epochs,twin_batch",
+                         list(itertools.product(["sgd", "adam"], [2, 3], [1, 3])))
+def test_mid_run_firing_is_bit_identical_to_reference(opt, epochs, twin_batch):
+    """A near-twin of the target fires the trap after at least one dead batch.
+
+    It sits inside the margin but off the pair units' kink, so its batch
+    sends gradient into the extractor: training switches from the first
+    epoch's cached activations to running the extractor in every batch.
+    """
+    net = small_conv_net()
+    seed, batches = 40 + 2 * epochs + twin_batch, 4
+    rng = np.random.default_rng(seed)
+    x_t = rng.uniform(-1, 1, size=net.input_shape).astype(np.float32)
+    y_t = int(rng.integers(1, 11))
+    theta, spec = craft_parameters(net, (x_t, y_t), 4, 0.05, seed=seed)
+    xs = rng.uniform(-1, 1, size=(8 * batches, *net.input_shape)).astype(np.float32)
+    ys = rng.integers(1, 11, size=8 * batches)
+    # client_train's first permutation: the twin lands in batch `twin_batch` of epoch 0
+    twin = np.random.default_rng(seed).permutation(8 * batches)[8 * twin_batch]
+    xs[twin] = x_t + rng.uniform(-1e-4, 1e-4, size=x_t.shape).astype(np.float32)
+
+    features = net.with_params(theta).forward_features(xs)[:, list(spec.component_indices)]
+    deviation = np.abs(features - np.array(spec.etas, dtype=np.float32)).sum(axis=1)
+    assert np.flatnonzero(deviation < spec.epsilon).tolist() == [twin]
+    assert 0 < deviation[twin] < spec.epsilon / 2
+
+    cfg = ClientConfig(8, batches, epochs, optimizer=opt, lr=LR[opt], shuffle_seed=seed)
+    phi = client_train(net, theta, xs, ys, cfg)
+    assert phi.tobytes() == reference_client_train(net, theta, xs, ys, cfg).tobytes()
+    assert phi[net.extractor_params].tobytes() != theta[net.extractor_params].tobytes()
 
 
 def test_negative_zero_gradient_below_the_written_suffix_is_stepped(monkeypatch):

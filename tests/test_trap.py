@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from fedtrap.network import dense_net, small_conv_net
-from fedtrap.trap import (CraftError, KinkError, TrapSpec, craft_parameters,
-                          epsilon_flat_index, select_components,
-                          trap_eps_grad_oracle, trap_loss_eps_grad_oracle,
-                          trap_loss_oracle, trap_output_oracle)
+from fedtrap.trap import (CraftError, TrapSpec, craft_parameters, epsilon_flat_index,
+                          select_components)
+from oracles import (KinkError, logit_grad, trap_eps_grad_oracle,
+                     trap_loss_eps_grad_oracle, trap_loss_oracle, trap_output_oracle)
 
 
 # -- component selection -------------------------------------------------------
@@ -244,7 +244,7 @@ def test_network_eps_derivative_matches_indicator():
         if abs(dev - eps) < 1e-9:
             continue
         eps_idx = epsilon_flat_index(net, spec)
-        db_deps = work.logit_grad(x, y_t - 1)[eps_idx]
+        db_deps = logit_grad(work, x, y_t - 1)[eps_idx]
         assert db_deps == trap_eps_grad_oracle(a, spec.etas, eps)
         hits += db_deps == 1
     assert hits > 20  # both branches of the indicator were exercised
