@@ -84,9 +84,7 @@ def run_attack(net: Network, xs: np.ndarray, ys: np.ndarray,
                seed: int) -> tuple[AttackOutcome, TrapSpec]:
     """Craft, query the client on (xs, ys), run the reference step, decide."""
     theta, spec = craft_parameters(net, sample, num_values, epsilon, seed)
-    # recover the margin position from the serialized spec, the same way an
-    # offline decision pass would
-    eps_index = epsilon_flat_index(net, TrapSpec.from_json(spec.to_json()))
+    eps_index = epsilon_flat_index(net)
     eps_initial = float(theta[eps_index])
     phi = client_train(net, theta, xs, ys, client_cfg)
     eps_client = float(phi[eps_index])

@@ -1,15 +1,17 @@
 """Dataset ingestion, normalization, run sampling, and exact-duplicate scanning.
 
 A `Dataset` holds its images as one array of a parsed file's own uint8
-bytes. Pixels become float32 in [-1, 1] only in the rows a run draws:
-`Dataset.stacked` and `sample_run`'s target. Labels are 1-based
-everywhere. Duplicate detection compares the raw bytes.
+bytes, and a sample's id is its row in that file. A run's draw is a set
+of rows; pixels become float32 in [-1, 1] only in those rows:
+`Dataset.stacked(rows)` and `sample_run`'s target. Labels are 1-based
+everywhere. Duplicate detection compares the raw bytes and reports rows.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,16 +43,14 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """N samples as three arrays.
+    """N samples as two arrays; a sample's id is its row.
 
     `images` is (N, C, H, W) uint8 raw pixels (a parsed file's own bytes).
-    `labels` (1..num_classes) and `ids` (position in the originating file)
-    are (N,) int64.
+    `labels` is (N,) int64 in 1..num_classes.
     """
 
     images: np.ndarray
     labels: np.ndarray
-    ids: np.ndarray
     split: str                     # "train" | "test" | "synthetic"
     num_classes: int
     label_names: tuple[str, ...] | None = None
@@ -59,15 +59,13 @@ class Dataset:
         if self.images.dtype != np.uint8 or self.images.ndim != 4:
             raise ValueError("images must be an (N, C, H, W) uint8 array, "
                              f"got {self.images.dtype} {self.images.shape}")
-        if self.labels.dtype != np.int64 or self.ids.dtype != np.int64:
-            raise ValueError(f"labels and ids must be int64, got {self.labels.dtype} "
-                             f"and {self.ids.dtype}")
+        if self.labels.dtype != np.int64:
+            raise ValueError(f"labels must be int64, got {self.labels.dtype}")
         n = len(self.images)
         if not n:
             raise ValueError("dataset must be non-empty")
-        if self.labels.shape != (n,) or self.ids.shape != (n,):
-            raise ValueError(f"{n} images but labels {self.labels.shape} "
-                             f"and ids {self.ids.shape}")
+        if self.labels.shape != (n,):
+            raise ValueError(f"{n} images but labels {self.labels.shape}")
         for label in (self.labels.min(), self.labels.max()):
             if not 1 <= label <= self.num_classes:
                 raise ValueError(f"label {label} outside 1..{self.num_classes}")
@@ -79,9 +77,10 @@ class Dataset:
     def image_shape(self) -> tuple[int, ...]:
         return self.images.shape[1:]
 
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """Normalized (N,C,H,W) float32 images and (N,) int64 labels, as new arrays."""
-        return _normalized(self.images), self.labels.copy()
+    def stacked(self, rows: np.ndarray | slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Normalized (n,C,H,W) float32 images and (n,) int64 labels of `rows`
+        (default: every row), as new arrays."""
+        return _normalized(self.images[rows]), self.labels[rows].copy()
 
     def label_name(self, label: int) -> str:
         if self.label_names is not None:
@@ -92,12 +91,12 @@ class Dataset:
 @dataclass(frozen=True, eq=False)
 class RunDraw:
     member_flag: int                  # t: 1 if the target is inside the training set
-    training_set: Dataset
+    rows: np.ndarray                  # the training set's source rows, in draw order
     target: tuple[np.ndarray, int]    # (normalized image, label), as run_attack takes it
-    target_id: int
+    target_id: int                    # the target's source row
 
     def __post_init__(self):
-        inside = bool((self.training_set.ids == self.target_id).any())
+        inside = bool((self.rows == self.target_id).any())
         if bool(self.member_flag) != inside:
             raise ValueError("member flag disagrees with the drawn sets")
 
@@ -153,8 +152,7 @@ def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
     _check_size(lbl_data, 8 + n, "label file")
     images = np.frombuffer(img_data, dtype=np.uint8, offset=16).reshape(n, 1, rows, cols)
     labels = _shift_labels(np.frombuffer(lbl_data, dtype=np.uint8, offset=8), 10)
-    return Dataset(images=images, labels=labels, ids=np.arange(n, dtype=np.int64),
-                   split=split, num_classes=10)
+    return Dataset(images=images, labels=labels, split=split, num_classes=10)
 
 
 def load_cifar(path, variant: str, split: str = "train") -> Dataset:
@@ -183,8 +181,7 @@ def load_cifar(path, variant: str, split: str = "train") -> Dataset:
         _check_label_bytes(raw[:, 0], CIFAR100_COARSE_CLASSES, "coarse label")
     return Dataset(images=raw[:, head:].reshape(n, 3, 32, 32),
                    labels=_shift_labels(raw[:, head - 1], num_classes),
-                   ids=np.arange(n, dtype=np.int64), split=split,
-                   num_classes=num_classes, label_names=names)
+                   split=split, num_classes=num_classes, label_names=names)
 
 
 # -- normalization -----------------------------------------------------------
@@ -213,7 +210,7 @@ def normalize(dataset: Dataset) -> Dataset:
 
 
 def sample_run(source: Dataset, num_samples: int, member_flag: int, seed: int) -> RunDraw:
-    """Draw a raw size-N training set and a normalized target in (t=1) or out of (t=0) it."""
+    """Draw N training rows and a normalized target in (t=1) or out of (t=0) them."""
     if num_samples >= len(source):
         raise ValueError(f"need num_samples < |source| ({num_samples} >= {len(source)})")
     rng = np.random.default_rng(seed)
@@ -224,11 +221,9 @@ def sample_run(source: Dataset, num_samples: int, member_flag: int, seed: int) -
         outside = np.ones(len(source), dtype=bool)
         outside[chosen] = False
         target = int(rng.choice(np.flatnonzero(outside)))
-    training = replace(source, images=source.images[chosen], labels=source.labels[chosen],
-                       ids=source.ids[chosen])
-    return RunDraw(member_flag=int(bool(member_flag)), training_set=training,
+    return RunDraw(member_flag=int(bool(member_flag)), rows=chosen,
                    target=(_normalized(source.images[target]), int(source.labels[target])),
-                   target_id=int(source.ids[target]))
+                   target_id=target)
 
 
 # -- duplicate scanning --------------------------------------------------------
@@ -236,8 +231,8 @@ def sample_run(source: Dataset, num_samples: int, member_flag: int, seed: int) -
 
 @dataclass(frozen=True)
 class DuplicateReport:
-    within_train: tuple[tuple[int, ...], ...]          # id groups, byte-identical
-    cross_split: tuple[tuple[int, int], ...]           # (train_id, test_id)
+    within_train: tuple[tuple[int, ...], ...]          # row groups, byte-identical
+    cross_split: tuple[tuple[int, int], ...]           # (train_row, test_row)
     mismatched_within: tuple[tuple[int, ...], ...]     # groups with >1 distinct label
     mismatched_cross: tuple[tuple[int, int], ...]      # pairs with differing labels
     cross_images: int                                  # distinct shared contents
@@ -251,38 +246,39 @@ class DuplicateReport:
         return pairs
 
 
-def find_exact_duplicates(train: Dataset, test: Dataset) -> DuplicateReport:
-    """Byte-identical image groups within train and across the two splits.
+def _rows_by_bytes(images: np.ndarray) -> dict[bytes, list[int]]:
+    """Rows grouped by their image bytes, each group in ascending row order.
 
-    Train positions are grouped in one dict keyed by image bytes; key
-    equality compares every byte, so no group rests on a hash alone.
+    Key equality compares every byte, so no group rests on a hash alone.
     """
+    groups: dict[bytes, list[int]] = {}
+    for i in range(len(images)):
+        groups.setdefault(images[i].tobytes(), []).append(i)
+    return groups
+
+
+def find_exact_duplicates(train: Dataset, test: Dataset) -> DuplicateReport:
+    """Byte-identical image groups within train and across the two splits, as rows."""
     if train.image_shape != test.image_shape:
         raise ValueError(f"image shapes differ: {train.image_shape} vs {test.image_shape}")
-    train_ids, train_labels = train.ids.tolist(), train.labels.tolist()
-    test_ids, test_labels = test.ids.tolist(), test.labels.tolist()
-
-    groups: dict[bytes, list[int]] = {}
-    for i in range(len(train)):
-        groups.setdefault(train.images[i].tobytes(), []).append(i)
+    train_labels, test_labels = train.labels.tolist(), test.labels.tolist()
+    groups = _rows_by_bytes(train.images)
 
     within, mism_within = [], []
     for members in groups.values():
         if len(members) < 2:
             continue
-        ids = tuple(train_ids[i] for i in members)
-        within.append(ids)
+        within.append(group := tuple(members))
         if len({train_labels[i] for i in members}) > 1:
-            mism_within.append(ids)
+            mism_within.append(group)
 
     cross, mism_cross, shared = [], [], set()
     for j in range(len(test)):
         members = groups.get(test.images[j].tobytes(), ())
         for i in members:
-            pair = (train_ids[i], test_ids[j])
-            cross.append(pair)
+            cross.append((i, j))
             if train_labels[i] != test_labels[j]:
-                mism_cross.append(pair)
+                mism_cross.append((i, j))
         if members:
             shared.add(members[0])
 
@@ -297,19 +293,12 @@ def find_exact_duplicates(train: Dataset, test: Dataset) -> DuplicateReport:
 
 def duplicate_report_rows(report: DuplicateReport, train: Dataset,
                           test: Dataset) -> list[tuple[str, int, int, str, str]]:
-    """CSV rows: kind, train_id, other_id, label_a, label_b."""
-    train_label = dict(zip(train.ids.tolist(), train.labels.tolist()))
-    test_label = dict(zip(test.ids.tolist(), test.labels.tolist()))
-    rows = []
-    for a, b in report.within_train_pairs():
-        rows.append(("within_train", a, b,
-                     train.label_name(train_label[a]),
-                     train.label_name(train_label[b])))
-    for a, b in report.cross_split:
-        rows.append(("cross_split", a, b,
-                     train.label_name(train_label[a]),
-                     test.label_name(test_label[b])))
-    return rows
+    """CSV rows: kind, train_id, other_id, label_a, label_b (ids are rows)."""
+    kinds = (("within_train", report.within_train_pairs(), train),
+             ("cross_split", report.cross_split, test))
+    return [(kind, a, b, train.label_name(int(train.labels[a])),
+             other.label_name(int(other.labels[b])))
+            for kind, pairs, other in kinds for a, b in pairs]
 
 
 # -- synthetic data ------------------------------------------------------------
@@ -321,25 +310,17 @@ def synth_dataset(num_samples: int, num_classes: int = 10,
     """Seeded uniform-random raw images; all samples guaranteed pairwise distinct."""
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
+    if num_samples > (distinct := 256 ** math.prod(image_shape)):
+        raise ValueError(f"only {distinct} distinct {image_shape} images exist, "
+                         f"asked for {num_samples}")
     rng = np.random.default_rng(seed)
     images = rng.integers(0, 256, size=(num_samples, *image_shape), dtype=np.int64)
     labels = rng.integers(1, num_classes + 1, size=num_samples)
-    # redraw any colliding images so the distinctness guarantee is unconditional
-    while True:
-        seen: dict[bytes, int] = {}
-        dupes = []
-        for i in range(num_samples):
-            key = images[i].tobytes()
-            if key in seen:
-                dupes.append(i)
-            else:
-                seen[key] = i
-        if not dupes:
-            break
+    # redraw every later copy of an image, in ascending row order, until none is left
+    while dupes := sorted(i for rows in _rows_by_bytes(images).values() for i in rows[1:]):
         for i in dupes:
             images[i] = rng.integers(0, 256, size=image_shape, dtype=np.int64)
-    return Dataset(images=images.astype(np.uint8), labels=labels,
-                   ids=np.arange(num_samples, dtype=np.int64), split="synthetic",
+    return Dataset(images=images.astype(np.uint8), labels=labels, split="synthetic",
                    num_classes=num_classes)
 
 

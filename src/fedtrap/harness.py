@@ -1,9 +1,11 @@
 """Experiment runner: many seeded attack runs, confusion metrics, CSV output.
 
-Per-run seeds are derived from (master_seed, run_id) through SeedSequence,
-so runs are reproducible and independent of execution order; with
-workers > 1 the runs execute in separate processes, each limiting numpy's
-bundled OpenBLAS to one thread, and are merged back in run-id order.
+Every run draws rows of one raw source pool and normalizes only those
+rows, with `source.stacked(draw.rows)`. Per-run seeds are derived from
+(master_seed, run_id) through SeedSequence, so runs are reproducible and
+independent of execution order; with workers > 1 the runs execute in
+separate processes, each limiting numpy's bundled OpenBLAS to one thread,
+and are merged back in run-id order.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .attack import run_attack
 from .datasets import Dataset, load_cifar, load_mnist_idx, sample_run, synth_dataset
 from .fedsim import ClientConfig
 from .network import Network, conv_net, small_conv_net
+from .trap import check_head_width
 
 SYNTH_POOL_EXTRA = 512
 SYNTH_IMAGE_SHAPE = (1, 14, 14)
@@ -138,9 +141,7 @@ def build_network(cfg: ExperimentConfig, source: Dataset) -> Network:
         net = small_conv_net(SYNTH_IMAGE_SHAPE, SYNTH_CLASSES)
     else:
         net = conv_net(source.image_shape, source.num_classes)
-    if 2 * cfg.num_values > net.layers[net.head_linear_indices()[0]].out_dim:
-        raise ValueError(f"M={cfg.num_values} needs {2 * cfg.num_values} hidden "
-                         f"units; the architecture is too narrow")
+    check_head_width(net, cfg.num_values)
     return net
 
 
@@ -150,7 +151,7 @@ def execute_run(net: Network, source: Dataset, cfg: ExperimentConfig,
     seed = derive_seed(cfg.master_seed, run_id)
     try:
         draw = sample_run(source, cfg.num_samples, t, derive_seed(seed, 1))
-        xs, ys = draw.training_set.stacked()
+        xs, ys = source.stacked(draw.rows)
         outcome, _ = run_attack(net, xs, ys, draw.target, cfg.num_values, cfg.epsilon,
                                 cfg.client_config(derive_seed(seed, 2)),
                                 cfg.threshold, seed=derive_seed(seed, 3))

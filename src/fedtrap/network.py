@@ -263,17 +263,17 @@ class Network:
         dlogits = _softmax(logits)
         dlogits[np.arange(len(ys)), ys - 1] -= 1.0
         grad = np.zeros(self.layout.total, dtype=self.dtype)
-        d = self._backprop(dlogits, head_caches, grad, first=s)
+        d = self._backprop(dlogits, head_caches, grad, len(ys), first=s)
         if d.any():
             if extractor_caches is None:
                 _, extractor_caches = self._run(xs, 0, s, keep_caches=True)
-            self._backprop(d, extractor_caches, grad)
-        grad /= len(ys)
+            self._backprop(d, extractor_caches, grad, len(ys))
         return grad
 
-    def _backprop(self, d: np.ndarray, caches: list, grad: np.ndarray,
+    def _backprop(self, d: np.ndarray, caches: list, grad: np.ndarray, batch: int,
                   first: int = 0) -> np.ndarray:
-        """Backpropagate d through layers first..first+len(caches)-1, writing into grad.
+        """Backpropagate d through layers first..first+len(caches)-1, writing each
+        parameter gradient divided by `batch` into grad.
 
         Returns the cotangent at layer `first`'s input, or the all-zero
         cotangent the loop stopped at: nothing below it gets gradient.
@@ -283,7 +283,7 @@ class Network:
                 break
             d, pgrads = self.layers[i].backward(d, caches[i - first])
             for name, g in pgrads.items():
-                grad[self.layout.slice_of(i, name)] = g.ravel()
+                np.divide(g.ravel(), batch, out=grad[self.layout.slice_of(i, name)])
         return d
 
 

@@ -11,8 +11,8 @@ the head is weight 0 / bias -1, i.e. dead ReLUs: any sample whose selected
 features are farther than the margin from the target's (in l1) contributes
 an exactly-zero gradient to every head parameter above the final biases.
 
-The margin is the aggregator's bias; its flat-vector position is what the
-membership decision monitors.
+The margin is the aggregator's bias; its flat-vector position, fixed by
+the architecture alone, is what the membership decision monitors.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ class CraftError(ValueError):
 
 @dataclass(frozen=True)
 class TrapSpec:
-    """The planted trap: matched components, thresholds, margin, placement.
+    """The planted trap: matched components, thresholds, margin and target label.
 
-    Unit placement is deterministic: pair m sits at first-hidden units
-    (2m, 2m+1) and the aggregator at second-hidden unit 0, so the spec
-    plus the architecture fully determine the margin's flat index.
+    Unit placement is fixed: pair m sits at first-hidden units (2m, 2m+1)
+    and the aggregator at second-hidden unit 0.
     """
 
     num_values: int                     # M
@@ -56,10 +55,6 @@ class TrapSpec:
             raise ValueError("component indices must be distinct")
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and positive")
-
-    @property
-    def aggregator_unit(self) -> int:
-        return 0
 
     def to_json(self) -> str:
         return json.dumps({
@@ -95,6 +90,14 @@ def select_components(features: np.ndarray, num_values: int) -> tuple[list[int],
     return [int(i) for i in order], [float(features[i]) for i in order]
 
 
+def check_head_width(net: Network, num_values: int) -> None:
+    """Raise CraftError unless `net`'s first hidden layer can host M unit pairs."""
+    width = net.layers[net.head_linear_indices()[0]].out_dim
+    if 2 * num_values > width:
+        raise CraftError(f"M={num_values} needs {2 * num_values} first-hidden units, "
+                         f"head has {width}; the architecture is too narrow")
+
+
 def craft_parameters(net: Network, sample: tuple[np.ndarray, int], num_values: int,
                      epsilon: float, seed: int) -> tuple[np.ndarray, TrapSpec]:
     """Build the full trap parameter vector for `net`'s architecture.
@@ -107,12 +110,9 @@ def craft_parameters(net: Network, sample: tuple[np.ndarray, int], num_values: i
         raise ValueError(f"target label {y_t} outside 1..{net.num_classes}")
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be finite and positive")
-    h1_idx, h2_idx, out_idx = net.head_linear_indices()
+    check_head_width(net, num_values)
     work = net.with_params(net.params)
-    h1, h2, out = (work.layers[i] for i in (h1_idx, h2_idx, out_idx))
-    if 2 * num_values > h1.out_dim:
-        raise CraftError(f"trap needs {2 * num_values} first-hidden units, "
-                         f"head has {h1.out_dim}")
+    h1, h2, out = (work.layers[i] for i in net.head_linear_indices())
 
     rng = np.random.default_rng(seed)
     for layer in work.layers[:work.split_index]:
@@ -143,7 +143,7 @@ def craft_parameters(net: Network, sample: tuple[np.ndarray, int], num_values: i
     return work.params, spec
 
 
-def epsilon_flat_index(net: Network, spec: TrapSpec) -> int:
-    """Flat position of the margin (aggregator bias) in `net`'s layout."""
+def epsilon_flat_index(net: Network) -> int:
+    """Flat position of the margin (aggregator bias, unit 0) in `net`'s layout."""
     _, h2_idx, _ = net.head_linear_indices()
-    return net.layout.index_of(h2_idx, "bias", spec.aggregator_unit)
+    return net.layout.index_of(h2_idx, "bias", 0)

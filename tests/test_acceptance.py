@@ -123,7 +123,7 @@ def test_criterion_2_closed_form_equivalence():
                 trap_output_oracle(a, spec.etas, eps), abs=1e-10)
             if abs(deviation - eps) > 1e-9:
                 indicator = trap_eps_grad_oracle(a, spec.etas, eps)
-                got = logit_grad(work, x, y_t - 1)[epsilon_flat_index(net, spec)]
+                got = logit_grad(work, x, y_t - 1)[epsilon_flat_index(net)]
                 assert got == indicator
                 triggered += indicator
             checked += 1
@@ -136,7 +136,7 @@ def test_criterion_3_gradient_zeroing_under_training():
         rng = np.random.default_rng(MASTER_SEED + 1)
         x_t = rng.uniform(-1, 1, size=(1, 14, 14)).astype(np.float32)
         theta, spec = craft_parameters(net, (x_t, 5), 4, 1e-3, seed=77)
-        eps_idx = epsilon_flat_index(net, spec)
+        eps_idx = epsilon_flat_index(net)
         final_bias = net.layout.slice_of(net.head_linear_indices()[2], "bias")
         mask = np.ones(net.layout.total, dtype=bool)
         mask[final_bias] = False
@@ -273,7 +273,7 @@ def test_criterion_8_single_step_special_case():
         # synthetic run with exactly one triggering sample in one batch
         source = synth_dataset(200, seed=MASTER_SEED + 2)
         draw = sample_run(source, 32, 1, seed=MASTER_SEED + 3)
-        xs, ys = draw.training_set.stacked()
+        xs, ys = source.stacked(draw.rows)
         net = small_conv_net()
         outcome, spec = run_attack(net, xs, ys, draw.target, 4, 1e-3,
                                    ClientConfig(32, 1, 1, optimizer="sgd"),
@@ -298,9 +298,8 @@ def test_criterion_9_duplicate_scanner():
             assert report.cross_images == 10
             assert len(report.mismatched_cross) == 6
             assert (4348, 30931) in pairs
-            label = dict(zip(train.ids.tolist(), train.labels.tolist()))
-            assert train.label_name(label[4348]) == "aquarium_fish"
-            assert train.label_name(label[30931]) == "aquarium_fish"
+            assert train.label_name(int(train.labels[4348])) == "aquarium_fish"
+            assert train.label_name(int(train.labels[30931])) == "aquarium_fish"
     else:
         with criterion(9, "duplicate scanner (planted substitute; CIFAR-100 absent)"):
             rng = np.random.default_rng(MASTER_SEED)
@@ -309,14 +308,14 @@ def test_criterion_9_duplicate_scanner():
             labels = list(rng.integers(1, 101, size=40))
             labels[7], labels[31] = 12, 57
             labels = np.array(labels, dtype=np.int64)
-            train = Dataset(imgs, labels, np.arange(40), "train", 100)
+            train = Dataset(imgs, labels, "train", 100)
             test_imgs = rng.integers(0, 256, size=(10, 3, 32, 32)).astype(np.uint8)
             test_imgs[4] = imgs[20]
-            test = Dataset(test_imgs, labels[:10], np.arange(1000, 1010), "test", 100)
+            test = Dataset(test_imgs, labels[:10], "test", 100)
             report = find_exact_duplicates(train, test)
             assert report.within_train_pairs() == [(7, 31)]
             assert report.mismatched_within == ((7, 31),)
-            assert report.cross_split == ((20, 1004),)
+            assert report.cross_split == ((20, 4),)
             assert report.cross_images == 1
 
 

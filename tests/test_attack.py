@@ -23,7 +23,7 @@ def crafted_setup(seed=7, label=3, M=4, eps=1e-3, dtype=np.float32):
 def test_reference_eps_sgd_increases_margin():
     net, x_t, y_t, theta, spec = crafted_setup()
     cfg = ClientConfig(32, 1, 1, optimizer="sgd", lr=1e-2)
-    idx = epsilon_flat_index(net, spec)
+    idx = epsilon_flat_index(net)
     ref = reference_eps(net, theta, (x_t, y_t), cfg, idx)
     # the target self-triggers and the descent direction raises the margin:
     # step = -lr * (softmax_target - 1) ~= +lr * 0.9 for 10 classes
@@ -34,7 +34,7 @@ def test_reference_eps_sgd_increases_margin():
 def test_reference_eps_adam_moves_by_about_lr():
     net, x_t, y_t, theta, spec = crafted_setup()
     cfg = ClientConfig(32, 1, 1, optimizer="adam", lr=1e-3)
-    idx = epsilon_flat_index(net, spec)
+    idx = epsilon_flat_index(net)
     ref = reference_eps(net, theta, (x_t, y_t), cfg, idx)
     assert abs(ref - spec.epsilon) == pytest.approx(1e-3, rel=1e-3)
     assert ref > spec.epsilon
@@ -42,7 +42,7 @@ def test_reference_eps_adam_moves_by_about_lr():
 
 def test_reference_eps_non_triggering_sample_is_exact_fixed_point():
     net, x_t, y_t, theta, spec = crafted_setup()
-    idx = epsilon_flat_index(net, spec)
+    idx = epsilon_flat_index(net)
     other = np.random.default_rng(1).uniform(-1, 1, size=(1, 14, 14)).astype(np.float32)
     for opt in ("sgd", "adam"):
         cfg = ClientConfig(32, 1, 1, optimizer=opt)
@@ -114,7 +114,7 @@ def test_decide_rejects_bad_threshold(xi):
 def run_once(member: bool, opt="sgd", J=2, E=1, seed=123, M=4):
     source = synth_dataset(200, seed=seed)
     draw = sample_run(source, 64, int(member), seed=seed + 1)
-    xs, ys = draw.training_set.stacked()
+    xs, ys = source.stacked(draw.rows)
     net = small_conv_net()
     client_cfg = ClientConfig(32, J, E, optimizer=opt, shuffle_seed=seed + 2)
     outcome, spec = run_attack(net, xs, ys, draw.target, M, 1e-3, client_cfg,
@@ -143,7 +143,7 @@ def test_run_attack_duplicate_of_target_outside_draw_false_positives():
     # in the client data even though the target itself was not drawn
     source = synth_dataset(200, seed=9)
     draw = sample_run(source, 64, 0, seed=10)
-    xs, ys = draw.training_set.stacked()
+    xs, ys = source.stacked(draw.rows)
     xs = xs.copy()
     xs[5] = draw.target[0]  # plant the duplicate
     net = small_conv_net()
@@ -181,15 +181,14 @@ def test_single_matched_value_collapses_on_structured_images():
     for _ in range(1100):
         images.append(stroke_image(rng))
         labels.append(rng.integers(1, 11))
-    source = Dataset(np.stack(images), np.array(labels, dtype=np.int64),
-                     np.arange(1100, dtype=np.int64), "synthetic", 10)
+    source = Dataset(np.stack(images), np.array(labels, dtype=np.int64), "synthetic", 10)
     net = small_conv_net()
     false_positives = {1: 0, 4: 0}
     runs = 12
     for M in false_positives:
         for k in range(runs):
             draw = sample_run(source, 512, 0, seed=k)
-            xs, ys = draw.training_set.stacked()
+            xs, ys = source.stacked(draw.rows)
             outcome, _ = run_attack(net, xs, ys, draw.target, M, 1e-3,
                                     ClientConfig(32, 16, 1, shuffle_seed=k),
                                     0.1, seed=1000 + k)

@@ -10,11 +10,9 @@ from fedtrap.datasets import (Dataset, DatasetFormatError, duplicate_report_rows
                               write_cifar_fixture, write_mnist_fixture)
 
 
-def make_dataset(images, labels, ids=None, split="synthetic", num_classes=10):
-    images = np.asarray(images, dtype=np.uint8)
-    ids = np.arange(len(images)) if ids is None else ids
-    return Dataset(images, np.asarray(labels, dtype=np.int64),
-                   np.asarray(ids, dtype=np.int64), split, num_classes)
+def make_dataset(images, labels, split="synthetic", num_classes=10):
+    return Dataset(np.asarray(images, dtype=np.uint8), np.asarray(labels, dtype=np.int64),
+                   split, num_classes)
 
 
 def hand_written_idx_pair(tmp_path, pixels, labels):
@@ -46,7 +44,6 @@ def test_mnist_fixture_parses_with_exact_pixels(tmp_path):
     assert ds.images.dtype == np.uint8
     np.testing.assert_array_equal(ds.images[:, 0], pixels)
     np.testing.assert_array_equal(ds.labels, labels + 1)
-    np.testing.assert_array_equal(ds.ids, np.arange(4))
     # the images are a view of the file's bytes, not a per-sample copy
     assert not ds.images.flags.owndata and not ds.images.flags.writeable
 
@@ -190,26 +187,21 @@ def test_cifar_rejects_out_of_range_label(tmp_path, variant, head, byte):
 def test_dataset_rejects_wrong_dtypes_lengths_and_labels():
     images = np.zeros((3, 1, 2, 2), dtype=np.uint8)
     labels = np.array([1, 2, 3], dtype=np.int64)
-    ids = np.arange(3, dtype=np.int64)
-    Dataset(images, labels, ids, "train", 3)
+    Dataset(images, labels, "train", 3)
     for dtype in (np.float32, np.float64):
         with pytest.raises(ValueError, match="uint8 array"):
-            Dataset(images.astype(dtype), labels, ids, "train", 3)
+            Dataset(images.astype(dtype), labels, "train", 3)
     with pytest.raises(ValueError, match="uint8 array"):
-        Dataset(images[:, 0], labels, ids, "train", 3)
+        Dataset(images[:, 0], labels, "train", 3)
     with pytest.raises(ValueError, match="int64"):
-        Dataset(images, labels.astype(np.int32), ids, "train", 3)
-    with pytest.raises(ValueError, match="int64"):
-        Dataset(images, labels, ids.astype(np.uint8), "train", 3)
+        Dataset(images, labels.astype(np.int32), "train", 3)
     with pytest.raises(ValueError, match="3 images"):
-        Dataset(images, labels[:2], ids, "train", 3)
-    with pytest.raises(ValueError, match="3 images"):
-        Dataset(images, labels, ids[:2], "train", 3)
+        Dataset(images, labels[:2], "train", 3)
     with pytest.raises(ValueError, match="non-empty"):
-        Dataset(images[:0], labels[:0], ids[:0], "train", 3)
+        Dataset(images[:0], labels[:0], "train", 3)
     for bad in (0, 4):
         with pytest.raises(ValueError, match=f"label {bad} outside 1..3"):
-            Dataset(images, np.array([1, bad, 2], dtype=np.int64), ids, "train", 3)
+            Dataset(images, np.array([1, bad, 2], dtype=np.int64), "train", 3)
 
 
 # -- normalization -----------------------------------------------------------
@@ -223,6 +215,16 @@ def test_normalize_endpoints_and_midpoint():
     np.testing.assert_allclose(xs[0, 0, 0, 2:], [-1 / 255, 1 / 255], rtol=1e-4)
     np.testing.assert_array_equal(ys, ds.labels)
     assert not np.shares_memory(ys, ds.labels)
+
+
+def test_stacked_rows_are_the_rows_of_the_whole_stack():
+    ds = synth_dataset(12, seed=5)
+    xs, ys = ds.stacked()
+    rows = np.array([7, 0, 11, 3])
+    sub_xs, sub_ys = ds.stacked(rows)
+    assert sub_xs.tobytes() == xs[rows].tobytes()
+    np.testing.assert_array_equal(sub_ys, ys[rows])
+    assert not np.shares_memory(ds.stacked(slice(2, 5))[1], ds.labels)
 
 
 def test_normalize_round_trip():
@@ -255,7 +257,7 @@ def test_normalize_is_bit_identical_to_per_image_arithmetic(tmp_path):
         assert ds.stacked()[0].tobytes() == per_image_reference(ds.images)
         for seed, member in ((0, 1), (1, 0), (2, 1)):
             draw = sample_run(ds, 2, member, seed)
-            target = ds.images[ds.ids == draw.target_id]
+            target = ds.images[[draw.target_id]]
             assert draw.target[0].tobytes() == per_image_reference(target)
 
 
@@ -267,8 +269,8 @@ def test_sample_run_member_contains_target_nonmember_does_not():
     normalized, _ = source.stacked()
     for seed in range(1000):
         draw = sample_run(source, 10, member_flag=seed % 2, seed=seed)
-        assert len(draw.training_set) == 10
-        assert (draw.target_id in draw.training_set.ids) == bool(seed % 2)
+        assert len(draw.rows) == 10
+        assert (draw.target_id in draw.rows.tolist()) == bool(seed % 2)
         image, label = draw.target
         assert image.tobytes() == normalized[draw.target_id].tobytes()
         assert label == source.labels[draw.target_id] and type(label) is int
@@ -278,7 +280,7 @@ def test_sample_run_is_deterministic():
     source = synth_dataset(50, seed=8)
     a = sample_run(source, 10, 1, seed=3)
     b = sample_run(source, 10, 1, seed=3)
-    assert a.training_set.ids.tolist() == b.training_set.ids.tolist()
+    assert a.rows.tolist() == b.rows.tolist()
     assert a.target_id == b.target_id
 
 
@@ -287,6 +289,7 @@ def test_sample_run_pins_the_setdiff_draw():
     # setdiff1d of the pool against the chosen ids
     source = synth_dataset(1200, seed=17)
     n = len(source)
+    images, labels = source.stacked()
     for seed in range(200):
         for member in (1, 0):
             rng = np.random.default_rng(seed)
@@ -294,10 +297,11 @@ def test_sample_run_pins_the_setdiff_draw():
             pool = chosen if member else np.setdiff1d(np.arange(n), chosen)
             target = int(rng.choice(pool))
             draw = sample_run(source, 64, member, seed)
-            assert draw.training_set.ids.tolist() == chosen.tolist()
+            assert draw.rows.tolist() == chosen.tolist()
             assert draw.target_id == target
-            np.testing.assert_array_equal(draw.training_set.images, source.images[chosen])
-            np.testing.assert_array_equal(draw.training_set.labels, source.labels[chosen])
+            xs, ys = source.stacked(draw.rows)
+            assert xs.tobytes() == images[chosen].tobytes()
+            np.testing.assert_array_equal(ys, labels[chosen])
 
 
 def test_run_draw_rejects_a_flag_that_disagrees_with_the_ids():
@@ -320,7 +324,7 @@ def test_sample_run_inclusion_frequency_matches_combinatorics():
     trials = 10000
     for seed in range(trials):
         draw = sample_run(source, 2, 1, seed=seed)
-        counts[draw.training_set.ids] += 1
+        counts[draw.rows] += 1
     freqs = counts / trials
     np.testing.assert_allclose(freqs, 0.5, atol=0.02)
 
@@ -335,8 +339,7 @@ def planted_duplicate_sets():
     train = make_dataset(imgs, [1, 2, 3, 1, 5, 2], split="train", num_classes=5)
     test_imgs = rng.integers(0, 256, size=(3, 3, 8, 8))
     test_imgs[0] = imgs[2]  # cross-split duplicate, same label
-    test = make_dataset(test_imgs, [3, 3, 3], ids=[100, 101, 102], split="test",
-                        num_classes=5)
+    test = make_dataset(test_imgs, [3, 3, 3], split="test", num_classes=5)
     return train, test
 
 
@@ -346,7 +349,7 @@ def test_planted_duplicates_are_found_and_flagged():
     assert report.within_train == ((1, 4),)
     assert report.mismatched_within == ((1, 4),)   # labels 2 vs 5
     assert report.within_train_pairs() == [(1, 4)]
-    assert report.cross_split == ((2, 100),)
+    assert report.cross_split == ((2, 0),)
     assert report.cross_images == 1
     assert report.mismatched_cross == ()           # both labeled 3
 
@@ -360,18 +363,17 @@ def test_duplicate_report_ids_are_builtin_ints():
     assert ids and all(type(i) is int for i in ids)
     assert type(report.cross_images) is int
     rows = duplicate_report_rows(report, train, test)
-    assert rows == [("within_train", 1, 4, "2", "5"), ("cross_split", 2, 100, "3", "3")]
+    assert rows == [("within_train", 1, 4, "2", "5"), ("cross_split", 2, 0, "3", "3")]
     assert all(type(v) is int for row in rows for v in row[1:3])
 
 
 def test_duplicate_groups_are_verified_by_bytes_not_hash_alone():
     train, test = planted_duplicate_sets()
     report = find_exact_duplicates(train, test)
-    by_id = dict(zip(train.ids.tolist(), train.images))
     for group in report.within_train:
-        first = by_id[group[0]].tobytes()
+        first = train.images[group[0]].tobytes()
         for other in group[1:]:
-            assert by_id[other].tobytes() == first
+            assert train.images[other].tobytes() == first
 
 
 def test_duplicate_scan_pairs_every_copy_across_splits():
@@ -381,10 +383,10 @@ def test_duplicate_scan_pairs_every_copy_across_splits():
     test_imgs = rng.integers(0, 256, size=(4, 1, 4, 4))
     test_imgs[1] = test_imgs[2] = imgs[0]
     train = make_dataset(imgs, [1, 1, 1, 2, 1])
-    test = make_dataset(test_imgs, [1, 1, 2, 1], ids=[10, 11, 12, 13])
+    test = make_dataset(test_imgs, [1, 1, 2, 1])
     report = find_exact_duplicates(train, test)
-    assert report.cross_split == ((0, 11), (0, 12), (3, 11), (3, 12))
-    assert report.mismatched_cross == ((0, 12), (3, 11))
+    assert report.cross_split == ((0, 1), (0, 2), (3, 1), (3, 2))
+    assert report.mismatched_cross == ((0, 2), (3, 1))
     assert report.cross_images == 1
 
 
@@ -413,3 +415,36 @@ def test_synth_dataset_has_no_duplicates_by_scan():
     ds = synth_dataset(300, image_shape=(1, 4, 4), seed=15)
     report = find_exact_duplicates(ds, synth_dataset(5, image_shape=(1, 4, 4), seed=999))
     assert report.within_train == ()
+
+
+def test_synth_dataset_rejects_more_samples_than_distinct_images():
+    with pytest.raises(ValueError, match="only 256 distinct"):
+        synth_dataset(257, image_shape=(1, 1, 1))
+    ds = synth_dataset(256, image_shape=(1, 1, 1), seed=3)
+    assert sorted(ds.images.reshape(-1).tolist()) == list(range(256))
+
+
+def test_synth_dataset_redraws_later_copies_in_ascending_row_order():
+    """The redraw loop the generator was first written with, kept as a pin of
+    its RNG stream: every later copy of an image is redrawn, lowest row first."""
+    num_samples, shape, seed = 200, (1, 1, 1), 21
+    rng = np.random.default_rng(seed)
+    images = rng.integers(0, 256, size=(num_samples, *shape), dtype=np.int64)
+    labels = rng.integers(1, 11, size=num_samples)
+    rounds = 0
+    while True:
+        seen, dupes = set(), []
+        for i in range(num_samples):
+            key = images[i].tobytes()
+            if key in seen:
+                dupes.append(i)
+            seen.add(key)
+        if not dupes:
+            break
+        rounds += 1
+        for i in dupes:
+            images[i] = rng.integers(0, 256, size=shape, dtype=np.int64)
+    assert rounds > 1  # the pin only holds if images were redrawn, over several rounds
+    ds = synth_dataset(num_samples, image_shape=shape, seed=seed)
+    assert ds.images.tobytes() == images.astype(np.uint8).tobytes()
+    np.testing.assert_array_equal(ds.labels, labels)

@@ -69,7 +69,7 @@ def test_non_triggering_data_leaves_trap_parameters_bit_exact(opt):
     changed = np.nonzero(phi != theta)[0]
     assert len(changed) > 0
     assert changed.min() >= final_bias.start and changed.max() < final_bias.stop
-    assert phi[epsilon_flat_index(net, spec)] == theta[epsilon_flat_index(net, spec)]
+    assert phi[epsilon_flat_index(net)] == theta[epsilon_flat_index(net)]
 
 
 def test_single_epoch_single_batch_is_one_sgd_step():

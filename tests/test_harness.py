@@ -387,6 +387,49 @@ def test_cli_fixtures_then_dedup_finds_planted_pair(tmp_path, capsys):
     assert "cross-split images: 1" in captured.err
 
 
+DEDUP_HEADER = "kind,train_id,other_id,label_a,label_b"
+FIXTURE_DEDUP = {
+    # cifar100-fine: a within-train pair (train rows 1 and 3) and train row 0
+    # shared with test row 2; labels are the CIFAR-100 fine names
+    "cifar100-fine": (
+        ["--train", "fixture_cifar100_train.bin", "--test", "fixture_cifar100_test.bin"],
+        ["within_train,1,3,beaver,bed", "cross_split,0,2,aquarium_fish,aquarium_fish"],
+        "within-train pairs: 1 (1 with differing labels); "
+        "cross-split images: 1 (0 with differing labels)"),
+    # the one-file formats are scanned against themselves: every row is its
+    # own cross-split copy
+    "cifar10": (
+        ["--train", "fixture_cifar10.bin", "--test", "fixture_cifar10.bin"],
+        ["cross_split,0,0,2,2", "cross_split,1,1,9,9"],
+        "within-train pairs: 0 (0 with differing labels); "
+        "cross-split images: 2 (0 with differing labels)"),
+    "mnist": (
+        ["--train-images", "fixture-images-idx3-ubyte",
+         "--train-labels", "fixture-labels-idx1-ubyte",
+         "--test-images", "fixture-images-idx3-ubyte",
+         "--test-labels", "fixture-labels-idx1-ubyte"],
+        [f"cross_split,{i},{i},{label},{label}" for i, label in enumerate([1, 4, 8, 10])],
+        "within-train pairs: 0 (0 with differing labels); "
+        "cross-split images: 4 (0 with differing labels)"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FIXTURE_DEDUP))
+def test_cli_dedup_on_fixtures_pins_csv_and_summary(fmt, tmp_path, capsys):
+    assert cli_main(["fixtures", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    paths, rows, summary = FIXTURE_DEDUP[fmt]
+    argv = [a if a.startswith("--") else str(tmp_path / a) for a in paths]
+    assert cli_main(["dedup", "--format", fmt, *argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "\n".join([DEDUP_HEADER, *rows]) + "\n"
+    assert captured.err == summary + "\n"
+    # --out writes the same bytes to a file
+    out = tmp_path / "dedup.csv"
+    assert cli_main(["dedup", "--format", fmt, *argv, "--out", str(out)]) == 0
+    assert out.read_text() == captured.out
+
+
 def test_cli_gradcheck_small(capsys):
     assert cli_main(["gradcheck", "--networks", "2", "--seed", "0"]) == 0
     out = capsys.readouterr().out

@@ -196,7 +196,7 @@ def test_trap_spec_json_round_trip_and_epsilon_index():
     assert restored == spec
     payload = json.loads(spec.to_json())
     assert set(payload) == {"M", "indices", "etas", "epsilon", "target_label", "seed"}
-    idx = epsilon_flat_index(net, restored)
+    idx = epsilon_flat_index(net)
     assert theta[idx] == np.float32(2e-3)
 
 
@@ -243,7 +243,7 @@ def test_network_eps_derivative_matches_indicator():
         dev = float(np.abs(a - np.array(spec.etas)).sum())
         if abs(dev - eps) < 1e-9:
             continue
-        eps_idx = epsilon_flat_index(net, spec)
+        eps_idx = epsilon_flat_index(net)
         db_deps = logit_grad(work, x, y_t - 1)[eps_idx]
         assert db_deps == trap_eps_grad_oracle(a, spec.etas, eps)
         hits += db_deps == 1
@@ -293,7 +293,7 @@ def test_backward_eps_component_matches_loss_grad_oracle():
         if abs(dev - eps) < 1e-9:
             continue
         expected = trap_loss_eps_grad_oracle(a, spec.etas, eps, y, y_t, 10)
-        got = work.backward(x[None], [y])[epsilon_flat_index(net, spec)]
+        got = work.backward(x[None], [y])[epsilon_flat_index(net)]
         assert got == pytest.approx(expected, abs=1e-5)
         checked_triggered += dev < eps
     assert checked_triggered > 5
