@@ -16,6 +16,19 @@ over the window's strided views in reverse order, which keeps the first
 position on a tie (+0.0 against -0.0 included) and builds no index; its
 cache is the input itself. The backward pass finds the same position
 with `argmax` over the cached input and routes the gradient there.
+
+Conv2D has one arithmetic, `cols @ W.T` with cols (n, L, K) for L output
+positions and K = c*k*k, and two ways to gather cols. The window-major
+gather copies the sliding windows into a C-ordered (n, L, K) array, in
+runs of k floats. The packed gather copies them into a C-ordered
+(n, K, L) array, in runs of ow floats, and passes its per-sample
+transpose; the BLAS then packs that operand itself, which is faster.
+The values are the same, but whether the GEMM rounds the same way is a
+property of the BLAS build and the shapes. So the first forward of each
+(input shape, input dtype, weight shape, weight dtype) probes it: both
+gathers of a fixed-seed random input, times a random weight laid out as
+the forward's is, compared byte for byte. The packed gather is used only
+where the bytes match, so outputs do not depend on which gather ran.
 """
 
 from __future__ import annotations
@@ -82,10 +95,12 @@ class Conv2D(_WeightBias):
     def forward(self, x: np.ndarray):
         n = x.shape[0]
         oc, oh, ow = self.out_shape(x.shape[1:])
-        k = self.kernel_size
-        # (n, c, oh, ow, k, k) -> (n, oh*ow, c*k*k)
-        win = sliding_window_view(x, (k, k), axis=(2, 3))
-        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, oh * ow, self.fan_in)
+        key = (x.shape, x.dtype, self.weight.shape, self.weight.dtype)
+        packed = _PACKED_GATHER.get(key)
+        if packed is None:
+            packed = _PACKED_GATHER[key] = _packed_gather_matches(*key)
+        gather = _packed_windows if packed else _windows
+        cols = gather(x, self.kernel_size)
         out = cols @ self.weight.reshape(oc, -1).T + self.bias
         out = out.transpose(0, 2, 1).reshape(n, oc, oh, ow)
         return out, (x.shape, cols)
@@ -94,6 +109,10 @@ class Conv2D(_WeightBias):
         x_shape, cols = cache
         n, oc, oh, ow = dout.shape
         dflat = dout.reshape(n, oc, oh * ow).transpose(0, 2, 1)  # (n, L, oc)
+        # tensordot reshapes cols to (n*L, K). For n > 1 that copies a packed
+        # cols to C order anyway; at n = 1 it would hand the GEMM the
+        # F-ordered view, which can round differently
+        cols = np.ascontiguousarray(cols)
         dw = np.tensordot(dflat, cols, axes=([0, 1], [0, 1]))    # (oc, c*k*k)
         db = dout.sum(axis=(0, 2, 3))
         dcols = dflat @ self.weight.reshape(oc, -1)              # (n, L, c*k*k)
@@ -110,6 +129,45 @@ class Conv2D(_WeightBias):
             for j in range(k):
                 dx[:, :, i:i + oh, j:j + ow] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
         return dx
+
+
+def _windows(x: np.ndarray, k: int) -> np.ndarray:
+    """im2col, window-major: (n, c, h, w) -> C-ordered (n, L, K).
+
+    L = oh*ow output positions, K = c*k*k in (channel, row, column) order.
+    """
+    n, c = x.shape[:2]
+    win = sliding_window_view(x, (k, k), axis=(2, 3))      # (n, c, oh, ow, k, k)
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n, -1, c * k * k)
+
+
+def _packed_windows(x: np.ndarray, k: int) -> np.ndarray:
+    """The same (n, L, K) values as `_windows`, as the per-sample transpose of
+    a C-ordered (n, K, L) copy, which reads x in runs of ow instead of k."""
+    n, c, h, w = x.shape
+    win = sliding_window_view(x, (h - k + 1, w - k + 1), axis=(2, 3))  # (n, c, k, k, oh, ow)
+    return win.reshape(n, c * k * k, -1).transpose(0, 2, 1)
+
+
+# (input shape, input dtype, weight shape, weight dtype) -> whether the
+# packed gather gives the GEMM bytes of the window-major one
+_PACKED_GATHER: dict[tuple, bool] = {}
+
+
+def _packed_gather_matches(x_shape: tuple[int, ...], x_dtype: np.dtype,
+                           w_shape: tuple[int, ...], w_dtype: np.dtype) -> bool:
+    """Whether `_packed_windows(x) @ W.T` has the bytes of `_windows(x) @ W.T`.
+
+    The probe repeats the forward's operand layouts: a C-ordered input of
+    the real shape and the transpose of a C-ordered (oc, K) weight. Its
+    values are generic (a fixed-seed generator of its own), because zero
+    weights or blank rows can make two summation orders agree by accident.
+    """
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1.0, 1.0, x_shape).astype(x_dtype)
+    w = rng.uniform(-1.0, 1.0, (w_shape[0], math.prod(w_shape[1:]))).astype(w_dtype).T
+    k = w_shape[-1]
+    return (_packed_windows(x, k) @ w).tobytes() == (_windows(x, k) @ w).tobytes()
 
 
 class MaxPool2D:

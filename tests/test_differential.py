@@ -18,7 +18,10 @@ import warnings
 import numpy as np
 import pytest
 
+from fedtrap import layers
+from fedtrap.datasets import write_cifar_fixture, write_mnist_fixture
 from fedtrap.fedsim import ClientConfig, client_train
+from fedtrap.harness import ExperimentConfig, build_network, build_source, execute_run
 from fedtrap.layers import Conv2D
 from fedtrap.network import Network, conv_net, dense_net, small_conv_net
 from fedtrap.optim import adam_step, sgd_step
@@ -253,3 +256,45 @@ def test_negative_zero_gradient_below_the_written_suffix_is_stepped(monkeypatch)
     phi = client_train(net, theta, xs, ys, cfg)
     assert phi.tobytes() == reference_client_train(net, theta, xs, ys, cfg).tobytes()
     assert phi[index] == 0 and not np.signbit(phi[index])
+
+
+def full_scale_pools(tmp_path, size=8392):
+    """Random MNIST-format (4 blank top rows) and CIFAR-100-format pools of `size` images."""
+    rng = np.random.default_rng(8392)
+    images = rng.integers(0, 256, size=(size, 28, 28), dtype=np.uint8)
+    images[:, :4] = 0
+    write_mnist_fixture(tmp_path / "train-images-idx3-ubyte",
+                        tmp_path / "train-labels-idx1-ubyte", images,
+                        rng.integers(0, 10, size=size))
+    (tmp_path / "cifar-100-binary").mkdir()
+    fine = rng.integers(0, 100, size=size)
+    write_cifar_fixture(tmp_path / "cifar-100-binary" / "train.bin",
+                        rng.integers(0, 256, size=(size, 3, 32, 32), dtype=np.uint8),
+                        fine, fine // 5)
+
+
+def test_full_scale_runs_match_the_window_gather(tmp_path, monkeypatch):
+    """J=256 Adam member and non-member runs on both paper shapes: the same
+    Delta and decision whether each conv shape takes the gather its probe
+    chose or is held to the window-major one.
+
+    The per-batch reference above cannot gate the gather choice, since it
+    calls `layer.forward` too. E=1: the conv forwards of a trap run are
+    in its first epoch, and E=4 would add seconds per run to the suite.
+    """
+    full_scale_pools(tmp_path)
+    for dataset in ["mnist", "cifar100"]:
+        cfg = ExperimentConfig(dataset=dataset, num_batches=256, optimizer="adam",
+                               runs=2, master_seed=1, data_dir=str(tmp_path))
+        source = build_source(cfg)
+        net = build_network(cfg, source)
+        outcomes = {}
+        for gather in ["probed", "window"]:
+            if gather == "window":
+                monkeypatch.setattr(layers, "_PACKED_GATHER", {})
+                monkeypatch.setattr(layers, "_packed_gather_matches", lambda *key: False)
+            runs = [execute_run(net, source, cfg, run_id) for run_id in (0, 1)]
+            outcomes[gather] = [(repr(r.delta), r.decision) for r in runs]
+            assert [r.decision for r in runs] == [r.member_flag for r in runs] == [1, 0]
+        monkeypatch.undo()
+        assert outcomes["probed"] == outcomes["window"], dataset

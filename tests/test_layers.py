@@ -1,9 +1,12 @@
+import ctypes
 import itertools
 
 import numpy as np
 import pytest
 
+from fedtrap import layers
 from fedtrap.layers import Conv2D, Flatten, Linear, MaxPool2D, ReLU, ShapeError
+from fedtrap.network import conv_net, small_conv_net
 
 
 def conv_by_loops(x, weight, bias):
@@ -29,6 +32,112 @@ def test_conv2d_matches_direct_loops():
     out, _ = layer.forward(x)
     expected = conv_by_loops(x, layer.weight, layer.bias)
     np.testing.assert_allclose(out, expected, rtol=1e-12)
+
+
+def cols_by_windows(x, k):
+    """Window-major im2col, (n, c, h, w) -> C-ordered (n, oh*ow, c*k*k),
+    written out here as the reference for both of Conv2D's gathers."""
+    n, c, h, w = x.shape
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n, (h - k + 1) * (w - k + 1), c * k * k)
+
+
+def conv_by_windows(layer, x):
+    """Conv2D's forward arithmetic over the reference gather: (output, cols)."""
+    n = x.shape[0]
+    oc, oh, ow = layer.out_shape(x.shape[1:])
+    cols = cols_by_windows(x, layer.kernel_size)
+    out = cols @ layer.weight.reshape(oc, -1).T + layer.bias
+    return out.transpose(0, 2, 1).reshape(n, oc, oh, ow), cols
+
+
+def stock_convs(dtype):
+    """(name, layer, input shape) for both convs of every stock conv network."""
+    nets = {"mnist": conv_net((1, 28, 28), 10, dtype=dtype),
+            "cifar100": conv_net((3, 32, 32), 100, dtype=dtype),
+            "small": small_conv_net(dtype=dtype)}
+    for name, net in nets.items():
+        net.init_random(len(name))
+        shape = net.input_shape
+        for i, layer in enumerate(net.layers[:net.split_index]):
+            if isinstance(layer, Conv2D):
+                yield f"{name}.{i}", layer, shape
+            shape = layer.out_shape(shape)
+
+
+def assert_conv_matches_window_reference(layer, x, seed):
+    out, cache = layer.forward(x)
+    expected, ref_cols = conv_by_windows(layer, x)
+    assert out.dtype == x.dtype and out.tobytes() == expected.tobytes()
+    assert cache[1].shape == ref_cols.shape
+    assert np.ascontiguousarray(cache[1]).tobytes() == ref_cols.tobytes()
+    dout = np.random.default_rng(seed).normal(size=out.shape).astype(x.dtype)
+    dx, grads = layer.backward(dout, cache)
+    ref_dx, ref_grads = layer.backward(dout, (x.shape, ref_cols))
+    assert dx.tobytes() == ref_dx.tobytes()
+    for name in ("weight", "bias"):
+        assert grads[name].tobytes() == ref_grads[name].tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 2, 32])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stock_convs_match_the_window_gather_byte_for_byte(dtype, batch):
+    """Whichever gather each shape takes, the forward, its cached cols and
+    the backward's dx, dw and db keep the bytes of the window-major gather."""
+    for seed, (name, layer, shape) in enumerate(stock_convs(dtype)):
+        x = np.random.default_rng(seed).uniform(-1, 1, (batch, *shape)).astype(dtype)
+        assert_conv_matches_window_reference(layer, x, seed)
+
+
+def count_probes(monkeypatch, matches=None):
+    """Empty the gather cache and count the probes; `matches` overrides their answer."""
+    probe = layers._packed_gather_matches
+    keys = []
+
+    def counting(*key):
+        keys.append(key)
+        return probe(*key) if matches is None else matches
+
+    monkeypatch.setattr(layers, "_PACKED_GATHER", {})
+    monkeypatch.setattr(layers, "_packed_gather_matches", counting)
+    return keys
+
+
+def test_a_probe_mismatch_falls_back_to_the_window_gather(monkeypatch):
+    keys = count_probes(monkeypatch, matches=False)
+    for seed, (name, layer, shape) in enumerate(stock_convs(np.float32)):
+        x = np.random.default_rng(seed).uniform(-1, 1, (4, *shape)).astype(np.float32)
+        assert_conv_matches_window_reference(layer, x, seed)
+        assert layer.forward(x)[1][1].flags.c_contiguous, name
+    assert len(keys) == 6
+
+
+def test_the_probe_runs_once_per_shape(monkeypatch):
+    keys = count_probes(monkeypatch)
+    layer = next(stock_convs(np.float32))[1]
+    rng = np.random.default_rng(0)
+    for batch in [8, 8, 3, 8, 3]:
+        layer.forward(rng.uniform(-1, 1, (batch, 1, 28, 28)).astype(np.float32))
+    layer.forward(rng.uniform(-1, 1, (8, 1, 28, 28)))  # float64 input, float32 weight
+    assert [k[0][0] for k in keys] == [8, 3, 8]
+    assert keys[0][1:] == (np.float32, (6, 1, 5, 5), np.float32)
+    assert keys[2][1] == np.float64
+
+
+def test_conv_net_first_convs_take_the_packed_gather_on_scipy_openblas(monkeypatch):
+    """On this BLAS the probe accepts the packed gather at every stock first
+    conv. A probe that stops reproducing the forward's operand layouts
+    loses that, and the speed-up with it, without changing a byte."""
+    if not hasattr(ctypes.CDLL(np.linalg._umath_linalg.__file__),
+                   "scipy_openblas_get_num_threads64_"):
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    count_probes(monkeypatch)
+    for shape, classes in [((1, 28, 28), 10), ((3, 32, 32), 100)]:
+        net = conv_net(shape, classes)
+        net.init_random(0)
+        x = np.random.default_rng(0).uniform(-1, 1, (32, *shape)).astype(np.float32)
+        _, (_, cols) = net.layers[0].forward(x)
+        assert not cols.flags.c_contiguous, shape
 
 
 def test_conv2d_rejects_wrong_channels():
