@@ -108,6 +108,8 @@ def cmd_gradcheck(args) -> int:
         raise ValueError("--networks must be >= 1")
     if not 0 < args.step < np.inf:
         raise ValueError(f"--step must be finite and positive, got {args.step!r}")
+    if args.seed < 0:
+        raise ValueError("seed must be >= 0")
     results = run_gradient_check_suite(args.networks, seed=args.seed, step=args.step)
     ok = True
     for i, r in enumerate(results):

@@ -2,8 +2,8 @@
 
 A `Dataset` holds its images as one array of a parsed file's own uint8
 bytes, and a sample's id is its row in that file. A run's draw is a set
-of rows; pixels become float32 in [-1, 1] only in those rows:
-`Dataset.stacked(rows)` and `sample_run`'s target. Labels are 1-based
+of rows; pixels become float32 in [-1, 1] only in the rows
+`Dataset.stacked(rows)` is asked for. Labels are 1-based
 everywhere. Duplicate detection compares the raw bytes and reports rows.
 """
 
@@ -79,8 +79,17 @@ class Dataset:
 
     def stacked(self, rows: np.ndarray | slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Normalized (n,C,H,W) float32 images and (n,) int64 labels of `rows`
-        (default: every row), as new arrays."""
-        return _normalized(self.images[rows]), self.labels[rows].copy()
+        (default: every row), as new arrays.
+
+        Pixels map p -> (p/255 - 0.5)/0.5, range [-1, 1]. Each in-place step
+        rounds to float32 exactly as the per-image expression does, so the
+        result is bit-identical to it.
+        """
+        images = self.images[rows].astype(np.float32)
+        images /= np.float32(255)
+        images -= np.float32(0.5)
+        images /= np.float32(0.5)
+        return images, self.labels[rows].copy()
 
     def label_name(self, label: int) -> str:
         if self.label_names is not None:
@@ -92,7 +101,6 @@ class Dataset:
 class RunDraw:
     member_flag: int                  # t: 1 if the target is inside the training set
     rows: np.ndarray                  # the training set's source rows, in draw order
-    target: tuple[np.ndarray, int]    # (normalized image, label), as run_attack takes it
     target_id: int                    # the target's source row
 
     def __post_init__(self):
@@ -187,19 +195,6 @@ def load_cifar(path, variant: str, split: str = "train") -> Dataset:
 # -- normalization -----------------------------------------------------------
 
 
-def _normalized(pixels: np.ndarray) -> np.ndarray:
-    """Map raw pixels p -> (p/255 - 0.5)/0.5 in a new float32 array, range [-1, 1].
-
-    Each in-place step rounds to float32 exactly as the per-image
-    expression does, so the result is bit-identical to it.
-    """
-    images = pixels.astype(np.float32)
-    images /= np.float32(255)
-    images -= np.float32(0.5)
-    images /= np.float32(0.5)
-    return images
-
-
 def normalize(dataset: Dataset) -> Dataset:
     """Pass-through kept for the frozen `perfbench/workloads.py`: runs normalize
     the rows they draw. The next benchmark change drops that call, then this."""
@@ -210,7 +205,7 @@ def normalize(dataset: Dataset) -> Dataset:
 
 
 def sample_run(source: Dataset, num_samples: int, member_flag: int, seed: int) -> RunDraw:
-    """Draw N training rows and a normalized target in (t=1) or out of (t=0) them."""
+    """Draw N training rows and a target row in (t=1) or out of (t=0) them."""
     if num_samples >= len(source):
         raise ValueError(f"need num_samples < |source| ({num_samples} >= {len(source)})")
     rng = np.random.default_rng(seed)
@@ -221,9 +216,7 @@ def sample_run(source: Dataset, num_samples: int, member_flag: int, seed: int) -
         outside = np.ones(len(source), dtype=bool)
         outside[chosen] = False
         target = int(rng.choice(np.flatnonzero(outside)))
-    return RunDraw(member_flag=int(bool(member_flag)), rows=chosen,
-                   target=(_normalized(source.images[target]), int(source.labels[target])),
-                   target_id=target)
+    return RunDraw(member_flag=int(bool(member_flag)), rows=chosen, target_id=target)
 
 
 # -- duplicate scanning --------------------------------------------------------

@@ -1,7 +1,7 @@
 """Experiment runner: many seeded attack runs, confusion metrics, CSV output.
 
 Every run draws rows of one raw source pool and normalizes only those
-rows, with `source.stacked(draw.rows)`. Per-run seeds are derived from
+rows and the target's, with `source.stacked`. Per-run seeds are derived from
 (master_seed, run_id) through SeedSequence, so runs are reproducible and
 independent of execution order; with workers > 1 the runs execute in
 separate processes, each limiting numpy's bundled OpenBLAS to one thread,
@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ValueError("epsilon and threshold must be finite and positive")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def num_samples(self) -> int:
@@ -152,8 +154,9 @@ def execute_run(net: Network, source: Dataset, cfg: ExperimentConfig,
     try:
         draw = sample_run(source, cfg.num_samples, t, derive_seed(seed, 1))
         xs, ys = source.stacked(draw.rows)
-        outcome, _ = run_attack(net, xs, ys, draw.target, cfg.num_values, cfg.epsilon,
-                                cfg.client_config(derive_seed(seed, 2)),
+        x_t, y_t = source.stacked([draw.target_id])
+        outcome, _ = run_attack(net, xs, ys, (x_t[0], int(y_t[0])), cfg.num_values,
+                                cfg.epsilon, cfg.client_config(derive_seed(seed, 2)),
                                 cfg.threshold, seed=derive_seed(seed, 3))
     except Exception as err:
         raise RuntimeError(f"run {run_id} (seed {seed}) failed: {err}") from err

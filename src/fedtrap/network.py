@@ -8,10 +8,11 @@ view of its slice, so a write through either shows in the other. The
 layout is a pure function of the architecture (see ParameterLayout), so
 flat indices are stable across processes for a fixed architecture.
 
-The boundary `split_index` partitions the layer list into a feature
-extractor (layers before it) and a head (layers from it on). The head
-must be exactly Linear-ReLU-Linear-ReLU-Linear so a trap subnetwork can
-be planted in it.
+The caller gives only the feature extractor's layers. The network
+builds the head itself, Linear-ReLU-Linear-ReLU-Linear sized from the
+extractor's output, so every network has the head a trap subnetwork is
+planted in. `split_index` is the extractor's length: the extractor is
+the layers before it and the head the five from it on.
 
 Backward passes let exact zeros skip work, without changing a bit:
 
@@ -37,9 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import Conv2D, Flatten, Layer, Linear, MaxPool2D, ReLU, ShapeError
-
-HEAD_PATTERN = (Linear, ReLU, Linear, ReLU, Linear)
-
 
 @dataclass(frozen=True)
 class LayoutEntry:
@@ -82,7 +80,7 @@ class ParameterLayout:
 
 
 class Network:
-    """Layered model with a marked feature/head split.
+    """A feature extractor followed by the trap head the constructor builds.
 
     `params` is the one flat parameter vector; its dtype is the network's.
     The constructor allocates it as zeros and binds the layers'
@@ -91,35 +89,19 @@ class Network:
     Network, and `with_params` gives each run its own.
     """
 
-    def __init__(self, layers: list[Layer], split_index: int, num_classes: int,
-                 input_shape: tuple[int, ...], dtype=np.float32):
-        if not layers:
-            raise ValueError("network needs at least one layer")
-        if not 0 <= split_index < len(layers):
-            raise ValueError(f"split_index {split_index} out of range")
-        head = layers[split_index:]
-        if len(head) != len(HEAD_PATTERN) or any(
-                not isinstance(l, t) for l, t in zip(head, HEAD_PATTERN)):
-            raise ValueError("head must be Linear-ReLU-Linear-ReLU-Linear")
-        final = layers[-1]
-        if final.out_dim != num_classes:
-            raise ValueError(f"final layer emits {final.out_dim} logits, expected {num_classes}")
-
-        # validate the whole chain and remember per-layer output shapes
-        self.layer_shapes: list[tuple[int, ...]] = []
-        shape = tuple(input_shape)
-        for i, layer in enumerate(layers):
-            try:
-                shape = layer.out_shape(shape)
-            except ShapeError as err:
-                raise ShapeError(f"layer {i} ({layer.kind}): {err}") from None
-            self.layer_shapes.append(shape)
-
-        self.layers = layers
-        self.split_index = split_index
-        self.num_classes = num_classes
+    def __init__(self, extractor: list[Layer], input_shape: tuple[int, ...],
+                 hidden: tuple[int, int], num_classes: int, dtype=np.float32):
         self.input_shape = tuple(input_shape)
-        self.layout = ParameterLayout(layers)
+        self.split_index = len(extractor)
+        shape = _out_shape(extractor, self.input_shape, first=0)
+        self.feature_width = math.prod(shape)  # the flattened activation at the split
+        head = [Linear(self.feature_width, hidden[0]), ReLU(),
+                Linear(hidden[0], hidden[1]), ReLU(),
+                Linear(hidden[1], num_classes)]
+        _out_shape(head, shape, first=self.split_index)
+        self.layers = [*extractor, *head]
+        self.num_classes = num_classes
+        self.layout = ParameterLayout(self.layers)
         self.params = np.zeros(self.layout.total, dtype=dtype)
         self._view_params()
 
@@ -134,13 +116,6 @@ class Network:
     @property
     def dtype(self) -> np.dtype:
         return self.params.dtype
-
-    @property
-    def feature_width(self) -> int:
-        """Width of the flattened activation at the split boundary."""
-        if self.split_index == 0:
-            return int(np.prod(self.input_shape))
-        return int(np.prod(self.layer_shapes[self.split_index - 1]))
 
     @property
     def extractor_params(self) -> slice:
@@ -177,12 +152,6 @@ class Network:
             if layer.param_shapes:
                 layer.init_random(rng)
 
-    def init_dead(self) -> None:
-        """All weights 0, all biases -1: every hidden ReLU is dead."""
-        for layer in self.layers:
-            if layer.param_shapes:
-                layer.init_dead()
-
     # -- forward -------------------------------------------------------
 
     def _as_batch(self, x: np.ndarray) -> np.ndarray:
@@ -206,13 +175,6 @@ class Network:
             if keep_caches:
                 caches.append(cache)
         return h, caches
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Logits for a single input (C,H,W) -> (L,) or a batch (N,...) -> (N,L)."""
-        single = np.asarray(x).shape == self.input_shape
-        xs = self._as_batch(x)
-        logits, _ = self._run(xs, 0, len(self.layers), keep_caches=False)
-        return logits[0] if single else logits
 
     def forward_features(self, x: np.ndarray) -> np.ndarray:
         """Flattened activation at the split boundary; the input itself if split is 0."""
@@ -299,32 +261,25 @@ def _cross_entropy(logits: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return lse - logits[np.arange(len(ys)), ys - 1]
 
 
+def _out_shape(layers: list[Layer], shape: tuple[int, ...], first: int) -> tuple[int, ...]:
+    """Output shape of `layers` on `shape`; a ShapeError names the failing layer
+    by its index in the network, where `layers[0]` sits at `first`."""
+    for i, layer in enumerate(layers, first):
+        try:
+            shape = layer.out_shape(shape)
+        except ShapeError as err:
+            raise ShapeError(f"layer {i} ({layer.kind}): {err}") from None
+    return shape
+
+
 # -- stock architectures ------------------------------------------------
 
 
-def _head(width: int, hidden: tuple[int, int], num_classes: int) -> list[Layer]:
-    """The Linear-ReLU-Linear-ReLU-Linear head every stock network ends in."""
-    return [Linear(width, hidden[0]), ReLU(),
-            Linear(hidden[0], hidden[1]), ReLU(),
-            Linear(hidden[1], num_classes)]
-
-
-def _two_block_net(input_shape: tuple[int, int, int], num_classes: int,
-                   channels: tuple[int, int], kernel_size: int,
-                   hidden: tuple[int, int], dtype) -> Network:
-    """Two conv/ReLU/pool blocks and Flatten, then the head; split after Flatten."""
+def _two_blocks(in_channels: int, channels: tuple[int, int], k: int) -> list[Layer]:
+    """Two conv/ReLU/pool blocks and Flatten: the stock feature extractor."""
     c1, c2 = channels
-    extractor: list[Layer] = [
-        Conv2D(input_shape[0], c1, kernel_size), ReLU(), MaxPool2D(2),
-        Conv2D(c1, c2, kernel_size), ReLU(), MaxPool2D(2),
-        Flatten(),
-    ]
-    probe = tuple(input_shape)
-    for layer in extractor:
-        probe = layer.out_shape(probe)
-    return Network(extractor + _head(probe[0], hidden, num_classes),
-                   split_index=len(extractor), num_classes=num_classes,
-                   input_shape=input_shape, dtype=dtype)
+    return [Conv2D(in_channels, c1, k), ReLU(), MaxPool2D(2),
+            Conv2D(c1, c2, k), ReLU(), MaxPool2D(2), Flatten()]
 
 
 def conv_net(input_shape: tuple[int, int, int], num_classes: int,
@@ -333,17 +288,18 @@ def conv_net(input_shape: tuple[int, int, int], num_classes: int,
 
     For (1,28,28) the flattened feature width is 256; for (3,32,32) it is 400.
     """
-    return _two_block_net(input_shape, num_classes, (6, 16), 5, (120, 84), dtype)
+    return Network(_two_blocks(input_shape[0], (6, 16), 5), input_shape, (120, 84),
+                   num_classes, dtype)
 
 
 def small_conv_net(input_shape: tuple[int, int, int] = (1, 14, 14),
                    num_classes: int = 10, dtype=np.float32) -> Network:
     """Compact variant for synthetic data and fast tests (feature width 32)."""
-    return _two_block_net(input_shape, num_classes, (4, 8), 3, (24, 16), dtype)
+    return Network(_two_blocks(input_shape[0], (4, 8), 3), input_shape, (24, 16),
+                   num_classes, dtype)
 
 
 def dense_net(in_dim: int, hidden: tuple[int, int], num_classes: int,
               dtype=np.float32) -> Network:
     """Flatten-only feature part: the head sees the raw input vector (split 1)."""
-    return Network([Flatten(), *_head(in_dim, hidden, num_classes)], split_index=1,
-                   num_classes=num_classes, input_shape=(in_dim,), dtype=dtype)
+    return Network([Flatten()], (in_dim,), hidden, num_classes, dtype)

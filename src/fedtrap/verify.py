@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harness import derive_seed
-from .layers import Conv2D, Flatten, Linear, MaxPool2D, ReLU
+from .layers import Conv2D, Flatten, MaxPool2D, ReLU
 from .network import Network, dense_net
 
 CASE_BATCH = 3
@@ -83,17 +83,11 @@ def _random_small_net(rng: np.random.Generator) -> Network:
         return dense_net(d, hidden, classes, dtype=np.float64)
     if kind == 1:
         c, h = int(rng.integers(1, 3)), int(rng.integers(6, 9))
-        conv = Conv2D(c, int(rng.integers(2, 4)), 3)
-        flat_w = conv.out_channels * (h - 2) ** 2
-        layers = [conv, ReLU(), Flatten(),
-                  Linear(flat_w, 8), ReLU(), Linear(8, 6), ReLU(), Linear(6, classes)]
-        return Network(layers, 3, classes, (c, h, h), dtype=np.float64)
-    c, h = 1, int(rng.choice([6, 8, 10]))
-    conv = Conv2D(c, 2, 3)
-    pooled = (h - 2) // 2
-    layers = [conv, ReLU(), MaxPool2D(2), Flatten(),
-              Linear(2 * pooled * pooled, 8), ReLU(), Linear(8, 5), ReLU(), Linear(5, classes)]
-    return Network(layers, 4, classes, (c, h, h), dtype=np.float64)
+        extractor = [Conv2D(c, int(rng.integers(2, 4)), 3), ReLU(), Flatten()]
+        return Network(extractor, (c, h, h), (8, 6), classes, dtype=np.float64)
+    h = int(rng.choice([6, 8, 10]))
+    extractor = [Conv2D(1, 2, 3), ReLU(), MaxPool2D(2), Flatten()]
+    return Network(extractor, (1, h, h), (8, 5), classes, dtype=np.float64)
 
 
 def sample_checkable_case(seed: int):

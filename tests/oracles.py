@@ -6,7 +6,8 @@ margin from the formulas alone, in float64 and without the engine, so a
 network that agrees with them agrees with the trap's definition.
 `logit_grad` backpropagates one logit through every layer with no
 shortcut, the same way `test_differential.reference_gradient` does for
-the loss.
+the loss. `forward` and `init_dead` are the plain whole-network passes
+the tests read logits and dead networks from.
 """
 
 import math
@@ -75,3 +76,21 @@ def logit_grad(net, x, logit_index: int) -> np.ndarray:
         for name, g in pgrads.items():
             grad[net.layout.slice_of(i, name)] = g.ravel()
     return grad
+
+
+def forward(net, x) -> np.ndarray:
+    """Logits for a single input -> (L,) or a batch (N,...) -> (N,L), every layer in turn."""
+    h = np.asarray(x, dtype=net.dtype)
+    single = h.shape == net.input_shape
+    if single:
+        h = h[None]
+    for layer in net.layers:
+        h, _ = layer.forward(h)
+    return h[0] if single else h
+
+
+def init_dead(net) -> None:
+    """All weights 0, all biases -1: every hidden ReLU is dead."""
+    for layer in net.layers:
+        if layer.param_shapes:
+            layer.init_dead()

@@ -25,7 +25,7 @@ from fedtrap.network import dense_net, small_conv_net
 from fedtrap.optim import DEFAULT_LR, sgd_step
 from fedtrap.trap import craft_parameters, epsilon_flat_index
 from fedtrap.verify import run_gradient_check_suite
-from oracles import logit_grad, trap_eps_grad_oracle, trap_output_oracle
+from oracles import forward, logit_grad, trap_eps_grad_oracle, trap_output_oracle
 
 DATA_DIR = Path(os.environ.get("FEDTRAP_DATA_DIR", "data"))
 MASTER_SEED = 20240
@@ -118,7 +118,7 @@ def test_criterion_2_closed_form_equivalence():
             x = x_t + rng.normal(scale=rng.choice([1e-4, 0.03, 0.5]), size=12)
             a = x[list(spec.component_indices)]
             deviation = float(np.abs(a - np.array(spec.etas)).sum())
-            logit = work.forward(x)[y_t - 1]
+            logit = forward(work, x)[y_t - 1]
             assert logit - (-1.0) == pytest.approx(
                 trap_output_oracle(a, spec.etas, eps), abs=1e-10)
             if abs(deviation - eps) > 1e-9:
@@ -274,11 +274,13 @@ def test_criterion_8_single_step_special_case():
         source = synth_dataset(200, seed=MASTER_SEED + 2)
         draw = sample_run(source, 32, 1, seed=MASTER_SEED + 3)
         xs, ys = source.stacked(draw.rows)
+        x_t, y_t = source.stacked([draw.target_id])
+        target = (x_t[0], int(y_t[0]))
         net = small_conv_net()
-        outcome, spec = run_attack(net, xs, ys, draw.target, 4, 1e-3,
+        outcome, spec = run_attack(net, xs, ys, target, 4, 1e-3,
                                    ClientConfig(32, 1, 1, optimizer="sgd"),
                                    0.1, seed=MASTER_SEED + 4)
-        theta_trap, _ = craft_parameters(net, draw.target, 4, 1e-3, seed=MASTER_SEED + 4)
+        theta_trap, _ = craft_parameters(net, target, 4, 1e-3, seed=MASTER_SEED + 4)
         probe = net.with_params(theta_trap)
         feats = probe.forward_features(xs)[:, list(spec.component_indices)]
         devs = np.abs(feats - np.array(spec.etas, np.float32)).sum(axis=1)

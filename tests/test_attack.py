@@ -115,9 +115,10 @@ def run_once(member: bool, opt="sgd", J=2, E=1, seed=123, M=4):
     source = synth_dataset(200, seed=seed)
     draw = sample_run(source, 64, int(member), seed=seed + 1)
     xs, ys = source.stacked(draw.rows)
+    x_t, y_t = source.stacked([draw.target_id])
     net = small_conv_net()
     client_cfg = ClientConfig(32, J, E, optimizer=opt, shuffle_seed=seed + 2)
-    outcome, spec = run_attack(net, xs, ys, draw.target, M, 1e-3, client_cfg,
+    outcome, spec = run_attack(net, xs, ys, (x_t[0], int(y_t[0])), M, 1e-3, client_cfg,
                                0.1, seed=seed + 3)
     return outcome, spec
 
@@ -144,10 +145,10 @@ def test_run_attack_duplicate_of_target_outside_draw_false_positives():
     source = synth_dataset(200, seed=9)
     draw = sample_run(source, 64, 0, seed=10)
     xs, ys = source.stacked(draw.rows)
-    xs = xs.copy()
-    xs[5] = draw.target[0]  # plant the duplicate
+    x_t, y_t = source.stacked([draw.target_id])
+    xs[5] = x_t[0]  # plant the duplicate
     net = small_conv_net()
-    outcome, _ = run_attack(net, xs, ys, draw.target, 4, 1e-3,
+    outcome, _ = run_attack(net, xs, ys, (x_t[0], int(y_t[0])), 4, 1e-3,
                             ClientConfig(32, 2, 1, shuffle_seed=1), 0.1, seed=11)
     assert outcome.decision == 1
 
@@ -189,7 +190,8 @@ def test_single_matched_value_collapses_on_structured_images():
         for k in range(runs):
             draw = sample_run(source, 512, 0, seed=k)
             xs, ys = source.stacked(draw.rows)
-            outcome, _ = run_attack(net, xs, ys, draw.target, M, 1e-3,
+            x_t, y_t = source.stacked([draw.target_id])
+            outcome, _ = run_attack(net, xs, ys, (x_t[0], int(y_t[0])), M, 1e-3,
                                     ClientConfig(32, 16, 1, shuffle_seed=k),
                                     0.1, seed=1000 + k)
             false_positives[M] += outcome.decision

@@ -258,7 +258,7 @@ def test_normalize_is_bit_identical_to_per_image_arithmetic(tmp_path):
         for seed, member in ((0, 1), (1, 0), (2, 1)):
             draw = sample_run(ds, 2, member, seed)
             target = ds.images[[draw.target_id]]
-            assert draw.target[0].tobytes() == per_image_reference(target)
+            assert ds.stacked([draw.target_id])[0].tobytes() == per_image_reference(target)
 
 
 # -- run sampling ----------------------------------------------------------------
@@ -271,9 +271,10 @@ def test_sample_run_member_contains_target_nonmember_does_not():
         draw = sample_run(source, 10, member_flag=seed % 2, seed=seed)
         assert len(draw.rows) == 10
         assert (draw.target_id in draw.rows.tolist()) == bool(seed % 2)
-        image, label = draw.target
+        assert type(draw.target_id) is int
+        image, label = source.stacked([draw.target_id])
         assert image.tobytes() == normalized[draw.target_id].tobytes()
-        assert label == source.labels[draw.target_id] and type(label) is int
+        assert label.tolist() == [source.labels[draw.target_id]]
 
 
 def test_sample_run_is_deterministic():

@@ -334,6 +334,9 @@ def test_cli_configuration_errors_exit_1_in_every_subcommand(command, tmp_path, 
         assert cli_main([command, "--B", "8", flag, value]) == 1, (flag, value)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be finite and positive" in err, (flag, err)
+    # a negative master seed names its flag instead of failing inside numpy
+    assert cli_main([command, "--B", "8", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
 
 
 def test_cli_dedup_and_gradcheck_configuration_errors_exit_1(capsys):
@@ -351,6 +354,8 @@ def test_cli_dedup_and_gradcheck_configuration_errors_exit_1(capsys):
     for step in ("0", "-1", "-1e-5", "nan", "inf"):
         assert cli_main(["gradcheck", "--networks", "1", "--step", step]) == 1, step
         assert capsys.readouterr().err.startswith("error: --step must be finite and positive")
+    assert cli_main(["gradcheck", "--networks", "1", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
 
 
 def test_python_dash_m_runs_the_cli(tmp_path, capsys):

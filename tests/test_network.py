@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedtrap.layers import Flatten, Linear, ReLU, ShapeError
+from fedtrap.layers import Conv2D, Flatten, ReLU, ShapeError
 from fedtrap.network import Network, conv_net, dense_net, small_conv_net
 from fedtrap.verify import (central_difference_gradient, relu_preactivations,
-                            sample_checkable_case)
+                            run_gradient_check_suite, sample_checkable_case)
+from oracles import forward, init_dead
 
 
 def small_dense(dtype=np.float64, in_dim=4, h1=4, h2=3, classes=3):
@@ -22,11 +23,11 @@ def small_dense(dtype=np.float64, in_dim=4, h1=4, h2=3, classes=3):
 
 def test_dead_network_hidden_activations_all_minus_one():
     net = small_conv_net(dtype=np.float64)
-    net.init_dead()
+    init_dead(net)
     x = np.random.default_rng(0).uniform(-1, 1, size=(2, 1, 14, 14))
     for pre in relu_preactivations(net, x):
         np.testing.assert_array_equal(pre, np.full_like(pre, -1.0))
-    logits = net.forward(x)
+    logits = forward(net, x)
     np.testing.assert_array_equal(logits, np.full_like(logits, -1.0))
 
 
@@ -35,7 +36,7 @@ def test_forward_positive_input_passes_through_identity_head():
     for i in (1, 3, 5):
         net.layers[i].weight[...] = np.eye(3)
     x = np.array([0.25, 1.5, 3.0])
-    np.testing.assert_array_equal(net.forward(x), x)
+    np.testing.assert_array_equal(forward(net, x), x)
 
 
 def test_forward_matches_straight_line_matrix_arithmetic():
@@ -49,20 +50,19 @@ def test_forward_matches_straight_line_matrix_arithmetic():
     h1 = np.maximum(w1 @ x + b1, 0)
     h2 = np.maximum(w2 @ h1 + b2, 0)
     expected = w3 @ h2 + b3
-    np.testing.assert_allclose(net.forward(x), expected, rtol=1e-12)
+    np.testing.assert_allclose(forward(net, x), expected, rtol=1e-12)
 
 
 def test_forward_features_split_zero_returns_flattened_input():
-    layers = [Linear(4, 4), ReLU(), Linear(4, 3), ReLU(), Linear(3, 2)]
-    net = Network(layers, split_index=0, num_classes=2, input_shape=(4,),
-                  dtype=np.float64)
+    net = Network([], (4,), (4, 3), 2, dtype=np.float64)
+    assert (net.split_index, net.feature_width) == (0, 4)
     x = np.array([1.0, 2.0, 3.0, 4.0])
     np.testing.assert_array_equal(net.forward_features(x), x)
 
 
 def test_forward_features_dead_conv_stage_is_zero():
     net = small_conv_net(dtype=np.float64)
-    net.init_dead()
+    init_dead(net)
     x = np.random.default_rng(1).uniform(-1, 1, size=(1, 14, 14))
     np.testing.assert_array_equal(net.forward_features(x), np.zeros(32))
 
@@ -80,13 +80,18 @@ def test_forward_features_matches_instrumented_forward_prefix():
 def test_forward_shape_error_names_layer():
     net = small_conv_net()
     with pytest.raises(ShapeError, match=r"input shape"):
-        net.forward(np.zeros((2, 9, 9), dtype=np.float32))
+        net.forward_features(np.zeros((2, 9, 9), dtype=np.float32))
 
 
 def test_network_rejects_mismatched_chain():
-    layers = [Flatten(), Linear(10, 8), ReLU(), Linear(9, 4), ReLU(), Linear(4, 2)]
-    with pytest.raises(ShapeError, match=r"layer 3 \(linear\)"):
-        Network(layers, 1, 2, (10,))
+    extractor = [Conv2D(1, 2, 3), ReLU(), Conv2D(3, 4, 3), Flatten()]
+    with pytest.raises(ShapeError, match=r"layer 2 \(conv2d\)"):
+        Network(extractor, (1, 8, 8), (4, 3), 2)
+
+
+def test_network_rejects_non_flat_extractor_at_first_head_linear():
+    with pytest.raises(ShapeError, match=r"layer 1 \(linear\)"):
+        Network([Conv2D(1, 2, 3)], (1, 5, 5), (4, 3), 2)
 
 
 # -- loss ------------------------------------------------------------------
@@ -94,7 +99,7 @@ def test_network_rejects_mismatched_chain():
 
 def test_loss_uniform_logits_is_log_num_classes():
     net = dense_net(4, (4, 3), 10, dtype=np.float64)
-    net.init_dead()  # all logits -1
+    init_dead(net)  # all logits -1
     x = np.random.default_rng(0).normal(size=4)
     assert net.loss(x, 7) == pytest.approx(math.log(10), abs=1e-12)
 
@@ -103,7 +108,7 @@ def test_loss_single_lifted_logit_closed_form():
     # logits: b at the target, 0 elsewhere -> loss = -b + log(L-1+e^b)
     b, classes = 0.7, 10
     net = dense_net(3, (3, 3), classes, dtype=np.float64)
-    net.init_dead()
+    init_dead(net)
     for layer in (net.layers[1], net.layers[3], net.layers[5]):
         layer.bias[...] = 0.0
     net.layers[5].bias[4] = b
@@ -140,7 +145,7 @@ def test_loss_rejects_label_out_of_range():
 
 def test_backward_dead_network_zero_except_final_biases():
     net = small_conv_net(dtype=np.float64)
-    net.init_dead()
+    init_dead(net)
     rng = np.random.default_rng(4)
     xs = rng.uniform(-1, 1, size=(5, 1, 14, 14))
     ys = rng.integers(1, 11, size=5)
@@ -264,6 +269,12 @@ def test_layout_is_stable_across_processes():
 # -- stock architectures -------------------------------------------------------
 
 
+def test_gradient_check_suite_architectures_are_pinned():
+    assert [r.num_params for r in run_gradient_check_suite()] == [
+        91, 92, 64, 693, 377, 528, 686, 697, 86, 83,
+        89, 490, 111, 704, 352, 161, 377, 740, 521, 82]
+
+
 def test_conv_net_feature_widths_match_contract():
     assert conv_net((1, 28, 28), 10).feature_width == 256
     assert conv_net((3, 32, 32), 100).feature_width == 400
@@ -293,7 +304,7 @@ def test_finite_outputs_on_finite_inputs():
     net = conv_net((1, 28, 28), 10)
     net.init_random(2)
     xs = np.random.default_rng(3).uniform(-1, 1, size=(4, 1, 28, 28)).astype(np.float32)
-    logits = net.forward(xs)
+    logits = forward(net, xs)
     assert np.isfinite(logits).all()
     grad = net.backward(xs, np.array([1, 2, 3, 4]))
     assert np.isfinite(grad).all()

@@ -7,7 +7,7 @@ import pytest
 from fedtrap.network import dense_net, small_conv_net
 from fedtrap.trap import (CraftError, TrapSpec, craft_parameters, epsilon_flat_index,
                           select_components)
-from oracles import (KinkError, logit_grad, trap_eps_grad_oracle,
+from oracles import (KinkError, forward, logit_grad, trap_eps_grad_oracle,
                      trap_loss_eps_grad_oracle, trap_loss_oracle, trap_output_oracle)
 
 
@@ -119,7 +119,7 @@ def craft_on_small_net(M=4, eps=1e-3, seed=5, label=3, dtype=np.float32):
 def test_crafted_target_logit_is_margin_minus_one():
     net, x_t, theta, spec = craft_on_small_net()
     work = net.with_params(theta)
-    logits = work.forward(x_t)
+    logits = forward(work, x_t)
     others = np.delete(logits, spec.target_label - 1)
     np.testing.assert_array_equal(others, np.full(9, -1.0, dtype=np.float32))
     assert logits[spec.target_label - 1] == pytest.approx(spec.epsilon - 1.0, abs=1e-6)
@@ -132,7 +132,7 @@ def test_crafted_non_triggering_input_gives_flat_logits():
     x_other = rng.uniform(-1, 1, size=(1, 14, 14)).astype(np.float32)
     a = work.forward_features(x_other)[list(spec.component_indices)]
     assert np.abs(a - np.array(spec.etas)).sum() > spec.epsilon
-    logits = work.forward(x_other)
+    logits = forward(work, x_other)
     np.testing.assert_array_equal(logits, np.full(10, -1.0, dtype=np.float32))
 
 
@@ -222,7 +222,7 @@ def test_network_matches_output_oracle_on_random_tuples():
         x = x_t + rng.normal(scale=rng.choice([1e-4, 0.03, 1.0]), size=12)
         a = x[list(spec.component_indices)]
         expected = trap_output_oracle(a, spec.etas, eps)
-        logit = work.forward(x)[y_t - 1]
+        logit = forward(work, x)[y_t - 1]
         assert logit - (-1.0) == pytest.approx(expected, abs=1e-10)
 
 
