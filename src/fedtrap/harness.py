@@ -4,8 +4,8 @@ Every run draws rows of one raw source pool and normalizes only those
 rows and the target's, with `source.stacked`. Per-run seeds are derived from
 (master_seed, run_id) through SeedSequence, so runs are reproducible and
 independent of execution order; with workers > 1 the runs execute in
-separate processes, each limiting numpy's bundled OpenBLAS to one thread,
-and are merged back in run-id order.
+worker processes that receive the parent's pool and network, each limiting
+numpy's bundled OpenBLAS to one thread, and are merged back in run-id order.
 """
 
 from __future__ import annotations
@@ -138,12 +138,19 @@ def build_source(cfg: ExperimentConfig) -> Dataset:
 
 
 def build_network(cfg: ExperimentConfig, source: Dataset) -> Network:
-    """The run's architecture; raises ValueError if its head cannot host M pairs."""
+    """The run's architecture; raises ValueError if its head cannot host M pairs
+    or if ε or lr is not finite and positive in the network's dtype."""
     if cfg.dataset == "synthetic":
         net = small_conv_net(SYNTH_IMAGE_SHAPE, SYNTH_CLASSES)
     else:
         net = conv_net(source.image_shape, source.num_classes)
     check_head_width(net, cfg.num_values)
+    for name, value in (("epsilon", cfg.epsilon), ("lr", cfg.effective_lr)):
+        with np.errstate(over="ignore", under="ignore"):
+            cast = net.dtype.type(value)
+        if not 0 < cast < np.inf:
+            raise ValueError(f"{name} {value!r} is not finite and positive "
+                             f"in {net.dtype}")
     return net
 
 
@@ -187,10 +194,9 @@ def _single_blas_thread() -> None:
     set_threads(1)
 
 
-def _worker_init(cfg: ExperimentConfig) -> None:
+def _worker_init(net: Network, source: Dataset, cfg: ExperimentConfig) -> None:
     _single_blas_thread()
-    source = build_source(cfg)
-    _WORKER.update(cfg=cfg, net=build_network(cfg, source), source=source)
+    _WORKER.update(net=net, source=source, cfg=cfg)
 
 
 def _worker_run(run_id: int) -> RunRecord:
@@ -202,8 +208,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[RunRecord], MetricsRepor
     net = build_network(cfg, source)
 
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, cfg.runs),
-                                 initializer=_worker_init, initargs=(cfg,)) as pool:
+        with ProcessPoolExecutor(min(cfg.workers, cfg.runs), initializer=_worker_init,
+                                 initargs=(net, source, cfg)) as pool:
             records = list(pool.map(_worker_run, range(cfg.runs)))
     else:
         records = [execute_run(net, source, cfg, rid) for rid in range(cfg.runs)]

@@ -1,5 +1,7 @@
 import ctypes
+import functools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -74,6 +76,16 @@ def test_auc_matches_sklearn_on_random_records():
         ours = mann_whitney_auc(deltas[t == 1], deltas[t == 0])
         theirs = sklearn_metrics.roc_auc_score(t, deltas)
         assert ours == pytest.approx(theirs, abs=1e-12)
+
+
+def test_auc_matches_scipy_mann_whitney_on_tied_random_sets():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        pos = rng.integers(0, 6, size=int(rng.integers(1, 30))) / 4  # heavy ties
+        neg = rng.integers(0, 6, size=int(rng.integers(1, 30))) / 4
+        u = stats.mannwhitneyu(pos, neg).statistic
+        assert mann_whitney_auc(pos, neg) == u / (len(pos) * len(neg))
 
 
 def test_auc_invariant_under_monotone_transform():
@@ -154,6 +166,39 @@ def test_run_experiment_worker_pool_matches_serial():
     assert [r.run_id for r in pooled] == list(range(len(pooled)))
 
 
+def test_workers_reuse_the_parents_pool_and_network(monkeypatch):
+    import fedtrap.harness as harness_mod
+
+    parent = os.getpid()
+
+    def parent_only(build):
+        def wrapped(*args):
+            if os.getpid() != parent:
+                raise AssertionError(f"worker called {build.__name__}")
+            return build(*args)
+        return wrapped
+
+    serial, _ = run_experiment(tiny_cfg())
+    # forked workers see these patches, so a rebuild in a worker would raise
+    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    monkeypatch.setattr(harness_mod, "build_source", parent_only(harness_mod.build_source))
+    monkeypatch.setattr(harness_mod, "build_network", parent_only(harness_mod.build_network))
+    pooled, _ = run_experiment(tiny_cfg(workers=2))
+    assert pooled == serial
+
+
+def test_spawned_workers_match_serial(monkeypatch):
+    import fedtrap.harness as harness_mod
+
+    # spawn pickles the pool and network once per worker instead of sharing pages
+    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+    pooled, _ = run_experiment(tiny_cfg(workers=2))
+    serial, _ = run_experiment(tiny_cfg())
+    assert pooled == serial
+
+
 def openblas_threads(count=None):
     """This process's scipy-openblas thread count, after setting it to `count` if given."""
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
@@ -176,8 +221,11 @@ def test_workers_run_a_single_blas_thread():
     try:
         # a worker forked from a two-thread parent starts with two
         assert openblas_threads(2) == 2
+        cfg = tiny_cfg(workers=2)
+        source = harness_mod.build_source(cfg)
+        net = harness_mod.build_network(cfg, source)
         with ProcessPoolExecutor(max_workers=1, initializer=harness_mod._worker_init,
-                                 initargs=(tiny_cfg(workers=2),)) as pool:
+                                 initargs=(net, source, cfg)) as pool:
             assert pool.submit(openblas_threads).result(timeout=120) == 1
         assert openblas_threads() == 2
     finally:
@@ -334,6 +382,12 @@ def test_cli_configuration_errors_exit_1_in_every_subcommand(command, tmp_path, 
         assert cli_main([command, "--B", "8", flag, value]) == 1, (flag, value)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be finite and positive" in err, (flag, err)
+    # a value that rounds to infinity or zero in the network's float32 is a bad value
+    for flag, value, name in [("--eps", "1e39", "epsilon"), ("--lr", "1e39", "lr"),
+                              ("--eps", "1e-46", "epsilon"), ("--lr", "1e-46", "lr")]:
+        assert cli_main([command, "--B", "8", flag, value]) == 1, (flag, value)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} ") and "in float32" in err, (flag, err)
     # a negative master seed names its flag instead of failing inside numpy
     assert cli_main([command, "--B", "8", "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "error: seed must be >= 0\n"
