@@ -100,15 +100,21 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
         order = rng.permutation(n)
         for j in range(cfg.num_batches):
             sel = order[j * cfg.batch_size:(j + 1) * cfg.batch_size]
-            if lo >= extractor_stop:
-                if epoch == 0:
-                    features[sel] = work.forward_features(xs[sel])
-                grad = work.backward(xs[sel], ys[sel], features=features[sel])
+            x = xs[sel]
+            if lo < extractor_stop:
+                grad = work.backward(x, ys[sel])
+            elif epoch == 0:
+                batch_features = work.forward_features(x)
+                features[sel] = batch_features
+                grad = work.backward(x, ys[sel], features=batch_features)
             else:
-                grad = work.backward(xs[sel], ys[sel])
-            written = np.flatnonzero(grad[:lo].view(bits))
-            if written.size:
-                lo = int(written[0])
+                grad = work.backward(x, ys[sel], features=features[sel])
+            if lo:
+                # argmax is the first written entry, or 0 if there is none
+                written = grad[:lo].view(bits) != 0
+                first = int(written.argmax())
+                if written[first]:
+                    lo = first
             if adam:
                 t += 1
                 adam_step(params[lo:], grad[lo:], m[lo:], v[lo:], t, cfg.lr)

@@ -17,18 +17,24 @@ position on a tie (+0.0 against -0.0 included) and builds no index; its
 cache is the input itself. The backward pass finds the same position
 with `argmax` over the cached input and routes the gradient there.
 
-Conv2D has one arithmetic, `cols @ W.T` with cols (n, L, K) for L output
-positions and K = c*k*k, and two ways to gather cols. The window-major
-gather copies the sliding windows into a C-ordered (n, L, K) array, in
-runs of k floats. The packed gather copies them into a C-ordered
-(n, K, L) array, in runs of ow floats, and passes its per-sample
-transpose; the BLAS then packs that operand itself, which is faster.
-The values are the same, but whether the GEMM rounds the same way is a
-property of the BLAS build and the shapes. So the first forward of each
-(input shape, input dtype, weight shape, weight dtype) probes it: both
-gathers of a fixed-seed random input, times a random weight laid out as
-the forward's is, compared byte for byte. The packed gather is used only
-where the bytes match, so outputs do not depend on which gather ran.
+Conv2D has one arithmetic, `cols @ W.T + b` with cols (n, L, K) for L
+output positions and K = c*k*k, and two ways to gather cols. The
+window-major gather is one `np.take` of each sample's flat pixels
+through an (L, K) table of pixel offsets, built once per (c, h, w, k),
+into a C-ordered (n, L, K) array. (Copying sliding-window views instead
+moves the same bytes in runs of k floats, and numpy's per-run overhead
+costs more than the copy.) The packed gather copies the windows into a
+C-ordered (n, K, L) array, in runs of ow floats, and passes its
+per-sample transpose; the BLAS then packs that operand itself, which is
+faster. The values are the same, but whether the GEMM rounds the same
+way is a property of the BLAS build and the shapes. So the first forward
+of each (input shape, input dtype, weight shape, weight dtype) probes
+it: both gathers of a fixed-seed random input, times a random weight
+laid out as the forward's is, compared byte for byte. The packed gather
+is used only where the bytes match, so outputs do not depend on which
+gather ran. The bias is added in place over each sample's contiguous
+L*oc GEMM outputs, as the bias tiled L times: the same additions as a
+broadcast add, without its oc-long innermost loop.
 """
 
 from __future__ import annotations
@@ -101,7 +107,9 @@ class Conv2D(_WeightBias):
             packed = _PACKED_GATHER[key] = _packed_gather_matches(*key)
         gather = _packed_windows if packed else _windows
         cols = gather(x, self.kernel_size)
-        out = cols @ self.weight.reshape(oc, -1).T + self.bias
+        out = cols @ self.weight.reshape(oc, -1).T                 # C-ordered (n, L, oc)
+        flat = out.reshape(n, -1)   # a broadcast add's innermost loop would be oc long
+        np.add(flat, np.tile(self.bias, oh * ow), out=flat)
         out = out.transpose(0, 2, 1).reshape(n, oc, oh, ow)
         return out, (x.shape, cols)
 
@@ -135,15 +143,33 @@ def _windows(x: np.ndarray, k: int) -> np.ndarray:
     """im2col, window-major: (n, c, h, w) -> C-ordered (n, L, K).
 
     L = oh*ow output positions, K = c*k*k in (channel, row, column) order.
+    One `take` of each sample's flat pixels through `_window_index`.
     """
-    n, c = x.shape[:2]
-    win = sliding_window_view(x, (k, k), axis=(2, 3))      # (n, c, oh, ow, k, k)
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n, -1, c * k * k)
+    n, c, h, w = x.shape
+    key = (c, h, w, k)
+    index = _WINDOW_INDEX.get(key)
+    if index is None:
+        index = _WINDOW_INDEX[key] = _window_index(*key)
+    return np.take(x.reshape(n, -1), index, axis=1)
+
+
+# (c, h, w, k) -> the (L, K) table of flat pixel offsets `_windows` gathers
+_WINDOW_INDEX: dict[tuple[int, int, int, int], np.ndarray] = {}
+
+
+def _window_index(c: int, h: int, w: int, k: int) -> np.ndarray:
+    """Entry (l, q) is the offset in a C-ordered (c, h, w) sample of the pixel
+    that window l = (i, j) reads at q = (channel, row, column)."""
+    oh, ow = h - k + 1, w - k + 1
+    corners = np.arange(oh)[:, None] * w + np.arange(ow)                  # (oh, ow)
+    taps = (np.arange(c)[:, None, None] * (h * w)
+            + np.arange(k)[:, None] * w + np.arange(k))                   # (c, k, k)
+    return corners.reshape(-1, 1) + taps.reshape(1, -1)
 
 
 def _packed_windows(x: np.ndarray, k: int) -> np.ndarray:
     """The same (n, L, K) values as `_windows`, as the per-sample transpose of
-    a C-ordered (n, K, L) copy, which reads x in runs of ow instead of k."""
+    a C-ordered (n, K, L) copy, which reads x in runs of ow."""
     n, c, h, w = x.shape
     win = sliding_window_view(x, (h - k + 1, w - k + 1), axis=(2, 3))  # (n, c, k, k, oh, ow)
     return win.reshape(n, c * k * k, -1).transpose(0, 2, 1)

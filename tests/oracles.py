@@ -7,7 +7,9 @@ network that agrees with them agrees with the trap's definition.
 `logit_grad` backpropagates one logit through every layer with no
 shortcut, the same way `test_differential.reference_gradient` does for
 the loss. `forward` and `init_dead` are the plain whole-network passes
-the tests read logits and dead networks from.
+the tests read logits and dead networks from. `cols_by_windows` and
+`conv_by_windows` are Conv2D's forward written over numpy's
+sliding-window view, the reference for the layer's own gathers.
 """
 
 import math
@@ -94,3 +96,20 @@ def init_dead(net) -> None:
     for layer in net.layers:
         if layer.param_shapes:
             layer.init_dead()
+
+
+def cols_by_windows(x, k):
+    """Window-major im2col, (n, c, h, w) -> C-ordered (n, oh*ow, c*k*k)."""
+    n, c, h, w = x.shape
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n, (h - k + 1) * (w - k + 1), c * k * k)
+
+
+def conv_by_windows(layer, x):
+    """Conv2D's forward arithmetic over `cols_by_windows`, with the bias
+    broadcast over the output positions: (output, cols)."""
+    n = x.shape[0]
+    oc, oh, ow = layer.out_shape(x.shape[1:])
+    cols = cols_by_windows(x, layer.kernel_size)
+    out = cols @ layer.weight.reshape(oc, -1).T + layer.bias
+    return out.transpose(0, 2, 1).reshape(n, oc, oh, ow), cols

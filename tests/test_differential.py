@@ -26,6 +26,7 @@ from fedtrap.layers import Conv2D
 from fedtrap.network import Network, conv_net, dense_net, small_conv_net
 from fedtrap.optim import adam_step, sgd_step
 from fedtrap.trap import craft_parameters
+from oracles import cols_by_windows
 
 
 def reference_gradient(net, xs, ys):
@@ -256,6 +257,55 @@ def test_negative_zero_gradient_below_the_written_suffix_is_stepped(monkeypatch)
     phi = client_train(net, theta, xs, ys, cfg)
     assert phi.tobytes() == reference_client_train(net, theta, xs, ys, cfg).tobytes()
     assert phi[index] == 0 and not np.signbit(phi[index])
+
+
+def sliding_window_forward(self, x):
+    """Conv2D.forward as it was before the index-table gather: the gather the
+    probe picks, its window-major side over numpy's sliding-window view, and
+    the bias broadcast over the GEMM output."""
+    n = x.shape[0]
+    oc, oh, ow = self.out_shape(x.shape[1:])
+    key = (x.shape, x.dtype, self.weight.shape, self.weight.dtype)
+    packed = layers._PACKED_GATHER.get(key)
+    if packed is None:
+        packed = layers._PACKED_GATHER[key] = layers._packed_gather_matches(*key)
+    if packed:
+        cols = layers._packed_windows(x, self.kernel_size)
+    else:
+        cols = cols_by_windows(x, self.kernel_size)
+    out = cols @ self.weight.reshape(oc, -1).T + self.bias
+    return out.transpose(0, 2, 1).reshape(n, oc, oh, ow), (x.shape, cols)
+
+
+PAPER_SHAPES = {"mnist": ((1, 28, 28), 10), "cifar100": ((3, 32, 32), 100)}
+
+
+@pytest.mark.parametrize("dataset,case", [("mnist", "member"), ("mnist", "non-member"),
+                                          ("mnist", "live"), ("cifar100", "member"),
+                                          ("cifar100", "non-member")])
+def test_client_training_matches_the_sliding_window_conv_forward(monkeypatch, dataset, case):
+    """J=16, E=2, Adam at both paper shapes: phi keeps its bytes when every
+    Conv2D forward gathers through sliding windows and broadcasts its bias.
+
+    The live case, a random theta that trains the extractor in every batch,
+    runs at the MNIST shape only: at the CIFAR-100 shape it alone takes
+    about 2 s, and the trap cases already run both CIFAR-100 convs.
+    """
+    shape, classes = PAPER_SHAPES[dataset]
+    net = conv_net(shape, classes)
+    if case == "live":
+        net.init_random(16)
+        theta = net.params
+        rng = np.random.default_rng(16)
+        xs = rng.uniform(-1, 1, size=(32 * 16, *shape)).astype(np.float32)
+        ys = rng.integers(1, classes + 1, size=32 * 16)
+    else:
+        theta, xs, ys = trap_case(net, 32 * 16, case == "member", seed=16,
+                                  negative_zeros=False)
+    cfg = ClientConfig(32, 16, 2, optimizer="adam", shuffle_seed=16)
+    phi = client_train(net, theta, xs, ys, cfg)
+    monkeypatch.setattr(Conv2D, "forward", sliding_window_forward)
+    assert phi.tobytes() == client_train(net, theta, xs, ys, cfg).tobytes()
 
 
 def full_scale_pools(tmp_path, size=8392):

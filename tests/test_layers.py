@@ -7,6 +7,7 @@ import pytest
 from fedtrap import layers
 from fedtrap.layers import Conv2D, Flatten, Linear, MaxPool2D, ReLU, ShapeError
 from fedtrap.network import conv_net, small_conv_net
+from oracles import cols_by_windows, conv_by_windows
 
 
 def conv_by_loops(x, weight, bias):
@@ -32,23 +33,6 @@ def test_conv2d_matches_direct_loops():
     out, _ = layer.forward(x)
     expected = conv_by_loops(x, layer.weight, layer.bias)
     np.testing.assert_allclose(out, expected, rtol=1e-12)
-
-
-def cols_by_windows(x, k):
-    """Window-major im2col, (n, c, h, w) -> C-ordered (n, oh*ow, c*k*k),
-    written out here as the reference for both of Conv2D's gathers."""
-    n, c, h, w = x.shape
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n, (h - k + 1) * (w - k + 1), c * k * k)
-
-
-def conv_by_windows(layer, x):
-    """Conv2D's forward arithmetic over the reference gather: (output, cols)."""
-    n = x.shape[0]
-    oc, oh, ow = layer.out_shape(x.shape[1:])
-    cols = cols_by_windows(x, layer.kernel_size)
-    out = cols @ layer.weight.reshape(oc, -1).T + layer.bias
-    return out.transpose(0, 2, 1).reshape(n, oc, oh, ow), cols
 
 
 def stock_convs(dtype):
@@ -138,6 +122,88 @@ def test_conv_net_first_convs_take_the_packed_gather_on_scipy_openblas(monkeypat
         x = np.random.default_rng(0).uniform(-1, 1, (32, *shape)).astype(np.float32)
         _, (_, cols) = net.layers[0].forward(x)
         assert not cols.flags.c_contiguous, shape
+
+
+def input_layouts(x):
+    """x C-ordered, in the transposed memory order of a Conv2D output (which
+    the ReLU after it keeps), and as a strided slice of a bigger array."""
+    n, c, h, w = x.shape
+    yield "c-order", np.ascontiguousarray(x)
+    by_position = np.ascontiguousarray(x.reshape(n, c, h * w).transpose(0, 2, 1))
+    yield "conv-output", by_position.transpose(0, 2, 1).reshape(n, c, h, w)
+    big = np.zeros((2 * n, c, 2 * h, w + 3), dtype=x.dtype)
+    big[::2, :, ::2, 3:] = x
+    yield "strided", big[::2, :, ::2, 3:]
+
+
+@pytest.mark.parametrize("dtype,weight_dtype", [(np.float32, np.float32),
+                                                (np.float64, np.float64),
+                                                (np.float64, np.float32)])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("c,h,w,k", [(2, 6, 6, 1), (2, 5, 5, 5), (3, 7, 9, 3), (2, 4, 9, 4)],
+                         ids=["k=1", "k=h=w", "h<w", "k=h<w"])
+def test_window_gather_matches_sliding_windows_on_any_memory_layout(c, h, w, k, batch,
+                                                                    dtype, weight_dtype):
+    rng = np.random.default_rng(c * h * w * k + batch)
+    x = rng.uniform(-1, 1, (batch, c, h, w)).astype(dtype)
+    layer = Conv2D(c, 4, k)
+    layer.weight, layer.bias = (rng.uniform(-1, 1, shape).astype(weight_dtype)
+                                for shape in layer.param_shapes.values())
+    for seed, (name, view) in enumerate(input_layouts(x)):
+        assert view.tobytes() == x.tobytes()
+        assert view.flags.c_contiguous == (name == "c-order")
+        cols = layers._windows(view, k)
+        assert cols.flags.c_contiguous, name
+        assert cols.tobytes() == cols_by_windows(view, k).tobytes(), name
+        assert_conv_matches_window_reference(layer, view, seed)
+
+
+def count_window_tables(monkeypatch):
+    """Empty the window-index cache and count the tables built."""
+    build = layers._window_index
+    keys = []
+
+    def counting(*key):
+        keys.append(key)
+        return build(*key)
+
+    monkeypatch.setattr(layers, "_WINDOW_INDEX", {})
+    monkeypatch.setattr(layers, "_window_index", counting)
+    return keys
+
+
+def test_the_window_table_is_built_once_per_input_geometry(monkeypatch):
+    """Across batch sizes and input dtypes, and whether the probe or the
+    forward gathers first."""
+    count_probes(monkeypatch, matches=False)
+    keys = count_window_tables(monkeypatch)
+    mnist = list(stock_convs(np.float32))[:2]
+    rng = np.random.default_rng(0)
+    for batch, dtype in [(8, np.float32), (3, np.float32), (8, np.float64), (1, np.float32)]:
+        for _, layer, shape in mnist:
+            layer.forward(rng.uniform(-1, 1, (batch, *shape)).astype(dtype))
+    assert keys == [(1, 28, 28, 5), (6, 12, 12, 5)]
+    count_probes(monkeypatch)
+    mnist[1][1].forward(rng.uniform(-1, 1, (5, 6, 12, 12)).astype(np.float32))
+    assert len(keys) == 2
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_signed_zero_and_infinite_biases_keep_the_broadcast_add_bytes(dtype):
+    """Biases of +0.0, -0.0, +inf and -inf, added to the exact zeros of
+    all-zero weight rows and to generic GEMM outputs."""
+    rng = np.random.default_rng(5)
+    layer = Conv2D(2, 8, 3)
+    layer.weight = rng.uniform(-1, 1, layer.param_shapes["weight"]).astype(dtype)
+    layer.weight[:4] = 0.0
+    layer.bias = np.array([0.0, -0.0, np.inf, -np.inf] * 2, dtype=dtype)
+    x = rng.uniform(-1, 1, (3, 2, 7, 6)).astype(dtype)
+    out, _ = layer.forward(x)
+    expected, _ = conv_by_windows(layer, x)
+    assert out.tobytes() == expected.tobytes()
+    assert out.strides == expected.strides
+    assert (out[:, [0, 1]] == 0).all()
+    assert np.isposinf(out[:, [2, 6]]).all() and np.isneginf(out[:, [3, 7]]).all()
 
 
 def test_conv2d_rejects_wrong_channels():
