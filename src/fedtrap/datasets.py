@@ -4,7 +4,9 @@ A `Dataset` holds its images as one array of a parsed file's own uint8
 bytes, and a sample's id is its row in that file. A run's draw is a set
 of rows; pixels become float32 in [-1, 1] only in the rows
 `Dataset.stacked(rows)` is asked for. Labels are 1-based
-everywhere. Duplicate detection compares the raw bytes and reports rows.
+everywhere. Duplicate detection hashes every row in one vectorized pass,
+compares raw bytes only among rows whose hash repeats, and reports rows;
+the bytes decide every group.
 """
 
 from __future__ import annotations
@@ -239,48 +241,91 @@ class DuplicateReport:
         return pairs
 
 
-def _rows_by_bytes(images: np.ndarray) -> dict[bytes, list[int]]:
-    """Rows grouped by their image bytes, each group in ascending row order.
+_HASH_CHUNK_BYTES = 1 << 22   # bytes hashed per matmul: no split is ever copied whole
+_HASH_SEED = 0x5EED_D00B
 
-    Key equality compares every byte, so no group rests on a hash alone.
+
+def _row_hashes(images: np.ndarray) -> np.ndarray:
+    """One uint64 per row of `images`, a function of the row's C-order bytes
+    (for any dtype whose itemsize divides 8).
+
+    Rows are copied a chunk at a time into a zero-padded buffer a whole
+    number of uint64 words wide, and one integer matmul per chunk with fixed
+    odd multipliers sums each row's words; array arithmetic wraps modulo 2**64
+    without a warning. Equal bytes give equal hashes; rows that differ in
+    one word never collide, since an odd multiplier is invertible.
     """
+    n, items = len(images), math.prod(images.shape[1:])
+    words = max(1, -(-items * images.itemsize // 8))   # an empty row is one zero word
+    multipliers = np.random.PCG64(_HASH_SEED).random_raw(words) | np.uint64(1)
+    chunk = max(1, _HASH_CHUNK_BYTES // (8 * words))
+    buf = np.zeros((min(chunk, n), 8 * words), dtype=np.uint8)
+    cells = buf.view(images.dtype)
+    hashes = np.empty(n, dtype=np.uint64)
+    for lo in range(0, n, chunk):
+        m = min(chunk, n - lo)
+        cells[:m, :items] = images[lo:lo + m].reshape(m, items)
+        np.matmul(buf[:m].view(np.uint64), multipliers, out=hashes[lo:lo + m])
+    return hashes
+
+
+def _duplicate_groups(hashes: np.ndarray, row) -> list[list[int]]:
+    """Indices whose `row(i)` bytes repeat, grouped by those bytes.
+
+    Every index whose hash occurs more than once is a candidate; candidates
+    are grouped by `row(i).tobytes()` in ascending order, so each group is
+    ascending and groups come in order of their first index. Bytes decide
+    every group: a hash collision only costs a comparison.
+    """
+    order = np.argsort(hashes, kind="stable")
+    tie = hashes[order[1:]] == hashes[order[:-1]]
+    repeated = np.zeros(len(hashes), dtype=bool)
+    repeated[order[1:][tie]] = True
+    repeated[order[:-1][tie]] = True
     groups: dict[bytes, list[int]] = {}
-    for i in range(len(images)):
-        groups.setdefault(images[i].tobytes(), []).append(i)
-    return groups
+    for i in np.flatnonzero(repeated).tolist():
+        groups.setdefault(row(i).tobytes(), []).append(i)
+    return [members for members in groups.values() if len(members) > 1]
+
+
+def _rows_by_bytes(images: np.ndarray) -> list[list[int]]:
+    """Groups of byte-identical rows, each ascending, in order of first row."""
+    return _duplicate_groups(_row_hashes(images), images.__getitem__)
 
 
 def find_exact_duplicates(train: Dataset, test: Dataset) -> DuplicateReport:
-    """Byte-identical image groups within train and across the two splits, as rows."""
+    """Byte-identical image groups within train and across the two splits, as rows.
+
+    Groups that hold test rows only are not reported.
+    """
     if train.image_shape != test.image_shape:
         raise ValueError(f"image shapes differ: {train.image_shape} vs {test.image_shape}")
-    train_labels, test_labels = train.labels.tolist(), test.labels.tolist()
-    groups = _rows_by_bytes(train.images)
+    n = len(train)  # indices past the train rows are test rows
+    hashes = np.concatenate([_row_hashes(train.images), _row_hashes(test.images)])
+    groups = _duplicate_groups(
+        hashes, lambda i: train.images[i] if i < n else test.images[i - n])
 
-    within, mism_within = [], []
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        within.append(group := tuple(members))
-        if len({train_labels[i] for i in members}) > 1:
-            mism_within.append(group)
-
-    cross, mism_cross, shared = [], [], set()
-    for j in range(len(test)):
-        members = groups.get(test.images[j].tobytes(), ())
-        for i in members:
-            cross.append((i, j))
-            if train_labels[i] != test_labels[j]:
-                mism_cross.append((i, j))
-        if members:
-            shared.add(members[0])
+    within, mism_within, cross, mism_cross, shared = [], [], [], [], 0
+    for members in groups:
+        rows = [i for i in members if i < n]
+        if len(rows) > 1:
+            within.append(group := tuple(rows))
+            if len(set(train.labels[rows].tolist())) > 1:
+                mism_within.append(group)
+        others = [i - n for i in members if i >= n]
+        for j in others:
+            for i in rows:
+                cross.append((i, j))
+                if train.labels[i] != test.labels[j]:
+                    mism_cross.append((i, j))
+        shared += bool(rows and others)
 
     return DuplicateReport(
         within_train=tuple(sorted(within)),
         cross_split=tuple(sorted(cross)),
         mismatched_within=tuple(sorted(mism_within)),
         mismatched_cross=tuple(sorted(mism_cross)),
-        cross_images=len(shared),
+        cross_images=shared,
     )
 
 
@@ -310,7 +355,7 @@ def synth_dataset(num_samples: int, num_classes: int = 10,
     images = rng.integers(0, 256, size=(num_samples, *image_shape), dtype=np.int64)
     labels = rng.integers(1, num_classes + 1, size=num_samples)
     # redraw every later copy of an image, in ascending row order, until none is left
-    while dupes := sorted(i for rows in _rows_by_bytes(images).values() for i in rows[1:]):
+    while dupes := sorted(i for rows in _rows_by_bytes(images) for i in rows[1:]):
         for i in dupes:
             images[i] = rng.integers(0, 256, size=image_shape, dtype=np.int64)
     return Dataset(images=images.astype(np.uint8), labels=labels, split="synthetic",

@@ -109,7 +109,7 @@ class Conv2D(_WeightBias):
         cols = gather(x, self.kernel_size)
         out = cols @ self.weight.reshape(oc, -1).T                 # C-ordered (n, L, oc)
         flat = out.reshape(n, -1)   # a broadcast add's innermost loop would be oc long
-        np.add(flat, np.tile(self.bias, oh * ow), out=flat)
+        np.add(flat, np.repeat(self.bias[None], oh * ow, 0).reshape(-1), out=flat)
         out = out.transpose(0, 2, 1).reshape(n, oc, oh, ow)
         return out, (x.shape, cols)
 

@@ -10,11 +10,15 @@ the loss. `forward` and `init_dead` are the plain whole-network passes
 the tests read logits and dead networks from. `cols_by_windows` and
 `conv_by_windows` are Conv2D's forward written over numpy's
 sliding-window view, the reference for the layer's own gathers.
+`duplicates_by_dict` is the exact-duplicate scan written as one dict
+keyed by every train image's bytes, the reference for the hashed scan.
 """
 
 import math
 
 import numpy as np
+
+from fedtrap.datasets import DuplicateReport
 
 
 class KinkError(ValueError):
@@ -113,3 +117,38 @@ def conv_by_windows(layer, x):
     cols = cols_by_windows(x, layer.kernel_size)
     out = cols @ layer.weight.reshape(oc, -1).T + layer.bias
     return out.transpose(0, 2, 1).reshape(n, oc, oh, ow), cols
+
+
+def duplicates_by_dict(train, test) -> DuplicateReport:
+    """`find_exact_duplicates` as a dict from each train image's bytes to its
+    rows, looked up with each test image's bytes."""
+    train_labels, test_labels = train.labels.tolist(), test.labels.tolist()
+    groups: dict[bytes, list[int]] = {}
+    for i in range(len(train)):
+        groups.setdefault(train.images[i].tobytes(), []).append(i)
+
+    within, mism_within = [], []
+    for members in groups.values():
+        if len(members) < 2:
+            continue
+        within.append(group := tuple(members))
+        if len({train_labels[i] for i in members}) > 1:
+            mism_within.append(group)
+
+    cross, mism_cross, shared = [], [], set()
+    for j in range(len(test)):
+        members = groups.get(test.images[j].tobytes(), ())
+        for i in members:
+            cross.append((i, j))
+            if train_labels[i] != test_labels[j]:
+                mism_cross.append((i, j))
+        if members:
+            shared.add(members[0])
+
+    return DuplicateReport(
+        within_train=tuple(sorted(within)),
+        cross_split=tuple(sorted(cross)),
+        mismatched_within=tuple(sorted(mism_within)),
+        mismatched_cross=tuple(sorted(mism_cross)),
+        cross_images=len(shared),
+    )

@@ -1,13 +1,16 @@
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fedtrap import datasets
 from fedtrap.datasets import (Dataset, DatasetFormatError, duplicate_report_rows,
                               find_exact_duplicates, load_cifar, load_mnist_idx,
                               sample_run, synth_dataset,
                               write_cifar_fixture, write_mnist_fixture)
+from oracles import duplicates_by_dict
 
 
 def make_dataset(images, labels, split="synthetic", num_classes=10):
@@ -368,13 +371,142 @@ def test_duplicate_report_ids_are_builtin_ints():
     assert all(type(v) is int for row in rows for v in row[1:3])
 
 
-def test_duplicate_groups_are_verified_by_bytes_not_hash_alone():
-    train, test = planted_duplicate_sets()
+def all_zero_hashes(images):
+    return np.zeros(len(images), dtype=np.uint64)
+
+
+def test_duplicate_groups_are_verified_by_bytes_not_hash_alone(monkeypatch):
+    """Every row hashing alike makes every row a candidate; the bytes alone
+    must then give the report the real hashes give."""
+    for train, test in (planted_duplicate_sets(), planted_pair((3, 5, 5), seed=23)):
+        expected = find_exact_duplicates(train, test)
+        with monkeypatch.context() as patch:
+            patch.setattr(datasets, "_row_hashes", all_zero_hashes)
+            assert find_exact_duplicates(train, test) == expected
+        assert expected == duplicates_by_dict(train, test)
+    with monkeypatch.context() as patch:
+        patch.setattr(datasets, "_row_hashes", all_zero_hashes)
+        collided = synth_dataset(200, image_shape=(1, 1, 1), seed=21)
+    ds = synth_dataset(200, image_shape=(1, 1, 1), seed=21)
+    assert collided.images.tobytes() == ds.images.tobytes()
+    np.testing.assert_array_equal(collided.labels, ds.labels)
+
+
+def planted_images(rng, shape, n_train, n_test):
+    """Random train and test images with every kind of copy planted: a group of
+    four, a pair, a test image matching two train copies, two test copies of
+    one train image and a pair that occurs only within test."""
+    train = rng.integers(0, 256, size=(n_train, *shape))
+    test = rng.integers(0, 256, size=(n_test, *shape))
+    train[[3, 7, n_train - 1]] = train[0]
+    train[5] = train[2]
+    test[1] = train[2]
+    test[4] = test[n_test - 1] = train[9]
+    test[2] = test[6]
+    return train, test
+
+
+def planted_pair(shape, seed, n_train=40, n_test=12):
+    rng = np.random.default_rng(seed)
+    train, test = planted_images(rng, shape, n_train, n_test)
+    return (make_dataset(train, rng.integers(1, 4, n_train), split="train", num_classes=3),
+            make_dataset(test, rng.integers(1, 4, n_test), split="test", num_classes=3))
+
+
+def cifar_pair(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    train, test = planted_images(rng, (3, 32, 32), 30, 10)
+    paths = []
+    for name, images in (("train.bin", train), ("test.bin", test)):
+        write_cifar_fixture(tmp_path / name, images, rng.integers(0, 3, len(images)),
+                            rng.integers(0, 20, len(images)))
+        paths.append(tmp_path / name)
+    return [load_cifar(path, "cifar100-fine", split) for path, split in zip(paths, ("train", "test"))]
+
+
+def mnist_pair(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    train, test = planted_images(rng, (28, 28), 30, 10)
+    train[:, :4] = test[:, :4] = 0  # blank top rows, as MNIST digits have
+    pair = []
+    for split, images in (("train", train), ("test", test)):
+        names = tmp_path / f"{split}-images", tmp_path / f"{split}-labels"
+        write_mnist_fixture(*names, images, rng.integers(0, 3, len(images)))
+        pair.append(load_mnist_idx(*names, split=split))
+    return pair
+
+
+def small_width_pair(tmp_path, seed):
+    """One-byte images, drawn from few values: most rows have copies."""
+    rng = np.random.default_rng(seed)
+    return (make_dataset(rng.integers(0, 24, (300, 1, 1, 1)), rng.integers(1, 4, 300),
+                         split="train", num_classes=3),
+            make_dataset(rng.integers(0, 24, (90, 1, 1, 1)), rng.integers(1, 4, 90),
+                         split="test", num_classes=3))
+
+
+PAIRS = {
+    "cifar-strided": cifar_pair,
+    "mnist": mnist_pair,
+    "1x14x14": lambda tmp_path, seed: planted_pair((1, 14, 14), seed),
+    "3x5x5": lambda tmp_path, seed: planted_pair((3, 5, 5), seed),
+    "1x1x1-crowded": small_width_pair,
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 3])
+@pytest.mark.parametrize("kind", PAIRS)
+def test_duplicate_scan_matches_the_dict_scan(tmp_path, monkeypatch, kind, chunk_rows):
+    train, test = PAIRS[kind](tmp_path, seed=31)
+    if chunk_rows is not None:  # a few rows per hashing chunk, so chunks end mid-split
+        width = -(-train.images[0].nbytes // 8) * 8
+        monkeypatch.setattr(datasets, "_HASH_CHUNK_BYTES", chunk_rows * width)
     report = find_exact_duplicates(train, test)
-    for group in report.within_train:
-        first = train.images[group[0]].tobytes()
-        for other in group[1:]:
-            assert train.images[other].tobytes() == first
+    assert report == duplicates_by_dict(train, test)
+    assert report.within_train and report.cross_split
+
+
+def test_planted_copies_are_each_reported():
+    train, test = planted_pair((3, 5, 5), seed=37)
+    report = find_exact_duplicates(train, test)
+    assert report.within_train == ((0, 3, 7, 39), (2, 5))
+    assert report.cross_split == ((2, 1), (5, 1), (9, 4), (9, 11))
+    assert report.cross_images == 2  # the test-only pair (2, 6) is not reported
+
+
+def test_row_hashes_depend_only_on_row_bytes(monkeypatch):
+    rng = np.random.default_rng(41)
+    raw = rng.integers(0, 256, (50, 2 + 75), dtype=np.uint8)
+    strided = raw[:, 2:].reshape(50, 3, 5, 5)
+    expected = datasets._row_hashes(np.ascontiguousarray(strided))
+    np.testing.assert_array_equal(datasets._row_hashes(strided), expected)
+    wide = rng.integers(0, 256, (50, 1, 1, 1), dtype=np.int64)
+    np.testing.assert_array_equal(datasets._row_hashes(wide),
+                                  datasets._row_hashes(wide.view(np.uint8).reshape(50, 8)))
+    monkeypatch.setattr(datasets, "_HASH_CHUNK_BYTES", 7)
+    np.testing.assert_array_equal(datasets._row_hashes(strided), expected)
+    assert datasets._rows_by_bytes(np.zeros((3, 0, 1, 1), dtype=np.uint8)) == [[0, 1, 2]]
+
+
+def test_duplicate_scan_allocates_a_fraction_of_the_image_bytes():
+    """A 16,384-row CIFAR-layout pool (48 MiB of images, strided as load_cifar
+    leaves them): the scan never holds a copy of the images."""
+    n, n_test = 16384, 1024
+    rng = np.random.default_rng(43)
+    raw = rng.integers(0, 256, (n + n_test, 2 + 3072), dtype=np.uint8)
+    raw[[10, 20, n + 3], 2:] = raw[0, 2:]
+    images = raw[:, 2:].reshape(-1, 3, 32, 32)
+    labels = np.ones(n + n_test, dtype=np.int64)
+    train = Dataset(images[:n], labels[:n], "train", 1)
+    test = Dataset(images[n:], labels[n:], "test", 1)
+    tracemalloc.start()
+    try:
+        report = find_exact_duplicates(train, test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.within_train == ((0, 10, 20),) and report.cross_images == 1
+    assert peak < train.images.nbytes / 4, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_duplicate_scan_pairs_every_copy_across_splits():

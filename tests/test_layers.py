@@ -188,8 +188,9 @@ def test_the_window_table_is_built_once_per_input_geometry(monkeypatch):
     assert len(keys) == 2
 
 
+@pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_signed_zero_and_infinite_biases_keep_the_broadcast_add_bytes(dtype):
+def test_signed_zero_and_infinite_biases_keep_the_broadcast_add_bytes(dtype, n):
     """Biases of +0.0, -0.0, +inf and -inf, added to the exact zeros of
     all-zero weight rows and to generic GEMM outputs."""
     rng = np.random.default_rng(5)
@@ -197,7 +198,7 @@ def test_signed_zero_and_infinite_biases_keep_the_broadcast_add_bytes(dtype):
     layer.weight = rng.uniform(-1, 1, layer.param_shapes["weight"]).astype(dtype)
     layer.weight[:4] = 0.0
     layer.bias = np.array([0.0, -0.0, np.inf, -np.inf] * 2, dtype=dtype)
-    x = rng.uniform(-1, 1, (3, 2, 7, 6)).astype(dtype)
+    x = rng.uniform(-1, 1, (n, 2, 7, 6)).astype(dtype)
     out, _ = layer.forward(x)
     expected, _ = conv_by_windows(layer, x)
     assert out.tobytes() == expected.tobytes()
