@@ -3,7 +3,9 @@
 Subcommands: experiment (many seeded runs -> CSV + summary), attack-one
 (single run, prints the outcome), dedup (exact-duplicate scan -> CSV),
 gradcheck (finite-difference suite), fixtures (tiny files in the real
-binary formats). Exit codes: 0 ok, 1 configuration error, 2 runtime error.
+binary formats). Exit codes: 0 ok, 1 configuration error (also a path
+that is missing, a directory, not a directory or not permitted), 2
+runtime error.
 """
 
 from __future__ import annotations
@@ -205,7 +207,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as err:
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # noqa: BLE001 - CLI boundary

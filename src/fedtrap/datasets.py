@@ -4,9 +4,9 @@ A `Dataset` holds its images as one array of a parsed file's own uint8
 bytes, and a sample's id is its row in that file. A run's draw is a set
 of rows; pixels become float32 in [-1, 1] only in the rows
 `Dataset.stacked(rows)` is asked for. Labels are 1-based
-everywhere. Duplicate detection hashes every row in one vectorized pass,
-compares raw bytes only among rows whose hash repeats, and reports rows;
-the bytes decide every group.
+everywhere. Duplicate detection hashes every row in cache-sized chunks,
+finds the hashes that repeat with one sort, compares raw bytes only among
+rows whose hash repeats, and reports rows; the bytes decide every group.
 """
 
 from __future__ import annotations
@@ -215,9 +215,11 @@ def sample_run(source: Dataset, num_samples: int, member_flag: int, seed: int) -
     if member_flag:
         target = int(rng.choice(chosen))
     else:
-        outside = np.ones(len(source), dtype=bool)
-        outside[chosen] = False
-        target = int(rng.choice(np.flatnonzero(outside)))
+        # the k-th unchosen row, with the k that rng.choice over the unchosen
+        # rows would draw; below[i] counts the unchosen rows under sorted row i
+        k = int(rng.integers(0, len(source) - num_samples))
+        below = np.sort(chosen) - np.arange(num_samples)
+        target = k + int(np.searchsorted(below, k, side="right"))
     return RunDraw(member_flag=int(bool(member_flag)), rows=chosen, target_id=target)
 
 
@@ -241,7 +243,7 @@ class DuplicateReport:
         return pairs
 
 
-_HASH_CHUNK_BYTES = 1 << 22   # bytes hashed per matmul: no split is ever copied whole
+_HASH_CHUNK_BYTES = 1 << 19   # bytes hashed per einsum: a chunk stays in L2 from copy to hash
 _HASH_SEED = 0x5EED_D00B
 
 
@@ -249,11 +251,13 @@ def _row_hashes(images: np.ndarray) -> np.ndarray:
     """One uint64 per row of `images`, a function of the row's C-order bytes
     (for any dtype whose itemsize divides 8).
 
-    Rows are copied a chunk at a time into a zero-padded buffer a whole
-    number of uint64 words wide, and one integer matmul per chunk with fixed
-    odd multipliers sums each row's words; array arithmetic wraps modulo 2**64
-    without a warning. Equal bytes give equal hashes; rows that differ in
-    one word never collide, since an odd multiplier is invertible.
+    Rows are copied ~512 KiB at a time into a zero-padded buffer a whole
+    number of uint64 words wide, small enough that the copy is still in L2
+    when it is hashed. One `einsum` per chunk sums each row's words times
+    fixed odd multipliers; it is the same sum as an integer matmul, and
+    array arithmetic wraps modulo 2**64 without a warning. Equal bytes give
+    equal hashes; rows that differ in one word never collide, since an odd
+    multiplier is invertible.
     """
     n, items = len(images), math.prod(images.shape[1:])
     words = max(1, -(-items * images.itemsize // 8))   # an empty row is one zero word
@@ -265,25 +269,23 @@ def _row_hashes(images: np.ndarray) -> np.ndarray:
     for lo in range(0, n, chunk):
         m = min(chunk, n - lo)
         cells[:m, :items] = images[lo:lo + m].reshape(m, items)
-        np.matmul(buf[:m].view(np.uint64), multipliers, out=hashes[lo:lo + m])
+        np.einsum("ij,j->i", buf[:m].view(np.uint64), multipliers, out=hashes[lo:lo + m])
     return hashes
 
 
 def _duplicate_groups(hashes: np.ndarray, row) -> list[list[int]]:
     """Indices whose `row(i)` bytes repeat, grouped by those bytes.
 
-    Every index whose hash occurs more than once is a candidate; candidates
-    are grouped by `row(i).tobytes()` in ascending order, so each group is
-    ascending and groups come in order of their first index. Bytes decide
-    every group: a hash collision only costs a comparison.
+    The hashes that occur more than once are the equal neighbours of one
+    sort; every index holding one is a candidate. Candidates are grouped
+    by `row(i).tobytes()` in ascending order, so each group is ascending
+    and groups come in order of their first index. Bytes decide every
+    group: a hash collision only costs a comparison.
     """
-    order = np.argsort(hashes, kind="stable")
-    tie = hashes[order[1:]] == hashes[order[:-1]]
-    repeated = np.zeros(len(hashes), dtype=bool)
-    repeated[order[1:][tie]] = True
-    repeated[order[:-1][tie]] = True
+    ordered = np.sort(hashes)
+    repeats = ordered[1:][ordered[1:] == ordered[:-1]]
     groups: dict[bytes, list[int]] = {}
-    for i in np.flatnonzero(repeated).tolist():
+    for i in np.flatnonzero(np.isin(hashes, repeats)).tolist():
         groups.setdefault(row(i).tobytes(), []).append(i)
     return [members for members in groups.values() if len(members) > 1]
 

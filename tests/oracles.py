@@ -11,14 +11,18 @@ the tests read logits and dead networks from. `cols_by_windows` and
 `conv_by_windows` are Conv2D's forward written over numpy's
 sliding-window view, the reference for the layer's own gathers.
 `duplicates_by_dict` is the exact-duplicate scan written as one dict
-keyed by every train image's bytes, the reference for the hashed scan.
+keyed by every train image's bytes, the reference for the hashed scan;
+`row_hashes_by_matmul` is the row hash as one integer matmul over every
+row at once, the reference for the chunked einsum. `draw_by_complement`
+is `sample_run`'s draw with the non-member target chosen from the list
+of every unchosen row, the reference for the searchsorted draw.
 """
 
 import math
 
 import numpy as np
 
-from fedtrap.datasets import DuplicateReport
+from fedtrap.datasets import _HASH_SEED, DuplicateReport
 
 
 class KinkError(ValueError):
@@ -152,3 +156,27 @@ def duplicates_by_dict(train, test) -> DuplicateReport:
         mismatched_cross=tuple(sorted(mism_cross)),
         cross_images=len(shared),
     )
+
+
+def row_hashes_by_matmul(images) -> np.ndarray:
+    """`datasets._row_hashes` in one piece: every row zero-padded to whole
+    uint64 words, then one integer matmul with the same odd multipliers."""
+    n, items = len(images), math.prod(images.shape[1:])
+    words = max(1, -(-items * images.itemsize // 8))
+    buf = np.zeros((n, 8 * words), dtype=np.uint8)
+    buf.view(images.dtype)[:, :items] = images.reshape(n, items)
+    multipliers = np.random.PCG64(_HASH_SEED).random_raw(words) | np.uint64(1)
+    return buf.view(np.uint64) @ multipliers
+
+
+def draw_by_complement(pool: int, num_samples: int, member_flag: int,
+                       seed: int) -> tuple[np.ndarray, int]:
+    """`sample_run`'s rows and target, the non-member target drawn by
+    `rng.choice` from every row of the pool left unchosen."""
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(pool, size=num_samples, replace=False)
+    if member_flag:
+        return chosen, int(rng.choice(chosen))
+    outside = np.ones(pool, dtype=bool)
+    outside[chosen] = False
+    return chosen, int(rng.choice(np.flatnonzero(outside)))

@@ -4,13 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedtrap import datasets
 from fedtrap.datasets import (Dataset, DatasetFormatError, duplicate_report_rows,
                               find_exact_duplicates, load_cifar, load_mnist_idx,
                               sample_run, synth_dataset,
                               write_cifar_fixture, write_mnist_fixture)
-from oracles import duplicates_by_dict
+from oracles import draw_by_complement, duplicates_by_dict, row_hashes_by_matmul
 
 
 def make_dataset(images, labels, split="synthetic", num_classes=10):
@@ -308,6 +310,22 @@ def test_sample_run_pins_the_setdiff_draw():
             np.testing.assert_array_equal(ys, labels[chosen])
 
 
+@pytest.mark.parametrize("pool, num_samples", [(2, 1), (40, 32), (545, 512), (1200, 64),
+                                               (1000, 999), (60000, 32)])
+def test_sample_run_draws_what_the_complement_scan_draws(pool, num_samples):
+    """The non-member target is found by searchsorted, not by listing every
+    unchosen row; both read the same generator draw, so every run keeps its
+    target."""
+    source = Dataset(np.zeros((pool, 1, 1, 1), dtype=np.uint8),
+                     np.ones(pool, dtype=np.int64), "synthetic", 1)
+    for seed in range(150):
+        for member in (1, 0):
+            chosen, target = draw_by_complement(pool, num_samples, member, seed)
+            draw = sample_run(source, num_samples, member, seed)
+            assert draw.rows.tolist() == chosen.tolist()
+            assert draw.target_id == target, (seed, member)
+
+
 def test_run_draw_rejects_a_flag_that_disagrees_with_the_ids():
     source = synth_dataset(20, seed=18)
     draw = sample_run(source, 5, 1, seed=0)
@@ -486,6 +504,88 @@ def test_row_hashes_depend_only_on_row_bytes(monkeypatch):
     monkeypatch.setattr(datasets, "_HASH_CHUNK_BYTES", 7)
     np.testing.assert_array_equal(datasets._row_hashes(strided), expected)
     assert datasets._rows_by_bytes(np.zeros((3, 0, 1, 1), dtype=np.uint8)) == [[0, 1, 2]]
+
+
+_rng = np.random.default_rng(47)
+HASH_CASES = {  # 40 rows each; most widths are not a whole number of uint64 words
+    "cifar-strided": _rng.integers(0, 256, (40, 2 + 3072), dtype=np.uint8)[:, 2:]
+                     .reshape(40, 3, 32, 32),
+    "uint8-3-bytes": _rng.integers(0, 256, (40, 1, 1, 3), dtype=np.uint8),
+    "uint8-75-bytes": _rng.integers(0, 256, (40, 3, 5, 5), dtype=np.uint8),
+    "uint16-18-bytes": _rng.integers(0, 2**16, (40, 1, 3, 3), dtype=np.uint16),
+    "float32-20-bytes": _rng.standard_normal((40, 1, 1, 5), dtype=np.float32),
+    "int64-16-bytes": _rng.integers(-2**63, 2**63 - 1, (40, 2), dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 7, 8, 200, 4096])
+@pytest.mark.parametrize("kind", HASH_CASES)
+def test_row_hashes_match_the_matmul_hash(monkeypatch, kind, chunk_bytes):
+    """The chunked einsum gives the uint64s of one whole-array integer matmul,
+    also when chunks hold one row or end inside the array."""
+    images = HASH_CASES[kind]
+    if chunk_bytes is not None:
+        monkeypatch.setattr(datasets, "_HASH_CHUNK_BYTES", chunk_bytes)
+    hashes = datasets._row_hashes(images)
+    assert hashes.dtype == np.uint64
+    assert hashes.tobytes() == row_hashes_by_matmul(images).tobytes()
+
+
+def rows_read_by_groups(hashes, contents):
+    """`_duplicate_groups` over rows holding one byte each, with the indices
+    whose bytes it read."""
+    read = []
+
+    def row(i):
+        read.append(i)
+        return np.array([contents[i]], dtype=np.uint8)
+
+    return datasets._duplicate_groups(np.array(hashes, dtype=np.uint64), row), read
+
+
+@pytest.mark.parametrize("hashes, contents, groups, read", [
+    # one train and one test row: distinct, then copies
+    ([4, 9], [1, 2], [], []),
+    ([4, 4], [1, 1], [[0, 1]], [0, 1]),
+    # three train rows and three test rows; one hash is held by four rows
+    # across both splits, one of them a collision with other bytes
+    ([5, 2, 5, 5, 8, 5], [3, 1, 3, 7, 0, 3], [[0, 2, 5]], [0, 2, 3, 5]),
+    ([2**64 - 1, 0, 2**64 - 1, 0, 6], [9, 4, 9, 4, 5], [[0, 2], [1, 3]], [0, 1, 2, 3]),
+])
+def test_duplicate_groups_read_only_rows_whose_hash_repeats(hashes, contents, groups, read):
+    assert rows_read_by_groups(hashes, contents) == (groups, read)
+
+
+def test_duplicate_groups_read_no_row_when_every_hash_is_distinct():
+    hashes = np.random.default_rng(53).permutation(5000).astype(np.uint64) * np.uint64(2**40)
+    assert rows_read_by_groups(hashes, None) == ([], [])
+
+
+@st.composite
+def planted_image_pairs(draw):
+    """Small train and test splits over few pixel values, with copies planted
+    within and across the splits."""
+    shape = draw(st.sampled_from([(1, 1, 1), (1, 1, 3), (3, 2, 2), (2, 3, 5)]))
+    n_train, n_test = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    images = rng.integers(0, draw(st.sampled_from([2, 4, 256])), (n_train + n_test, *shape))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n_train + n_test - 1),
+                                            st.integers(0, n_train + n_test - 1)), max_size=6)):
+        images[dst] = images[src]
+    labels = rng.integers(1, 4, n_train + n_test)
+    return (make_dataset(images[:n_train], labels[:n_train], "train", 3),
+            make_dataset(images[n_train:], labels[n_train:], "test", 3),
+            draw(st.sampled_from([None, 1, 8, 40])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=planted_image_pairs())
+def test_duplicate_scan_matches_the_dict_scan_on_random_planted_pairs(case):
+    train, test, chunk_bytes = case
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk_bytes is not None:
+            patch.setattr(datasets, "_HASH_CHUNK_BYTES", chunk_bytes)
+        assert find_exact_duplicates(train, test) == duplicates_by_dict(train, test)
 
 
 def test_duplicate_scan_allocates_a_fraction_of_the_image_bytes():

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedtrap import cli
 from fedtrap.cli import main as cli_main
 from fedtrap.harness import (ExperimentConfig, MetricsReport, RunRecord,
                              compute_metrics, derive_seed, emit_results,
@@ -410,6 +411,32 @@ def test_cli_dedup_and_gradcheck_configuration_errors_exit_1(capsys):
         assert capsys.readouterr().err.startswith("error: --step must be finite and positive")
     assert cli_main(["gradcheck", "--networks", "1", "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
+
+def test_cli_paths_that_cannot_be_opened_exit_1(tmp_path, capsys, monkeypatch):
+    """A missing file, a directory, a file used as a directory or a denied
+    path is a configuration error, not a failed run."""
+    assert cli_main(["fixtures", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    test_bin = str(tmp_path / "fixture_cifar100_test.bin")
+    for train, kind in [(tmp_path / "missing.bin", "No such file"),
+                        (tmp_path, "Is a directory"),
+                        (tmp_path / "fixture_cifar10.bin" / "x", "Not a directory")]:
+        argv = ["dedup", "--format", "cifar100-fine", "--train", str(train), "--test", test_bin]
+        assert cli_main(argv) == 1, kind
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and kind in err, err
+    argv = ["experiment", "--dataset", "synthetic", "--M", "4", "--B", "8", "--runs", "2"]
+    assert cli_main([*argv, "--out", str(tmp_path)]) == 1
+    assert "Is a directory" in capsys.readouterr().err
+
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(cli, "load_cifar", denied)
+    assert cli_main(["dedup", "--format", "cifar100-fine", "--train", test_bin,
+                     "--test", test_bin]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 13] Permission denied")
 
 
 def test_python_dash_m_runs_the_cli(tmp_path, capsys):
