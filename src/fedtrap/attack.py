@@ -8,7 +8,8 @@ machine precision when nothing in the client's data triggered the trap
 (those components never receive gradient), and well above the threshold
 xi when the target was present. The server needs only the client's
 training recipe, a `ClientConfig`, which the reference step replays on
-the target alone, and the float xi.
+the target alone, and the float xi. A reply phi or a margin that is not
+finite raises FloatingPointError rather than reading as Delta = 0.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ def reference_eps(net: Network, theta: np.ndarray, sample: tuple[np.ndarray, int
 def decision_statistic(eps_initial: float, eps_client: float,
                        eps_reference: float, batch_size: int) -> float:
     """Delta = B * |eps_client - eps| / |eps_reference - eps|."""
+    if not np.isfinite([eps_initial, eps_client, eps_reference]).all():
+        raise FloatingPointError(f"margin is not finite: initial {eps_initial!r}, "
+                                 f"client {eps_client!r}, reference {eps_reference!r}")
     denom = abs(eps_reference - eps_initial)
     if denom == 0.0:
         raise DegenerateTrapError(
@@ -87,6 +91,8 @@ def run_attack(net: Network, xs: np.ndarray, ys: np.ndarray,
     eps_index = epsilon_flat_index(net)
     eps_initial = float(theta[eps_index])
     phi = client_train(net, theta, xs, ys, client_cfg)
+    if not np.isfinite(phi).all():
+        raise FloatingPointError("the client's reply has non-finite parameters")
     eps_client = float(phi[eps_index])
     eps_ref = reference_eps(net, theta, sample, client_cfg, eps_index)
     delta = decision_statistic(eps_initial, eps_client, eps_ref,

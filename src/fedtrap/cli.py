@@ -58,6 +58,7 @@ def _experiment_config(args, runs: int, workers: int = 1) -> harness.ExperimentC
 
 def cmd_experiment(args) -> int:
     cfg = _experiment_config(args, runs=args.runs, workers=args.workers)
+    harness.check_outputs_writable(args.out)
     records, report = harness.run_experiment(cfg)
     harness.emit_results(records, report, cfg, args.out)
     print(f"wrote {len(records)} runs to {args.out}")

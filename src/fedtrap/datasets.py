@@ -248,8 +248,8 @@ _HASH_SEED = 0x5EED_D00B
 
 
 def _row_hashes(images: np.ndarray) -> np.ndarray:
-    """One uint64 per row of `images`, a function of the row's C-order bytes
-    (for any dtype whose itemsize divides 8).
+    """One uint64 per row of the uint8 `images`, a function of the row's
+    C-order bytes.
 
     Rows are copied ~512 KiB at a time into a zero-padded buffer a whole
     number of uint64 words wide, small enough that the copy is still in L2
@@ -259,16 +259,15 @@ def _row_hashes(images: np.ndarray) -> np.ndarray:
     equal hashes; rows that differ in one word never collide, since an odd
     multiplier is invertible.
     """
-    n, items = len(images), math.prod(images.shape[1:])
-    words = max(1, -(-items * images.itemsize // 8))   # an empty row is one zero word
+    n, width = len(images), math.prod(images.shape[1:])
+    words = max(1, -(-width // 8))   # an empty row is one zero word
     multipliers = np.random.PCG64(_HASH_SEED).random_raw(words) | np.uint64(1)
     chunk = max(1, _HASH_CHUNK_BYTES // (8 * words))
     buf = np.zeros((min(chunk, n), 8 * words), dtype=np.uint8)
-    cells = buf.view(images.dtype)
     hashes = np.empty(n, dtype=np.uint64)
     for lo in range(0, n, chunk):
         m = min(chunk, n - lo)
-        cells[:m, :items] = images[lo:lo + m].reshape(m, items)
+        buf[:m, :width] = images[lo:lo + m].reshape(m, width)
         np.einsum("ij,j->i", buf[:m].view(np.uint64), multipliers, out=hashes[lo:lo + m])
     return hashes
 
@@ -354,14 +353,14 @@ def synth_dataset(num_samples: int, num_classes: int = 10,
         raise ValueError(f"only {distinct} distinct {image_shape} images exist, "
                          f"asked for {num_samples}")
     rng = np.random.default_rng(seed)
-    images = rng.integers(0, 256, size=(num_samples, *image_shape), dtype=np.int64)
+    # drawn as int64, which fixes the generator's stream; 0..255 fit uint8
+    images = rng.integers(0, 256, (num_samples, *image_shape), np.int64).astype(np.uint8)
     labels = rng.integers(1, num_classes + 1, size=num_samples)
     # redraw every later copy of an image, in ascending row order, until none is left
     while dupes := sorted(i for rows in _rows_by_bytes(images) for i in rows[1:]):
         for i in dupes:
             images[i] = rng.integers(0, 256, size=image_shape, dtype=np.int64)
-    return Dataset(images=images.astype(np.uint8), labels=labels, split="synthetic",
-                   num_classes=num_classes)
+    return Dataset(images=images, labels=labels, split="synthetic", num_classes=num_classes)
 
 
 # -- fixture writers (tiny files in the real binary formats) -------------------

@@ -253,6 +253,24 @@ CSV_FIELDS = ("run_id", "dataset", "optimizer", "M", "J", "E", "B",
               "epsilon", "xi", "seed", "t", "delta", "t_hat")
 
 
+def _output_paths(path) -> tuple[Path, Path]:
+    """The CSV at `path` and its summary; creates a missing parent directory."""
+    path = Path(path)
+    if not path.parent.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+    return path, path.with_suffix(path.suffix + ".summary.json")
+
+
+def check_outputs_writable(path) -> None:
+    """Fail before any run if `emit_results` could not write to `path`: open
+    both files for appending, which changes none, and remove the ones it made."""
+    for target in _output_paths(path):
+        existed = target.exists()
+        open(target, "a").close()
+        if not existed:
+            target.unlink()
+
+
 def emit_results(records: list[RunRecord], report: MetricsReport | None,
                  cfg: ExperimentConfig, path) -> None:
     """Write the per-run CSV plus a JSON summary footer next to it.
@@ -260,9 +278,7 @@ def emit_results(records: list[RunRecord], report: MetricsReport | None,
     Deltas are serialized at full precision; rounding happens only in the
     summary report.
     """
-    path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path, summary_path = _output_paths(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
@@ -274,7 +290,7 @@ def emit_results(records: list[RunRecord], report: MetricsReport | None,
     summary = {"config": cfg.echo()}
     if report is not None:
         summary["metrics"] = asdict(report)
-    with open(path.with_suffix(path.suffix + ".summary.json"), "w") as fh:
+    with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2)
 
 

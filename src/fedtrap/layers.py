@@ -226,19 +226,20 @@ class MaxPool2D:
             np.maximum(out, v, out=out)
         return out, x
 
-    def backward(self, dout: np.ndarray, x: np.ndarray):
+    def windows(self, x: np.ndarray) -> np.ndarray:
+        """x's windows as a copy, (n, c, h/k, w/k, k*k), each in row-major order."""
         n, c, h, w = x.shape
         k = self.window
-        oh, ow = h // k, w // k
-        win = (x.reshape(n, c, oh, k, ow, k)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(n, c, oh, ow, k * k))
-        idx = win.argmax(axis=-1)
-        dwin = np.zeros((n, c, oh, ow, k * k), dtype=dout.dtype)
-        np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
-        dx = (dwin.reshape(n, c, oh, ow, k, k)
-                  .transpose(0, 1, 2, 4, 3, 5)
-                  .reshape(x.shape))
+        return (x.reshape(n, c, h // k, k, w // k, k)
+                 .transpose(0, 1, 2, 4, 3, 5)
+                 .reshape(n, c, h // k, w // k, k * k))
+
+    def backward(self, dout: np.ndarray, x: np.ndarray):
+        win = self.windows(x)
+        dwin = np.zeros(win.shape, dtype=dout.dtype)
+        np.put_along_axis(dwin, win.argmax(axis=-1)[..., None], dout[..., None], axis=-1)
+        k = self.window
+        dx = dwin.reshape(*win.shape[:4], k, k).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
         return dx, {}
 
 

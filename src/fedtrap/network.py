@@ -1,12 +1,13 @@
 """Feedforward network: forward pass, cross-entropy loss, exact reverse-mode gradients.
 
-Labels are 1-based (1..L) throughout. Parameters are stored once, in the
-flat vector `Network.params`. Layers only declare their parameter
-shapes; the network lays them out, allocates the vector as zeros in its
-dtype, and binds each Conv2D/Linear `weight` and `bias` to a reshaped
-view of its slice, so a write through either shows in the other. The
-layout is a pure function of the architecture (see ParameterLayout), so
-flat indices are stable across processes for a fixed architecture.
+Labels are 1-based (1..L) and inputs are (n, *input_shape) batches
+throughout. Parameters are stored once, in the flat vector
+`Network.params`. Layers only declare their parameter shapes; the
+network lays them out, allocates the vector as zeros in its dtype, and
+binds each Conv2D/Linear `weight` and `bias` to a reshaped view of its
+slice, so a write through either shows in the other. The layout is a
+pure function of the architecture (see ParameterLayout), so flat indices
+are stable across processes for a fixed architecture.
 
 The caller gives only the feature extractor's layers. The network
 builds the head itself, Linear-ReLU-Linear-ReLU-Linear sized from the
@@ -156,12 +157,9 @@ class Network:
 
     def _as_batch(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.dtype)
-        if x.shape == self.input_shape:
-            return x[None]
-        if x.shape[1:] == self.input_shape:
-            return x
-        raise ShapeError(f"input shape {x.shape} does not match network input "
-                         f"{self.input_shape} (single or batched)")
+        if x.shape[1:] != self.input_shape:
+            raise ShapeError(f"input shape {x.shape} is not a batch (n, *{self.input_shape})")
+        return x
 
     def _run(self, h: np.ndarray, start: int, stop: int, keep_caches: bool):
         """Run layers start..stop-1 on h; caches[k] belongs to layer start+k."""
@@ -177,17 +175,16 @@ class Network:
         return h, caches
 
     def forward_features(self, x: np.ndarray) -> np.ndarray:
-        """Flattened activation at the split boundary; the input itself if split is 0."""
-        single = np.asarray(x).shape == self.input_shape
-        xs = self._as_batch(x)
-        h, _ = self._run(xs, 0, self.split_index, keep_caches=False)
-        h = h.reshape(h.shape[0], -1)
-        return h[0] if single else h
+        """Flattened split activations, (n, feature_width); the inputs if split is 0."""
+        h, _ = self._run(self._as_batch(x), 0, self.split_index, keep_caches=False)
+        return h.reshape(h.shape[0], -1)
 
     # -- loss and gradients ----------------------------------------------
 
-    def _check_labels(self, ys: np.ndarray) -> np.ndarray:
+    def _check_labels(self, ys: np.ndarray, batch: int) -> np.ndarray:
         ys = np.asarray(ys, dtype=np.int64).reshape(-1)
+        if len(ys) != batch:
+            raise ValueError("batch and label counts differ")
         if ys.size and (ys.min() < 1 or ys.max() > self.num_classes):
             raise ValueError(f"labels must lie in 1..{self.num_classes}")
         return ys
@@ -195,9 +192,7 @@ class Network:
     def loss(self, x: np.ndarray, y) -> float:
         """Softmax cross-entropy, mean over the batch; log-sum-exp is max-shifted."""
         xs = self._as_batch(x)
-        ys = self._check_labels(np.atleast_1d(y))
-        if len(ys) != len(xs):
-            raise ValueError("batch and label counts differ")
+        ys = self._check_labels(y, len(xs))
         logits, _ = self._run(xs, 0, len(self.layers), keep_caches=False)
         return float(np.mean(_cross_entropy(logits, ys)))
 
@@ -210,11 +205,9 @@ class Network:
         the split.
         """
         xs = self._as_batch(x)
-        ys = self._check_labels(np.atleast_1d(y))
+        ys = self._check_labels(y, len(xs))
         if len(ys) == 0:
             raise ValueError("empty batch")
-        if len(ys) != len(xs):
-            raise ValueError("batch and label counts differ")
         s = self.split_index
         extractor_caches = None
         if features is None:

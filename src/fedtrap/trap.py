@@ -121,7 +121,7 @@ def craft_parameters(net: Network, sample: tuple[np.ndarray, int], num_values: i
     for layer in (h1, h2, out):
         layer.init_dead()
 
-    features = work.forward_features(np.asarray(x_t, dtype=work.dtype))
+    features = work.forward_features(np.asarray(x_t)[None])[0]
     indices, etas = select_components(features, num_values)
     if sum(1 for e in etas if e != 0.0) < num_values:
         warnings.warn("target has fewer nonzero feature components than matched "

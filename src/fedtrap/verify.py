@@ -2,7 +2,10 @@
 
 The central-difference oracle below re-evaluates the loss through the
 forward pass only; it shares no code with the reverse-mode path it is
-used to check.
+used to check. A random case is kept only if it sits away from every
+kink. The screen reads the ReLU and max-pool inputs from the caches of
+one forward pass of the network's own layer loop, and the pool windows
+from `MaxPool2D.windows`, the layout its backward pass uses.
 """
 
 from __future__ import annotations
@@ -37,33 +40,6 @@ def central_difference_gradient(net: Network, xs: np.ndarray, ys: np.ndarray,
         probe.params[i] = base[i]
         grad[i] = (up - down) / (2.0 * step)
     return grad
-
-
-def relu_preactivations(net: Network, xs: np.ndarray) -> list[np.ndarray]:
-    """Inputs seen by every ReLU during a forward pass."""
-    h = xs.astype(net.dtype)
-    out = []
-    for layer in net.layers:
-        if isinstance(layer, ReLU):
-            out.append(h.copy())
-        h, _ = layer.forward(h)
-    return out
-
-
-def pool_window_gaps(net: Network, xs: np.ndarray) -> list[np.ndarray]:
-    """Per-window gap between the two largest pool inputs (kink distance)."""
-    h = xs.astype(net.dtype)
-    gaps = []
-    for layer in net.layers:
-        if isinstance(layer, MaxPool2D):
-            n, c, hh, ww = h.shape
-            k = layer.window
-            win = (h.reshape(n, c, hh // k, k, ww // k, k)
-                    .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, hh // k, ww // k, k * k))
-            top2 = np.sort(win, axis=-1)[..., -2:]
-            gaps.append(top2[..., 1] - top2[..., 0])
-        h, _ = layer.forward(h)
-    return gaps
 
 
 @dataclass(frozen=True)
@@ -103,10 +79,16 @@ def sample_checkable_case(seed: int):
         net.init_random(int(rng.integers(0, 2 ** 31)))
         xs = rng.normal(size=(CASE_BATCH, *net.input_shape))
         ys = rng.integers(1, net.num_classes + 1, size=CASE_BATCH)
-        near_kink = any(np.abs(pre).min() < KINK_MARGIN
-                        for pre in relu_preactivations(net, xs))
-        near_tie = any(g.min() < POOL_MARGIN for g in pool_window_gaps(net, xs))
-        if not (near_kink or near_tie):
+        # a ReLU's and a MaxPool2D's forward cache is the layer's input
+        _, caches = net._run(xs, 0, len(net.layers), keep_caches=True)
+        for layer, x in zip(net.layers, caches):
+            if isinstance(layer, ReLU) and np.abs(x).min() < KINK_MARGIN:
+                break
+            if isinstance(layer, MaxPool2D):
+                top2 = np.sort(layer.windows(x), axis=-1)[..., -2:]
+                if (top2[..., 1] - top2[..., 0]).min() < POOL_MARGIN:
+                    break
+        else:
             return net, xs, ys
 
 

@@ -161,10 +161,10 @@ def duplicates_by_dict(train, test) -> DuplicateReport:
 def row_hashes_by_matmul(images) -> np.ndarray:
     """`datasets._row_hashes` in one piece: every row zero-padded to whole
     uint64 words, then one integer matmul with the same odd multipliers."""
-    n, items = len(images), math.prod(images.shape[1:])
-    words = max(1, -(-items * images.itemsize // 8))
+    n, width = len(images), math.prod(images.shape[1:])
+    words = max(1, -(-width // 8))
     buf = np.zeros((n, 8 * words), dtype=np.uint8)
-    buf.view(images.dtype)[:, :items] = images.reshape(n, items)
+    buf[:, :width] = images.reshape(n, width)
     multipliers = np.random.PCG64(_HASH_SEED).random_raw(words) | np.uint64(1)
     return buf.view(np.uint64) @ multipliers
 

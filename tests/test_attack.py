@@ -75,6 +75,15 @@ def test_decision_statistic_rejects_zero_denominator():
         decision_statistic(1e-3, 5e-3, 1e-3, 32)
 
 
+@pytest.mark.parametrize("eps, client, ref", [
+    (1e-3, 1e-3, np.inf), (1e-3, 1e-3, -np.inf), (1e-3, np.nan, 2e-3),
+    (1e-3, -np.inf, 2e-3), (np.nan, 1e-3, 2e-3)])
+def test_decision_statistic_rejects_a_non_finite_margin(eps, client, ref):
+    # an infinite reference step would otherwise give Delta = 0 / inf = 0
+    with pytest.raises(FloatingPointError, match="not finite"):
+        decision_statistic(eps, client, ref, 32)
+
+
 def test_decision_is_invariant_to_common_rescaling():
     # a shared learning-rate change scales both margin moves by one factor
     eps = 1e-3

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -498,9 +499,6 @@ def test_row_hashes_depend_only_on_row_bytes(monkeypatch):
     strided = raw[:, 2:].reshape(50, 3, 5, 5)
     expected = datasets._row_hashes(np.ascontiguousarray(strided))
     np.testing.assert_array_equal(datasets._row_hashes(strided), expected)
-    wide = rng.integers(0, 256, (50, 1, 1, 1), dtype=np.int64)
-    np.testing.assert_array_equal(datasets._row_hashes(wide),
-                                  datasets._row_hashes(wide.view(np.uint8).reshape(50, 8)))
     monkeypatch.setattr(datasets, "_HASH_CHUNK_BYTES", 7)
     np.testing.assert_array_equal(datasets._row_hashes(strided), expected)
     assert datasets._rows_by_bytes(np.zeros((3, 0, 1, 1), dtype=np.uint8)) == [[0, 1, 2]]
@@ -512,9 +510,12 @@ HASH_CASES = {  # 40 rows each; most widths are not a whole number of uint64 wor
                      .reshape(40, 3, 32, 32),
     "uint8-3-bytes": _rng.integers(0, 256, (40, 1, 1, 3), dtype=np.uint8),
     "uint8-75-bytes": _rng.integers(0, 256, (40, 3, 5, 5), dtype=np.uint8),
-    "uint16-18-bytes": _rng.integers(0, 2**16, (40, 1, 3, 3), dtype=np.uint16),
-    "float32-20-bytes": _rng.standard_normal((40, 1, 1, 5), dtype=np.float32),
-    "int64-16-bytes": _rng.integers(-2**63, 2**63 - 1, (40, 2), dtype=np.int64),
+    # the bytes of wider values as uint8 rows: 18 and 20 bytes end inside a
+    # word, 16 fill two words exactly
+    "uint16-18-bytes": _rng.integers(0, 2**16, (40, 1, 3, 3), dtype=np.uint16).view(np.uint8),
+    "float32-20-bytes": _rng.standard_normal((40, 1, 1, 5), dtype=np.float32).view(np.uint8),
+    "int64-16-bytes": _rng.integers(-2**63, 2**63 - 1, (40, 1, 1, 2), dtype=np.int64)
+                      .view(np.uint8),
 }
 
 
@@ -642,6 +643,25 @@ def test_synth_dataset_is_deterministic_and_labeled_in_range():
     assert a.labels.min() >= 1 and a.labels.max() <= 10
     c = synth_dataset(32, num_classes=10, seed=14)
     assert a.images.tobytes() != c.images.tobytes()
+
+
+SYNTH_DIGESTS = {  # sha256 of images then labels bytes, pinned before images were uint8 throughout
+    ((1, 1, 1), 200, 0): "4d845de41ff6780c10602d7513d193feaa28ce250eb4217d8a33eea53414370f",
+    ((1, 1, 1), 200, 1): "0fa155e564298cada77f2b847d77e0e452a70eec6984ac88a873e59485ffaf80",
+    ((1, 1, 1), 200, 2): "b9c44ea7dafd2030837c9c985c9354b4f22fd267eef57726706c54bb415e6a03",
+    ((1, 1, 1), 200, 3): "ecdee5d6b0d978d94117b01239059ef6be01bc28a6e7cb0377534eb004c31558",
+    ((1, 14, 14), 300, 0): "8cce9679b9868462630972ed1d3189724bdadc65d02c462684fea578da45ecf6",
+    ((1, 14, 14), 300, 1): "c7d4abd18ce6cbae255d6364749fc14f89203641e91a6f16aa1d9d9a59966eb9",
+}
+
+
+@pytest.mark.parametrize("image_shape, num_samples, seed", SYNTH_DIGESTS)
+def test_synth_dataset_bytes_are_pinned(image_shape, num_samples, seed):
+    """A crowded (1, 1, 1) pool runs the redraw loop; a (1, 14, 14) pool is
+    the synthetic experiments' shape."""
+    ds = synth_dataset(num_samples, image_shape=image_shape, seed=seed)
+    digest = hashlib.sha256(ds.images.tobytes() + ds.labels.tobytes()).hexdigest()
+    assert digest == SYNTH_DIGESTS[image_shape, num_samples, seed]
 
 
 def test_synth_dataset_has_no_duplicates_by_scan():

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedtrap import cli
+from fedtrap import cli, harness
 from fedtrap.cli import main as cli_main
 from fedtrap.harness import (ExperimentConfig, MetricsReport, RunRecord,
                              compute_metrics, derive_seed, emit_results,
@@ -426,9 +426,23 @@ def test_cli_paths_that_cannot_be_opened_exit_1(tmp_path, capsys, monkeypatch):
         assert cli_main(argv) == 1, kind
         err = capsys.readouterr().err
         assert err.startswith("error: ") and kind in err, err
+    # an output that cannot be written fails before the first run
+    runs = []
+    execute_run = harness.execute_run
+    monkeypatch.setattr(harness, "execute_run",
+                        lambda *args: runs.append(args[-1]) or execute_run(*args))
+    (tmp_path / "taken.csv.summary.json").mkdir()
     argv = ["experiment", "--dataset", "synthetic", "--M", "4", "--B", "8", "--runs", "2"]
-    assert cli_main([*argv, "--out", str(tmp_path)]) == 1
-    assert "Is a directory" in capsys.readouterr().err
+    for out, kind in [(tmp_path, "Is a directory"),
+                      (tmp_path / "fixture_cifar10.bin" / "results.csv", "Not a directory"),
+                      (tmp_path / "taken.csv", "Is a directory")]:
+        assert cli_main([*argv, "--out", str(out)]) == 1, kind
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and kind in err, err
+        assert runs == [], kind
+    assert not (tmp_path / "taken.csv").exists()
+    assert cli_main([*argv, "--out", str(tmp_path / "new" / "results.csv")]) == 0
+    assert runs == [0, 1]
 
     def denied(path, *args, **kwargs):
         raise PermissionError(13, "Permission denied", str(path))
@@ -457,6 +471,18 @@ def test_cli_attack_one_prints_outcome(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "member_flag=1" in out and "delta=" in out
+
+
+def test_cli_client_that_overflowed_is_a_runtime_error(capsys):
+    """Adam at lr 1e38 drives two final biases of this non-member run's reply
+    to -inf while the margin stays put; that must not read as Delta = 0."""
+    argv = ["attack-one", "--dataset", "synthetic", "--B", "8", "--J", "4", "--E", "2",
+            "--opt", "adam", "--lr", "1e38", "--seed", "5", "--non-member"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("runtime error: ") and "non-finite" in captured.err
 
 
 def test_cli_fixtures_then_dedup_finds_planted_pair(tmp_path, capsys):

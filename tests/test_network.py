@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedtrap.layers import Conv2D, Flatten, ReLU, ShapeError
+from fedtrap import verify
+from fedtrap.harness import derive_seed
+from fedtrap.layers import Conv2D, Flatten, MaxPool2D, ReLU, ShapeError
 from fedtrap.network import Network, conv_net, dense_net, small_conv_net
-from fedtrap.verify import (central_difference_gradient, relu_preactivations,
-                            run_gradient_check_suite, sample_checkable_case)
+from fedtrap.verify import central_difference_gradient, sample_checkable_case
 from oracles import forward, init_dead
 
 
@@ -25,7 +26,10 @@ def test_dead_network_hidden_activations_all_minus_one():
     net = small_conv_net(dtype=np.float64)
     init_dead(net)
     x = np.random.default_rng(0).uniform(-1, 1, size=(2, 1, 14, 14))
-    for pre in relu_preactivations(net, x):
+    _, caches = net._run(x, 0, len(net.layers), keep_caches=True)
+    relu_inputs = [c for layer, c in zip(net.layers, caches) if isinstance(layer, ReLU)]
+    assert len(relu_inputs) == 4
+    for pre in relu_inputs:
         np.testing.assert_array_equal(pre, np.full_like(pre, -1.0))
     logits = forward(net, x)
     np.testing.assert_array_equal(logits, np.full_like(logits, -1.0))
@@ -56,31 +60,46 @@ def test_forward_matches_straight_line_matrix_arithmetic():
 def test_forward_features_split_zero_returns_flattened_input():
     net = Network([], (4,), (4, 3), 2, dtype=np.float64)
     assert (net.split_index, net.feature_width) == (0, 4)
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(net.forward_features(x), x)
+    xs = np.array([[1.0, 2.0, 3.0, 4.0], [-1.0, 0.5, 0.0, 2.0]])
+    np.testing.assert_array_equal(net.forward_features(xs), xs)
 
 
 def test_forward_features_dead_conv_stage_is_zero():
     net = small_conv_net(dtype=np.float64)
     init_dead(net)
-    x = np.random.default_rng(1).uniform(-1, 1, size=(1, 14, 14))
-    np.testing.assert_array_equal(net.forward_features(x), np.zeros(32))
+    xs = np.random.default_rng(1).uniform(-1, 1, size=(3, 1, 14, 14))
+    np.testing.assert_array_equal(net.forward_features(xs), np.zeros((3, 32)))
 
 
 def test_forward_features_matches_instrumented_forward_prefix():
     net = small_conv_net(dtype=np.float64)
     net.init_random(3)
-    x = np.random.default_rng(2).uniform(-1, 1, size=(1, 14, 14))
-    h = x[None]
+    xs = np.random.default_rng(2).uniform(-1, 1, size=(2, 1, 14, 14))
+    h = xs
     for layer in net.layers[:net.split_index]:
         h, _ = layer.forward(h)
-    np.testing.assert_array_equal(net.forward_features(x), h.reshape(-1))
+    np.testing.assert_array_equal(net.forward_features(xs), h.reshape(2, -1))
 
 
 def test_forward_shape_error_names_layer():
     net = small_conv_net()
     with pytest.raises(ShapeError, match=r"input shape"):
         net.forward_features(np.zeros((2, 9, 9), dtype=np.float32))
+
+
+@pytest.mark.parametrize("build, sample_shape", [
+    (lambda: small_conv_net(dtype=np.float64), (1, 14, 14)),
+    (lambda: dense_net(4, (4, 3), 3, dtype=np.float64), (4,)),
+])
+def test_single_sample_without_batch_axis_is_rejected(build, sample_shape):
+    net = build()
+    net.init_random(6)
+    x = np.zeros(sample_shape)
+    for call in (lambda: net.forward_features(x), lambda: net.loss(x, 1),
+                 lambda: net.backward(x, 1)):
+        with pytest.raises(ShapeError, match=r"not a batch"):
+            call()
+    assert net.forward_features(x[None]).shape == (1, net.feature_width)
 
 
 def test_network_rejects_mismatched_chain():
@@ -100,8 +119,8 @@ def test_network_rejects_non_flat_extractor_at_first_head_linear():
 def test_loss_uniform_logits_is_log_num_classes():
     net = dense_net(4, (4, 3), 10, dtype=np.float64)
     init_dead(net)  # all logits -1
-    x = np.random.default_rng(0).normal(size=4)
-    assert net.loss(x, 7) == pytest.approx(math.log(10), abs=1e-12)
+    xs = np.random.default_rng(0).normal(size=(3, 4))
+    assert net.loss(xs, [7, 1, 10]) == pytest.approx(math.log(10), abs=1e-12)
 
 
 def test_loss_single_lifted_logit_closed_form():
@@ -112,7 +131,7 @@ def test_loss_single_lifted_logit_closed_form():
     for layer in (net.layers[1], net.layers[3], net.layers[5]):
         layer.bias[...] = 0.0
     net.layers[5].bias[4] = b
-    x = np.zeros(3)
+    x = np.zeros((1, 3))
     expected = -b + math.log(classes - 1 + math.exp(b))
     assert net.loss(x, 5) == pytest.approx(expected, abs=1e-12)
     assert net.loss(x, 2) == pytest.approx(math.log(classes - 1 + math.exp(b)) - 0.0,
@@ -123,21 +142,32 @@ def test_loss_shift_invariance():
     net = small_dense()
     net.init_random(5)
     rng = np.random.default_rng(8)
-    x = rng.normal(size=4)
-    base = net.loss(x, 2)
+    x = rng.normal(size=(2, 4))
+    base = net.loss(x, [2, 3])
     for c in (0.5, -3.0, 100.0):
         shifted = net.with_params(net.params)
         shifted.layers[5].bias[...] = net.layers[5].bias + c
-        assert abs(shifted.loss(x, 2) - base) < 1e-12
+        assert abs(shifted.loss(x, [2, 3]) - base) < 1e-12
 
 
 def test_loss_rejects_label_out_of_range():
     net = small_dense()
     net.init_random(0)
     with pytest.raises(ValueError, match="labels"):
-        net.loss(np.zeros(4), 4)
+        net.loss(np.zeros((1, 4)), 4)
     with pytest.raises(ValueError, match="labels"):
-        net.loss(np.zeros(4), 0)
+        net.loss(np.zeros((1, 4)), 0)
+
+
+def test_loss_and_backward_reject_label_count_mismatch():
+    net = small_dense()
+    net.init_random(0)
+    xs = np.zeros((3, 4))
+    for call in (net.loss, net.backward):
+        with pytest.raises(ValueError, match="batch and label counts differ"):
+            call(xs, [1, 2])
+        with pytest.raises(ValueError, match="batch and label counts differ"):
+            call(xs[:1], [1, 2])
 
 
 # -- backward ----------------------------------------------------------------
@@ -270,9 +300,29 @@ def test_layout_is_stable_across_processes():
 
 
 def test_gradient_check_suite_architectures_are_pinned():
-    assert [r.num_params for r in run_gradient_check_suite()] == [
+    # the suite's cases, without the central differences that check them
+    cases = [sample_checkable_case(derive_seed(0, i)) for i in range(20)]
+    assert [net.layout.total for net, _, _ in cases] == [
         91, 92, 64, 693, 377, 528, 686, 697, 86, 83,
         89, 490, 111, 704, 352, 161, 377, 740, 521, 82]
+
+
+def test_checkable_cases_clear_the_kink_and_tie_margins(monkeypatch):
+    """With margins wide enough that most draws are resampled, every returned
+    case clears them, by a forward pass and pool windows of the test's own."""
+    monkeypatch.setattr(verify, "KINK_MARGIN", 1e-2)
+    monkeypatch.setattr(verify, "POOL_MARGIN", 1e-2)
+    for seed in range(12):
+        net, h, _ = sample_checkable_case(seed)
+        for layer in net.layers:
+            if isinstance(layer, ReLU):
+                assert np.abs(h).min() >= 1e-2
+            if isinstance(layer, MaxPool2D):
+                k = layer.window
+                windows = np.stack([h[:, :, i::k, j::k] for i in range(k) for j in range(k)])
+                top2 = np.sort(windows, axis=0)[-2:]
+                assert (top2[1] - top2[0]).min() >= 1e-2
+            h, _ = layer.forward(h)
 
 
 def test_conv_net_feature_widths_match_contract():

@@ -1,8 +1,9 @@
-"""Property test of the exact-zero invariant that the backward shortcuts rely on.
+"""Property tests of the attack's two invariants.
 
 A training set that never fires the planted trap must leave every
 parameter except the final-layer biases bit-identical, for any head
-width, learning rate, optimizer and number of epochs.
+width, learning rate, optimizer and number of epochs. And a client whose
+training overflowed is never read as a decision, member or not.
 """
 
 import warnings
@@ -11,6 +12,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fedtrap.attack import run_attack
+from fedtrap.datasets import sample_run, synth_dataset
 from fedtrap.fedsim import ClientConfig, client_train
 from fedtrap.network import dense_net, small_conv_net
 from fedtrap.trap import craft_parameters
@@ -63,3 +66,32 @@ def test_non_triggering_training_changes_only_final_biases(net, opt, epochs, bat
     final_bias = net.layout.slice_of(net.head_linear_indices()[2], "bias")
     assert phi[:final_bias.start].tobytes() == theta[:final_bias.start].tobytes()
     assert phi[final_bias.stop:].tobytes() == theta[final_bias.stop:].tobytes()
+
+
+POOL = synth_dataset(96, seed=3)
+POOL_NET = small_conv_net()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(opt=st.sampled_from(["sgd", "adam"]), batches=st.integers(1, 4),
+       epochs=st.integers(1, 3), lr=st.floats(1e-3, 3e38), member=st.integers(0, 1),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_client_with_non_finite_parameters_never_yields_a_decision(opt, batches, epochs,
+                                                                     lr, member, seed):
+    """`run_attack` raises FloatingPointError or returns with a finite phi; phi
+    is recomputed here from the same inputs, since client training is
+    deterministic."""
+    assume(batches * epochs >= 2)
+    draw = sample_run(POOL, 8 * batches, member, seed)
+    xs, ys = POOL.stacked(draw.rows)
+    x_t, y_t = POOL.stacked([draw.target_id])
+    sample = (x_t[0], int(y_t[0]))
+    cfg = ClientConfig(8, batches, epochs, optimizer=opt, lr=lr, shuffle_seed=seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta, _ = craft_parameters(POOL_NET, sample, 4, 1e-3, seed)
+        phi = client_train(POOL_NET, theta, xs, ys, cfg)
+        try:
+            run_attack(POOL_NET, xs, ys, sample, 4, 1e-3, cfg, 0.1, seed)
+        except FloatingPointError:
+            return
+    assert np.isfinite(phi).all()

@@ -130,7 +130,7 @@ def test_crafted_non_triggering_input_gives_flat_logits():
     work = net.with_params(theta)
     rng = np.random.default_rng(3)
     x_other = rng.uniform(-1, 1, size=(1, 14, 14)).astype(np.float32)
-    a = work.forward_features(x_other)[list(spec.component_indices)]
+    a = work.forward_features(x_other[None])[0, list(spec.component_indices)]
     assert np.abs(a - np.array(spec.etas)).sum() > spec.epsilon
     logits = forward(work, x_other)
     np.testing.assert_array_equal(logits, np.full(10, -1.0, dtype=np.float32))
@@ -254,7 +254,7 @@ def test_self_trigger_indicator_is_one():
     for seed in range(10):
         net, x_t, theta, spec = craft_on_small_net(seed=seed)
         work = net.with_params(theta)
-        a = work.forward_features(x_t)[list(spec.component_indices)]
+        a = work.forward_features(x_t[None])[0, list(spec.component_indices)]
         assert np.abs(a - np.array(spec.etas, dtype=np.float32)).sum() <= spec.epsilon
         assert trap_eps_grad_oracle(a.astype(np.float64), spec.etas, spec.epsilon) == 1
 
