@@ -38,19 +38,16 @@ class DegenerateTrapError(RuntimeError):
 
 
 def reference_eps(net: Network, theta: np.ndarray, sample: tuple[np.ndarray, int],
-                  cfg: ClientConfig, eps_index: int) -> float:
+                  cfg: ClientConfig) -> float:
     """Margin component after one optimizer step on the single target sample.
 
     Uses the client's optimizer and learning rate at batch size 1.
     """
-    if not 0 <= eps_index < net.layout.total:
-        raise ValueError(f"margin index {eps_index} outside layout "
-                         f"0..{net.layout.total - 1}")
     x_t, y_t = sample
     single = replace(cfg, batch_size=1, num_batches=1, epochs=1)
     phi = client_train(net, theta, np.asarray(x_t, dtype=net.dtype)[None],
                        np.asarray([y_t]), single)
-    return float(phi[eps_index])
+    return float(phi[epsilon_flat_index(net)])
 
 
 def decision_statistic(eps_initial: float, eps_client: float,
@@ -94,7 +91,7 @@ def run_attack(net: Network, xs: np.ndarray, ys: np.ndarray,
     if not np.isfinite(phi).all():
         raise FloatingPointError("the client's reply has non-finite parameters")
     eps_client = float(phi[eps_index])
-    eps_ref = reference_eps(net, theta, sample, client_cfg, eps_index)
+    eps_ref = reference_eps(net, theta, sample, client_cfg)
     delta = decision_statistic(eps_initial, eps_client, eps_ref,
                                client_cfg.batch_size)
     outcome = AttackOutcome(delta=delta, decision=decide(delta, threshold),

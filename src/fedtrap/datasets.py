@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -235,12 +236,7 @@ class DuplicateReport:
     cross_images: int                                  # distinct shared contents
 
     def within_train_pairs(self) -> list[tuple[int, int]]:
-        pairs = []
-        for group in self.within_train:
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    pairs.append((group[i], group[j]))
-        return pairs
+        return [pair for group in self.within_train for pair in combinations(group, 2)]
 
 
 _HASH_CHUNK_BYTES = 1 << 19   # bytes hashed per einsum: a chunk stays in L2 from copy to hash
@@ -387,11 +383,9 @@ def write_cifar_fixture(path, images: np.ndarray, fine_labels: np.ndarray,
     With coarse labels the cifar100 layout is produced, otherwise cifar10.
     """
     images = np.asarray(images, dtype=np.uint8)
-    fine = np.asarray(fine_labels, dtype=np.uint8)
-    n = len(images)
-    with open(path, "wb") as fh:
-        for i in range(n):
-            if coarse_labels is not None:
-                fh.write(bytes([int(coarse_labels[i])]))
-            fh.write(bytes([int(fine[i])]))
-            fh.write(images[i].tobytes())
+    labels = [fine_labels] if coarse_labels is None else [coarse_labels, fine_labels]
+    records = np.empty((len(images), len(labels) + 3072), dtype=np.uint8)
+    for column, values in enumerate(labels):
+        records[:, column] = np.asarray(values, dtype=np.uint8)
+    records[:, len(labels):] = images.reshape(len(images), 3072)
+    records.tofile(path)

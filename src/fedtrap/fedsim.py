@@ -82,11 +82,7 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
                          f"({cfg.batch_size}*{cfg.num_batches})")
     if len(ys) != n:
         raise ValueError("image/label counts differ")
-    theta = np.asarray(theta, dtype=net.dtype)
-    if theta.shape != (net.layout.total,):
-        raise ValueError(f"parameter vector length {theta.shape} != "
-                         f"architecture layout ({net.layout.total},)")
-    work = net.with_params(theta)
+    work = net.with_params(np.asarray(theta, dtype=net.dtype))
     params = work.params
     adam = cfg.optimizer == "adam"
     if adam:

@@ -271,7 +271,7 @@ def check_outputs_writable(path) -> None:
             target.unlink()
 
 
-def emit_results(records: list[RunRecord], report: MetricsReport | None,
+def emit_results(records: list[RunRecord], report: MetricsReport,
                  cfg: ExperimentConfig, path) -> None:
     """Write the per-run CSV plus a JSON summary footer next to it.
 
@@ -287,9 +287,7 @@ def emit_results(records: list[RunRecord], report: MetricsReport | None,
                              cfg.num_batches, cfg.epochs, cfg.batch_size,
                              repr(cfg.epsilon), repr(cfg.threshold), r.seed,
                              r.member_flag, repr(r.delta), r.decision])
-    summary = {"config": cfg.echo()}
-    if report is not None:
-        summary["metrics"] = asdict(report)
+    summary = {"config": cfg.echo(), "metrics": asdict(report)}
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2)
 

@@ -164,12 +164,8 @@ class Network:
     def _run(self, h: np.ndarray, start: int, stop: int, keep_caches: bool):
         """Run layers start..stop-1 on h; caches[k] belongs to layer start+k."""
         caches = [] if keep_caches else None
-        for i in range(start, stop):
-            layer = self.layers[i]
-            try:
-                h, cache = layer.forward(h)
-            except ShapeError as err:
-                raise ShapeError(f"layer {i} ({layer.kind}): {err}") from None
+        for layer in self.layers[start:stop]:
+            h, cache = layer.forward(h)
             if keep_caches:
                 caches.append(cache)
         return h, caches
@@ -200,7 +196,8 @@ class Network:
         """Flat gradient of the mean cross-entropy over the batch.
 
         `features`, if given, must be bit for bit `forward_features(x)` under
-        the current parameters. The head then starts from them, and the
+        the current parameters, so of shape (n, feature_width); any other
+        shape raises ShapeError. The head then starts from them, and the
         feature extractor runs only if the head sends a nonzero cotangent to
         the split.
         """
@@ -212,8 +209,9 @@ class Network:
         extractor_caches = None
         if features is None:
             features, extractor_caches = self._run(xs, 0, s, keep_caches=True)
-        elif len(features) != len(xs):
-            raise ValueError("batch and feature counts differ")
+        elif features.shape != (len(xs), self.feature_width):
+            raise ShapeError(f"features of shape {features.shape} are not "
+                             f"({len(xs)}, {self.feature_width})")
         logits, head_caches = self._run(features, s, len(self.layers), keep_caches=True)
         dlogits = _softmax(logits)
         dlogits[np.arange(len(ys)), ys - 1] -= 1.0

@@ -143,7 +143,7 @@ def test_criterion_3_gradient_zeroing_under_training():
         probe = net.with_params(theta)
         etas32 = np.array(spec.etas, dtype=np.float32)
         ref_cfg = ClientConfig(1, 1, 1, optimizer="sgd")
-        eps_ref = reference_eps(net, theta, (x_t, 5), ref_cfg, eps_idx)
+        eps_ref = reference_eps(net, theta, (x_t, 5), ref_cfg)
 
         batches = 0
         while batches < 100:

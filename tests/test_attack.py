@@ -23,8 +23,7 @@ def crafted_setup(seed=7, label=3, M=4, eps=1e-3, dtype=np.float32):
 def test_reference_eps_sgd_increases_margin():
     net, x_t, y_t, theta, spec = crafted_setup()
     cfg = ClientConfig(32, 1, 1, optimizer="sgd", lr=1e-2)
-    idx = epsilon_flat_index(net)
-    ref = reference_eps(net, theta, (x_t, y_t), cfg, idx)
+    ref = reference_eps(net, theta, (x_t, y_t), cfg)
     # the target self-triggers and the descent direction raises the margin:
     # step = -lr * (softmax_target - 1) ~= +lr * 0.9 for 10 classes
     assert ref > spec.epsilon
@@ -34,8 +33,7 @@ def test_reference_eps_sgd_increases_margin():
 def test_reference_eps_adam_moves_by_about_lr():
     net, x_t, y_t, theta, spec = crafted_setup()
     cfg = ClientConfig(32, 1, 1, optimizer="adam", lr=1e-3)
-    idx = epsilon_flat_index(net)
-    ref = reference_eps(net, theta, (x_t, y_t), cfg, idx)
+    ref = reference_eps(net, theta, (x_t, y_t), cfg)
     assert abs(ref - spec.epsilon) == pytest.approx(1e-3, rel=1e-3)
     assert ref > spec.epsilon
 
@@ -46,14 +44,7 @@ def test_reference_eps_non_triggering_sample_is_exact_fixed_point():
     other = np.random.default_rng(1).uniform(-1, 1, size=(1, 14, 14)).astype(np.float32)
     for opt in ("sgd", "adam"):
         cfg = ClientConfig(32, 1, 1, optimizer=opt)
-        assert reference_eps(net, theta, (other, y_t), cfg, idx) == theta[idx]
-
-
-def test_reference_eps_rejects_bad_index():
-    net, x_t, y_t, theta, _ = crafted_setup()
-    cfg = ClientConfig(32, 1, 1)
-    with pytest.raises(ValueError, match="index"):
-        reference_eps(net, theta, (x_t, y_t), cfg, net.layout.total + 5)
+        assert reference_eps(net, theta, (other, y_t), cfg) == theta[idx]
 
 
 # -- decision statistic -----------------------------------------------------------

@@ -165,15 +165,21 @@ def test_cifar_wrong_variant_length_error(tmp_path):
 
 
 def test_cifar_writer_round_trips_bytes(tmp_path):
+    """The writer's one buffer holds the per-record layout, in both forms."""
     rng = np.random.default_rng(5)
-    imgs = rng.integers(0, 256, size=(2, 3, 32, 32), dtype=np.uint8)
+    imgs = rng.integers(0, 256, size=(3, 3, 32, 32), dtype=np.uint8)
+    fine, coarse = [9, 2, 99], [4, 0, 19]
     ref = hand_written_cifar(tmp_path, "ref.bin", [
-        ((4, 9), imgs[0].reshape(-1)), ((0, 2), imgs[1].reshape(-1))])
+        ((c, f), img.reshape(-1)) for c, f, img in zip(coarse, fine, imgs)])
     out = tmp_path / "out.bin"
-    write_cifar_fixture(out, imgs, fine_labels=[9, 2], coarse_labels=[4, 0])
+    write_cifar_fixture(out, imgs, fine_labels=fine, coarse_labels=np.array(coarse))
     assert out.read_bytes() == ref.read_bytes()
+    ref10 = hand_written_cifar(tmp_path, "ref10.bin", [
+        ((f,), img.reshape(-1)) for f, img in zip(fine, imgs)])
+    write_cifar_fixture(tmp_path / "out10.bin", imgs, fine_labels=np.array(fine))
+    assert (tmp_path / "out10.bin").read_bytes() == ref10.read_bytes()
     reparsed = load_cifar(out, "cifar100-fine")
-    assert reparsed.labels.tolist() == [10, 3]
+    assert reparsed.labels.tolist() == [10, 3, 100]
 
 
 @pytest.mark.parametrize("variant, head, byte", [("cifar10", (10,), 10),
@@ -489,6 +495,8 @@ def test_planted_copies_are_each_reported():
     train, test = planted_pair((3, 5, 5), seed=37)
     report = find_exact_duplicates(train, test)
     assert report.within_train == ((0, 3, 7, 39), (2, 5))
+    assert report.within_train_pairs() == [(0, 3), (0, 7), (0, 39), (3, 7), (3, 39),
+                                           (7, 39), (2, 5)]
     assert report.cross_split == ((2, 1), (5, 1), (9, 4), (9, 11))
     assert report.cross_images == 2  # the test-only pair (2, 6) is not reported
 

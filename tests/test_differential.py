@@ -11,9 +11,15 @@ in place. The two must agree on every bit of phi, including the sign of
 every zero.
 """
 
+import ctypes
 import itertools
+import json
+import os
+import subprocess
 import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,3 +354,71 @@ def test_full_scale_runs_match_the_window_gather(tmp_path, monkeypatch):
             assert [r.decision for r in runs] == [r.member_flag for r in runs] == [1, 0]
         monkeypatch.undo()
         assert outcomes["probed"] == outcomes["window"], dataset
+
+
+KERNEL_PROBE = textwrap.dedent("""
+    import ctypes, json
+    import numpy as np
+    from fedtrap.attack import run_attack
+    from fedtrap.datasets import sample_run, synth_dataset
+    from fedtrap.fedsim import ClientConfig, client_train
+    from fedtrap.network import conv_net
+    from fedtrap.trap import craft_parameters
+
+    corename = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    net = conv_net((1, 28, 28), 10)
+    final_bias = net.layout.slice_of(net.head_linear_indices()[2], "bias")
+    pool = synth_dataset(96, 10, (1, 28, 28), seed=21)
+    cfg = ClientConfig(8, 4, 2, optimizer="adam", shuffle_seed=21)
+    runs = []
+    for member in (1, 0):
+        draw = sample_run(pool, cfg.num_samples, member, seed=21)
+        xs, ys = pool.stacked(draw.rows)
+        x_t, y_t = pool.stacked([draw.target_id])
+        sample = (x_t[0], int(y_t[0]))
+        theta, _ = craft_parameters(net, sample, 4, 1e-3, seed=21)
+        phi = client_train(net, theta, xs, ys, cfg)
+        outcome, _ = run_attack(net, xs, ys, sample, 4, 1e-3, cfg, 0.1, seed=21)
+        untouched = np.delete(phi, final_bias).tobytes() == np.delete(theta, final_bias).tobytes()
+        runs.append({"decision": outcome.decision, "delta": outcome.delta.hex(),
+                     "untouched": untouched})
+    print(json.dumps({"core": corename().decode(), "member": runs[0], "non_member": runs[1]}))
+""")
+
+
+def test_exact_zero_and_decisions_hold_on_another_openblas_kernel():
+    """A J=4, E=2 Adam member and non-member run at the MNIST shape, once under
+    the host's default OpenBLAS kernel and once under Haswell's, each in its
+    own process: OPENBLAS_CORETYPE is read when the library loads.
+
+    The kernels may round the features, and so a member's Delta,
+    differently; the non-member's exact zero and both decisions must not
+    depend on it.
+    """
+    if not hasattr(ctypes.CDLL(np.linalg._umath_linalg.__file__),
+                   "scipy_openblas_get_corename64_"):
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
+    children = {kernel: subprocess.Popen(
+        [sys.executable, "-c", KERNEL_PROBE], stdout=subprocess.PIPE, text=True,
+        env={**env, "OPENBLAS_CORETYPE": kernel} if kernel else env)
+        for kernel in ("", "Haswell")}
+    results = {}
+    for kernel, child in children.items():
+        out, _ = child.communicate(timeout=120)
+        assert child.returncode == 0, kernel
+        results[kernel] = json.loads(out)
+    if results["Haswell"]["core"] != "Haswell":
+        pytest.skip(f"OpenBLAS runs {results['Haswell']['core']} when asked for Haswell")
+    for result in results.values():
+        assert result["non_member"]["untouched"], result["core"]
+        assert result["non_member"]["delta"] == (0.0).hex(), result["core"]
+    default, haswell = results[""], results["Haswell"]
+    assert [(r["member"]["decision"], r["non_member"]["decision"])
+            for r in (default, haswell)] == [(1, 0), (1, 0)]
+    same = default["member"]["delta"] == haswell["member"]["delta"]
+    print(f"member Delta under {default['core']} {default['member']['delta']}, under "
+          f"Haswell {haswell['member']['delta']}: {'same' if same else 'different'} bytes")

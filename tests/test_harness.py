@@ -330,14 +330,6 @@ def test_emit_results_round_trip(tmp_path):
     assert summary["config"]["lr_source"] == "assumed default"
 
 
-def test_emit_results_empty_records(tmp_path):
-    out = tmp_path / "empty.csv"
-    emit_results([], None, tiny_cfg(), out)
-    assert out.read_text().splitlines() == [",".join(
-        ("run_id", "dataset", "optimizer", "M", "J", "E", "B",
-         "epsilon", "xi", "seed", "t", "delta", "t_hat"))]
-
-
 # -- CLI ---------------------------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from fedtrap import verify
 from fedtrap.harness import derive_seed
-from fedtrap.layers import Conv2D, Flatten, MaxPool2D, ReLU, ShapeError
+from fedtrap.layers import Conv2D, Flatten, Linear, MaxPool2D, ReLU, ShapeError
 from fedtrap.network import Network, conv_net, dense_net, small_conv_net
 from fedtrap.verify import central_difference_gradient, sample_checkable_case
 from oracles import forward, init_dead
@@ -206,6 +206,22 @@ def test_backward_rejects_empty_batch():
     net.init_random(0)
     with pytest.raises(ValueError, match="empty"):
         net.backward(np.zeros((0, 4)), np.zeros(0, dtype=int))
+
+
+@pytest.mark.parametrize("shape", [(3, 33), (3, 31), (4, 32), (2, 32), (3, 1, 32), (96,)],
+                         ids=["wide", "narrow", "more", "fewer", "3d", "flat"])
+def test_backward_rejects_features_of_the_wrong_shape_before_any_layer_runs(
+        monkeypatch, shape):
+    net = small_conv_net(dtype=np.float64)
+    net.init_random(2)
+    xs = np.zeros((3, 1, 14, 14))
+
+    def no_layer(self, x):
+        raise AssertionError(f"{self.kind} ran")
+    for cls in (Conv2D, Flatten, Linear, MaxPool2D, ReLU):
+        monkeypatch.setattr(cls, "forward", no_layer)
+    with pytest.raises(ShapeError, match=r"features of shape .* are not \(3, 32\)"):
+        net.backward(xs, [1, 2, 3], features=np.zeros(shape))
 
 
 @pytest.mark.parametrize("case_seed", range(5))

@@ -3,10 +3,15 @@
 A training set that never fires the planted trap must leave every
 parameter except the final-layer biases bit-identical, for any head
 width, learning rate, optimizer and number of epochs. And a client whose
-training overflowed is never read as a decision, member or not.
+training overflowed is never read as a decision, member or not. A
+falsifying example of either is reported like any other failure.
 """
 
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -95,3 +100,37 @@ def test_a_client_with_non_finite_parameters_never_yields_a_decision(opt, batche
         except FloatingPointError:
             return
     assert np.isfinite(phi).all()
+
+
+def test_a_failing_property_is_reported_next_to_the_others(tmp_path):
+    """Under this project's warning filters, a failing `@given` test is one
+    failure in the summary, not an INTERNALERROR that ends the session, and a
+    DeprecationWarning from anywhere else still fails its test."""
+    (tmp_path / "test_pair.py").write_text(textwrap.dedent("""
+        import warnings
+        from hypothesis import given, settings, strategies as st
+
+        @settings(derandomize=True, database=None, max_examples=5)
+        @given(st.integers(0, 10))
+        def test_fails(n):
+            assert n < 0
+
+        @settings(derandomize=True, database=None, max_examples=5)
+        @given(st.integers(0, 10))
+        def test_passes(n):
+            assert n >= 0
+
+        def test_deprecation_is_an_error():
+            warnings.warn("deprecated here", DeprecationWarning)
+        """))
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-rA", "test_pair.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    for outcome in ("FAILED test_pair.py::test_fails", "PASSED test_pair.py::test_passes",
+                    "FAILED test_pair.py::test_deprecation_is_an_error"):
+        assert outcome in proc.stdout, proc.stdout
+    assert "2 failed, 1 passed" in proc.stdout
