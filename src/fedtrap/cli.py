@@ -25,7 +25,7 @@ from .verify import run_gradient_check_suite
 
 class _Parser(argparse.ArgumentParser):
     """Reads every dash-digit token as a value: argparse before Python 3.13
-    takes `-1e-5` for a flag, so `--step -1e-5` never reached its range check."""
+    takes `-1e-3` for a flag, so `--lr -1e-3` never reached its range check."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -109,11 +109,9 @@ def cmd_dedup(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.networks < 1:
         raise ValueError("--networks must be >= 1")
-    if not 0 < args.step < np.inf:
-        raise ValueError(f"--step must be finite and positive, got {args.step!r}")
     if args.seed < 0:
         raise ValueError("seed must be >= 0")
-    results = run_gradient_check_suite(args.networks, seed=args.seed, step=args.step)
+    results = run_gradient_check_suite(args.networks, seed=args.seed)
     ok = True
     for i, r in enumerate(results):
         status = "ok" if r.passed else "FAIL"
@@ -190,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     p.add_argument("--networks", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=1e-5)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("fixtures", help="write tiny parser fixtures")

@@ -362,11 +362,19 @@ def synth_dataset(num_samples: int, num_classes: int = 10,
 # -- fixture writers (tiny files in the real binary formats) -------------------
 
 
+def _checked_bytes(values, what: str) -> np.ndarray:
+    """`values` as uint8; ValueError unless each is an integer in 0..255."""
+    values = np.asarray(values)
+    if values.size and values.dtype != np.uint8 and not (
+            values.dtype.kind in "iu" and 0 <= values.min() and values.max() <= 255):
+        raise ValueError(f"fixture {what} must be integers in 0..255")
+    return values.astype(np.uint8, copy=False)
+
+
 def write_mnist_fixture(images_path, labels_path, images: np.ndarray,
                         labels: np.ndarray) -> None:
     """Write a valid IDX pair from uint8 images (N, rows, cols) and raw labels 0..9."""
-    images = np.asarray(images, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
+    images, labels = _checked_bytes(images, "pixels"), _checked_bytes(labels, "labels")
     n, rows, cols = images.shape
     with open(images_path, "wb") as fh:
         fh.write(struct.pack(">IIII", MNIST_IMAGE_MAGIC, n, rows, cols))
@@ -382,10 +390,10 @@ def write_cifar_fixture(path, images: np.ndarray, fine_labels: np.ndarray,
 
     With coarse labels the cifar100 layout is produced, otherwise cifar10.
     """
-    images = np.asarray(images, dtype=np.uint8)
+    images = _checked_bytes(images, "pixels")
     labels = [fine_labels] if coarse_labels is None else [coarse_labels, fine_labels]
     records = np.empty((len(images), len(labels) + 3072), dtype=np.uint8)
     for column, values in enumerate(labels):
-        records[:, column] = np.asarray(values, dtype=np.uint8)
+        records[:, column] = _checked_bytes(values, "labels")
     records[:, len(labels):] = images.reshape(len(images), 3072)
     records.tofile(path)

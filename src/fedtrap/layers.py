@@ -7,7 +7,9 @@ Every layer exposes the same surface: the shapes of its parameters
 parameter array: the `Network` it belongs to allocates the flat vector
 and binds each `weight` and `bias` to a view of its slice. Conv2D and
 Linear share `init_random` / `init_dead`, which write through those
-views.
+views. A forward does not check its input's shape: the `Network` checks
+the layer chain through `out_shape` when it is built, and every batch
+when it comes in.
 
 Convention: ReLU's derivative at exactly 0 is 0 (strict `x > 0` mask).
 Max pooling picks the first (lowest-index) maximal position of each
@@ -39,6 +41,7 @@ broadcast add, without its oc-long innermost loop.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -101,10 +104,7 @@ class Conv2D(_WeightBias):
     def forward(self, x: np.ndarray):
         n = x.shape[0]
         oc, oh, ow = self.out_shape(x.shape[1:])
-        key = (x.shape, x.dtype, self.weight.shape, self.weight.dtype)
-        packed = _PACKED_GATHER.get(key)
-        if packed is None:
-            packed = _PACKED_GATHER[key] = _packed_gather_matches(*key)
+        packed = _packed_gather_matches(x.shape, x.dtype, self.weight.shape, self.weight.dtype)
         gather = _packed_windows if packed else _windows
         cols = gather(x, self.kernel_size)
         out = cols @ self.weight.reshape(oc, -1).T                 # C-ordered (n, L, oc)
@@ -146,17 +146,10 @@ def _windows(x: np.ndarray, k: int) -> np.ndarray:
     One `take` of each sample's flat pixels through `_window_index`.
     """
     n, c, h, w = x.shape
-    key = (c, h, w, k)
-    index = _WINDOW_INDEX.get(key)
-    if index is None:
-        index = _WINDOW_INDEX[key] = _window_index(*key)
-    return np.take(x.reshape(n, -1), index, axis=1)
+    return np.take(x.reshape(n, -1), _window_index(c, h, w, k), axis=1)
 
 
-# (c, h, w, k) -> the (L, K) table of flat pixel offsets `_windows` gathers
-_WINDOW_INDEX: dict[tuple[int, int, int, int], np.ndarray] = {}
-
-
+@functools.cache
 def _window_index(c: int, h: int, w: int, k: int) -> np.ndarray:
     """Entry (l, q) is the offset in a C-ordered (c, h, w) sample of the pixel
     that window l = (i, j) reads at q = (channel, row, column)."""
@@ -164,7 +157,9 @@ def _window_index(c: int, h: int, w: int, k: int) -> np.ndarray:
     corners = np.arange(oh)[:, None] * w + np.arange(ow)                  # (oh, ow)
     taps = (np.arange(c)[:, None, None] * (h * w)
             + np.arange(k)[:, None] * w + np.arange(k))                   # (c, k, k)
-    return corners.reshape(-1, 1) + taps.reshape(1, -1)
+    index = corners.reshape(-1, 1) + taps.reshape(1, -1)
+    index.flags.writeable = False  # the cache hands this one array to every caller
+    return index
 
 
 def _packed_windows(x: np.ndarray, k: int) -> np.ndarray:
@@ -175,11 +170,7 @@ def _packed_windows(x: np.ndarray, k: int) -> np.ndarray:
     return win.reshape(n, c * k * k, -1).transpose(0, 2, 1)
 
 
-# (input shape, input dtype, weight shape, weight dtype) -> whether the
-# packed gather gives the GEMM bytes of the window-major one
-_PACKED_GATHER: dict[tuple, bool] = {}
-
-
+@functools.cache
 def _packed_gather_matches(x_shape: tuple[int, ...], x_dtype: np.dtype,
                            w_shape: tuple[int, ...], w_dtype: np.dtype) -> bool:
     """Whether `_packed_windows(x) @ W.T` has the bytes of `_windows(x) @ W.T`.
@@ -216,7 +207,6 @@ class MaxPool2D:
         return (c, h // self.window, w // self.window)
 
     def forward(self, x: np.ndarray):
-        self.out_shape(x.shape[1:])
         k = self.window
         views = [x[:, :, i::k, j::k] for i in range(k) for j in range(k)]
         out = views[-1].copy()
@@ -289,8 +279,6 @@ class Linear(_WeightBias):
         return (self.out_dim,)
 
     def forward(self, x: np.ndarray):
-        if x.shape[1] != self.in_dim:
-            raise ShapeError(f"linear expects {self.in_dim} features, got {x.shape[1]}")
         return x @ self.weight.T + self.bias, x
 
     def backward(self, dout: np.ndarray, cache):

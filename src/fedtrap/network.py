@@ -75,8 +75,6 @@ class ParameterLayout:
 
     def index_of(self, layer_index: int, name: str, *coords: int) -> int:
         e = self.entry(layer_index, name)
-        if len(coords) != len(e.shape):
-            raise ValueError(f"expected {len(e.shape)} coordinates for shape {e.shape}")
         return e.offset + int(np.ravel_multi_index(coords, e.shape))
 
 
@@ -157,8 +155,9 @@ class Network:
 
     def _as_batch(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.dtype)
-        if x.shape[1:] != self.input_shape:
-            raise ShapeError(f"input shape {x.shape} is not a batch (n, *{self.input_shape})")
+        if x.shape[1:] != self.input_shape or not len(x):
+            raise ShapeError(f"input shape {x.shape} is not a batch (n, *{self.input_shape}) "
+                             f"or is empty")
         return x
 
     def _run(self, h: np.ndarray, start: int, stop: int, keep_caches: bool):
@@ -181,7 +180,7 @@ class Network:
         ys = np.asarray(ys, dtype=np.int64).reshape(-1)
         if len(ys) != batch:
             raise ValueError("batch and label counts differ")
-        if ys.size and (ys.min() < 1 or ys.max() > self.num_classes):
+        if ys.min() < 1 or ys.max() > self.num_classes:
             raise ValueError(f"labels must lie in 1..{self.num_classes}")
         return ys
 
@@ -203,8 +202,6 @@ class Network:
         """
         xs = self._as_batch(x)
         ys = self._check_labels(y, len(xs))
-        if len(ys) == 0:
-            raise ValueError("empty batch")
         s = self.split_index
         extractor_caches = None
         if features is None:

@@ -23,22 +23,22 @@ KINK_MARGIN = 1e-6   # least |ReLU input| of a checkable case
 POOL_MARGIN = 1e-4   # least gap between a pool window's two largest inputs
 RTOL = 1e-4
 ATOL = 1e-8
+STEP = 1e-5          # central-difference step h
 
 
-def central_difference_gradient(net: Network, xs: np.ndarray, ys: np.ndarray,
-                                step: float = 1e-5) -> np.ndarray:
+def central_difference_gradient(net: Network, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Elementwise (loss(p+h) - loss(p-h)) / 2h over the flat parameter vector."""
     base = net.params.astype(np.float64)
     probe = net.with_params(base)
     xs64 = np.asarray(xs, dtype=np.float64)
     grad = np.empty(base.size, dtype=np.float64)
     for i in range(base.size):
-        probe.params[i] = base[i] + step
+        probe.params[i] = base[i] + STEP
         up = probe.loss(xs64, ys)
-        probe.params[i] = base[i] - step
+        probe.params[i] = base[i] - STEP
         down = probe.loss(xs64, ys)
         probe.params[i] = base[i]
-        grad[i] = (up - down) / (2.0 * step)
+        grad[i] = (up - down) / (2.0 * STEP)
     return grad
 
 
@@ -92,8 +92,7 @@ def sample_checkable_case(seed: int):
             return net, xs, ys
 
 
-def gradient_check(net: Network, xs: np.ndarray, ys: np.ndarray,
-                   step: float = 1e-5) -> GradCheckResult:
+def gradient_check(net: Network, xs: np.ndarray, ys: np.ndarray) -> GradCheckResult:
     """Compare reverse-mode against central differences, elementwise.
 
     Components are held to |analytic - numeric| <= max(RTOL*scale, ATOL);
@@ -101,7 +100,7 @@ def gradient_check(net: Network, xs: np.ndarray, ys: np.ndarray,
     difference quotient on near-zero gradients.
     """
     analytic = net.backward(xs, ys).astype(np.float64)
-    numeric = central_difference_gradient(net, xs, ys, step)
+    numeric = central_difference_gradient(net, xs, ys)
     diff = np.abs(analytic - numeric)
     scale = np.maximum(np.abs(analytic), np.abs(numeric))
     rel = diff / np.maximum(scale, ATOL / RTOL)
@@ -110,10 +109,9 @@ def gradient_check(net: Network, xs: np.ndarray, ys: np.ndarray,
                            passed=worst < RTOL)
 
 
-def run_gradient_check_suite(num_networks: int = 20, seed: int = 0,
-                             step: float = 1e-5) -> list[GradCheckResult]:
+def run_gradient_check_suite(num_networks: int = 20, seed: int = 0) -> list[GradCheckResult]:
     results = []
     for i in range(num_networks):
         net, xs, ys = sample_checkable_case(derive_seed(seed, i))
-        results.append(gradient_check(net, xs, ys, step=step))
+        results.append(gradient_check(net, xs, ys))
     return results

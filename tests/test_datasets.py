@@ -1,4 +1,5 @@
 import hashlib
+import math
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -180,6 +181,40 @@ def test_cifar_writer_round_trips_bytes(tmp_path):
     assert (tmp_path / "out10.bin").read_bytes() == ref10.read_bytes()
     reparsed = load_cifar(out, "cifar100-fine")
     assert reparsed.labels.tolist() == [10, 3, 100]
+
+
+@pytest.mark.parametrize("bad", [256, -1, 2.5])
+@pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+@pytest.mark.parametrize("field", ["mnist-labels", "mnist-pixels", "cifar-fine",
+                                   "cifar-coarse", "cifar-pixels"])
+def test_fixture_writers_refuse_values_a_byte_cannot_hold(tmp_path, field, as_list, bad):
+    """Before opening any file, whether the values come as an array or a list."""
+    def values(shape):
+        flat = np.full(math.prod(shape), 9, dtype=object)
+        flat[-1] = bad
+        return flat.reshape(shape).tolist() if as_list else np.array(flat.tolist())
+
+    fmt, column = field.split("-")
+    shape = (2, 28, 28) if fmt == "mnist" else (2, 3, 32, 32)
+    columns = {"pixels": np.zeros(shape, dtype=np.uint8), "labels": [3, 7],
+               "fine": [3, 7], "coarse": [1, 2]}
+    columns[column] = values(shape if column == "pixels" else (2,))
+    with pytest.raises(ValueError, match=r"must be integers in 0\.\.255"):
+        if fmt == "mnist":
+            write_mnist_fixture(tmp_path / "i", tmp_path / "l", columns["pixels"],
+                                columns["labels"])
+        else:
+            write_cifar_fixture(tmp_path / "c.bin", columns["pixels"], columns["fine"],
+                                columns["coarse"])
+    assert not list(tmp_path.iterdir())
+
+
+def test_fixture_writers_accept_empty_label_lists(tmp_path):
+    """An empty list holds no value a byte cannot hold, though numpy reads it as float."""
+    write_mnist_fixture(tmp_path / "i", tmp_path / "l", np.zeros((0, 28, 28), np.uint8), [])
+    assert (tmp_path / "l").read_bytes() == struct.pack(">II", 0x00000801, 0)
+    write_cifar_fixture(tmp_path / "c.bin", np.zeros((0, 3, 32, 32), np.uint8), [], [])
+    assert (tmp_path / "c.bin").read_bytes() == b""
 
 
 @pytest.mark.parametrize("variant, head, byte", [("cifar10", (10,), 10),

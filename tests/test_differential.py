@@ -23,12 +23,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, note, settings
+from hypothesis import strategies as st
 
 from fedtrap import layers
 from fedtrap.datasets import write_cifar_fixture, write_mnist_fixture
 from fedtrap.fedsim import ClientConfig, client_train
 from fedtrap.harness import ExperimentConfig, build_network, build_source, execute_run
-from fedtrap.layers import Conv2D
+from fedtrap.layers import Conv2D, Flatten, MaxPool2D, ReLU
 from fedtrap.network import Network, conv_net, dense_net, small_conv_net
 from fedtrap.optim import adam_step, sgd_step
 from fedtrap.trap import craft_parameters
@@ -231,6 +233,69 @@ def test_mid_run_firing_is_bit_identical_to_reference(opt, epochs, twin_batch):
     assert phi[net.extractor_params].tobytes() != theta[net.extractor_params].tobytes()
 
 
+@st.composite
+def random_trap_cases(draw):
+    """(net, theta, xs, ys, cfg): an extractor drawn like verify._random_small_net's
+    conv cases, widened to one or two conv blocks (each optionally 2x2-pooled),
+    1-3 input channels and float32 or float64, with a trap planted as a member,
+    as a non-member, or with a near-twin of the target at a random position."""
+    channels = [draw(st.integers(1, 3)) for _ in range(draw(st.integers(2, 3)))]
+    blocks = [(draw(st.integers(1, 3)), draw(st.booleans())) for _ in channels[1:]]
+    # the input side that leaves a feature map of h x w, walking the blocks backwards
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    in_h, in_w = h, w
+    for k, pool in reversed(blocks):
+        in_h, in_w = in_h * (1 + pool) + k - 1, in_w * (1 + pool) + k - 1
+    input_shape, extractor = (channels[0], in_h, in_w), []
+    for c_in, c_out, (k, pool) in zip(channels, channels[1:], blocks):
+        extractor += [Conv2D(c_in, c_out, k), ReLU(), *([MaxPool2D(2)] if pool else [])]
+    num_values = draw(st.integers(1, min(3, channels[-1] * h * w)))
+    hidden = (2 * num_values + draw(st.integers(0, 4)), draw(st.integers(2, 6)))
+    classes = draw(st.integers(2, 6))
+    net = Network([*extractor, Flatten()], input_shape, hidden, classes,
+                  draw(st.sampled_from([np.float32, np.float64])))
+
+    batch_size, batches = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    opt = draw(st.sampled_from(["sgd", "adam"]))
+    lr = draw(st.floats(1e-3, 0.1) if opt == "sgd" else st.floats(1e-4, 1e-2))
+    case = draw(st.sampled_from(["member", "non-member", "near-twin"]))
+    n = batch_size * batches
+    position = draw(st.integers(0, n - 1))
+    seed = draw(st.integers(0, 2**32 - 1))
+
+    rng = np.random.default_rng(seed)
+    x_t = rng.uniform(-1, 1, size=input_shape).astype(np.float32)
+    y_t = int(rng.integers(1, classes + 1))
+    epsilon = 0.05 if case == "near-twin" else 1e-3
+    with warnings.catch_warnings():
+        # near-zero matched features are fine: the reference runs the same case
+        warnings.simplefilter("ignore", UserWarning)
+        theta, spec = craft_parameters(net, (x_t, y_t), num_values, epsilon, seed=seed)
+    xs = rng.uniform(-1, 1, size=(n, *input_shape)).astype(np.float32)
+    ys = rng.integers(1, classes + 1, size=n)
+    if case == "member":
+        xs[position], ys[position] = x_t, y_t
+    elif case == "near-twin":
+        xs[position] = x_t + rng.uniform(-1e-4, 1e-4, size=input_shape).astype(np.float32)
+        features = net.with_params(theta).forward_features(xs[position:position + 1])
+        deviation = np.abs(features[0, list(spec.component_indices)] - spec.etas).sum()
+        assume(deviation < spec.epsilon)
+    cfg = ClientConfig(batch_size, batches, draw(st.integers(1, 3)), optimizer=opt, lr=lr,
+                       shuffle_seed=seed)
+    return net, theta, xs, ys, cfg
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=random_trap_cases())
+def test_random_architectures_train_bit_identical_to_reference(case):
+    """Every fast path of client_train (the zero-cotangent stop, the suffix
+    steps, the feature cache, the per-shape gather probe) on drawn
+    architectures, batch counts, optimizers and trap placements."""
+    net, theta, xs, ys, cfg = case
+    note(f"{[layer.kind for layer in net.layers]} on {net.input_shape}, {net.dtype}, {cfg}")
+    assert_bit_identical(net, theta, xs, ys, cfg)
+
+
 def test_negative_zero_gradient_below_the_written_suffix_is_stepped(monkeypatch):
     """A -0.0 gradient is written: SGD turns the -0.0 parameter under it into +0.0.
 
@@ -271,11 +336,7 @@ def sliding_window_forward(self, x):
     the bias broadcast over the GEMM output."""
     n = x.shape[0]
     oc, oh, ow = self.out_shape(x.shape[1:])
-    key = (x.shape, x.dtype, self.weight.shape, self.weight.dtype)
-    packed = layers._PACKED_GATHER.get(key)
-    if packed is None:
-        packed = layers._PACKED_GATHER[key] = layers._packed_gather_matches(*key)
-    if packed:
+    if layers._packed_gather_matches(x.shape, x.dtype, self.weight.shape, self.weight.dtype):
         cols = layers._packed_windows(x, self.kernel_size)
     else:
         cols = cols_by_windows(x, self.kernel_size)
@@ -347,7 +408,6 @@ def test_full_scale_runs_match_the_window_gather(tmp_path, monkeypatch):
         outcomes = {}
         for gather in ["probed", "window"]:
             if gather == "window":
-                monkeypatch.setattr(layers, "_PACKED_GATHER", {})
                 monkeypatch.setattr(layers, "_packed_gather_matches", lambda *key: False)
             runs = [execute_run(net, source, cfg, run_id) for run_id in (0, 1)]
             outcomes[gather] = [(repr(r.delta), r.decision) for r in runs]

@@ -398,9 +398,6 @@ def test_cli_dedup_and_gradcheck_configuration_errors_exit_1(capsys):
     for networks in ("0", "-1"):
         assert cli_main(["gradcheck", "--networks", networks]) == 1
         assert "--networks must be >= 1" in capsys.readouterr().err
-    for step in ("0", "-1", "-1e-5", "nan", "inf"):
-        assert cli_main(["gradcheck", "--networks", "1", "--step", step]) == 1, step
-        assert capsys.readouterr().err.startswith("error: --step must be finite and positive")
     assert cli_main(["gradcheck", "--networks", "1", "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "error: seed must be >= 0\n"
 

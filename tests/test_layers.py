@@ -6,7 +6,7 @@ import pytest
 
 from fedtrap import layers
 from fedtrap.layers import Conv2D, Flatten, Linear, MaxPool2D, ReLU, ShapeError
-from fedtrap.network import conv_net, small_conv_net
+from fedtrap.network import Network, conv_net, small_conv_net
 from oracles import cols_by_windows, conv_by_windows
 
 
@@ -73,49 +73,40 @@ def test_stock_convs_match_the_window_gather_byte_for_byte(dtype, batch):
         assert_conv_matches_window_reference(layer, x, seed)
 
 
-def count_probes(monkeypatch, matches=None):
-    """Empty the gather cache and count the probes; `matches` overrides their answer."""
-    probe = layers._packed_gather_matches
-    keys = []
-
-    def counting(*key):
-        keys.append(key)
-        return probe(*key) if matches is None else matches
-
-    monkeypatch.setattr(layers, "_PACKED_GATHER", {})
-    monkeypatch.setattr(layers, "_packed_gather_matches", counting)
-    return keys
-
-
 def test_a_probe_mismatch_falls_back_to_the_window_gather(monkeypatch):
-    keys = count_probes(monkeypatch, matches=False)
+    keys = []
+    monkeypatch.setattr(layers, "_packed_gather_matches", lambda *key: keys.append(key) or False)
     for seed, (name, layer, shape) in enumerate(stock_convs(np.float32)):
         x = np.random.default_rng(seed).uniform(-1, 1, (4, *shape)).astype(np.float32)
         assert_conv_matches_window_reference(layer, x, seed)
         assert layer.forward(x)[1][1].flags.c_contiguous, name
-    assert len(keys) == 6
+    assert len(set(keys)) == 6
 
 
-def test_the_probe_runs_once_per_shape(monkeypatch):
-    keys = count_probes(monkeypatch)
+def test_the_probe_runs_once_per_shape():
+    probe = layers._packed_gather_matches
+    probe.cache_clear()
     layer = next(stock_convs(np.float32))[1]
     rng = np.random.default_rng(0)
     for batch in [8, 8, 3, 8, 3]:
         layer.forward(rng.uniform(-1, 1, (batch, 1, 28, 28)).astype(np.float32))
     layer.forward(rng.uniform(-1, 1, (8, 1, 28, 28)))  # float64 input, float32 weight
-    assert [k[0][0] for k in keys] == [8, 3, 8]
-    assert keys[0][1:] == (np.float32, (6, 1, 5, 5), np.float32)
-    assert keys[2][1] == np.float64
+    assert probe.cache_info()[:4] == (3, 3, None, 3)  # hits, misses, maxsize, currsize
+    # the keys are (input shape, input dtype, weight shape, weight dtype)
+    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+    for key in [((8, 1, 28, 28), f32), ((3, 1, 28, 28), f32), ((8, 1, 28, 28), f64)]:
+        probe(*key, (6, 1, 5, 5), f32)
+    assert probe.cache_info().misses == 3
 
 
-def test_conv_net_first_convs_take_the_packed_gather_on_scipy_openblas(monkeypatch):
+def test_conv_net_first_convs_take_the_packed_gather_on_scipy_openblas():
     """On this BLAS the probe accepts the packed gather at every stock first
     conv. A probe that stops reproducing the forward's operand layouts
     loses that, and the speed-up with it, without changing a byte."""
     if not hasattr(ctypes.CDLL(np.linalg._umath_linalg.__file__),
                    "scipy_openblas_get_num_threads64_"):
         pytest.skip("numpy's BLAS is not scipy-openblas")
-    count_probes(monkeypatch)
+    layers._packed_gather_matches.cache_clear()
     for shape, classes in [((1, 28, 28), 10), ((3, 32, 32), 100)]:
         net = conv_net(shape, classes)
         net.init_random(0)
@@ -158,34 +149,25 @@ def test_window_gather_matches_sliding_windows_on_any_memory_layout(c, h, w, k, 
         assert_conv_matches_window_reference(layer, view, seed)
 
 
-def count_window_tables(monkeypatch):
-    """Empty the window-index cache and count the tables built."""
-    build = layers._window_index
-    keys = []
-
-    def counting(*key):
-        keys.append(key)
-        return build(*key)
-
-    monkeypatch.setattr(layers, "_WINDOW_INDEX", {})
-    monkeypatch.setattr(layers, "_window_index", counting)
-    return keys
-
-
 def test_the_window_table_is_built_once_per_input_geometry(monkeypatch):
     """Across batch sizes and input dtypes, and whether the probe or the
     forward gathers first."""
-    count_probes(monkeypatch, matches=False)
-    keys = count_window_tables(monkeypatch)
+    monkeypatch.setattr(layers, "_packed_gather_matches", lambda *key: False)
+    build = layers._window_index
+    build.cache_clear()
     mnist = list(stock_convs(np.float32))[:2]
     rng = np.random.default_rng(0)
     for batch, dtype in [(8, np.float32), (3, np.float32), (8, np.float64), (1, np.float32)]:
         for _, layer, shape in mnist:
             layer.forward(rng.uniform(-1, 1, (batch, *shape)).astype(dtype))
-    assert keys == [(1, 28, 28, 5), (6, 12, 12, 5)]
-    count_probes(monkeypatch)
+    assert build.cache_info()[:4] == (6, 2, None, 2)  # hits, misses, maxsize, currsize
+    for key in [(1, 28, 28, 5), (6, 12, 12, 5)]:
+        assert not build(*key).flags.writeable  # one shared table per key
+    assert build.cache_info().misses == 2
+    monkeypatch.undo()
+    layers._packed_gather_matches.cache_clear()
     mnist[1][1].forward(rng.uniform(-1, 1, (5, 6, 12, 12)).astype(np.float32))
-    assert len(keys) == 2
+    assert build.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -316,8 +298,9 @@ def test_maxpool_signed_zero_tie_keeps_and_routes_to_first_position(window, dtyp
 
 
 def test_maxpool_rejects_indivisible_input():
-    with pytest.raises(ShapeError):
-        MaxPool2D(2).forward(np.zeros((1, 1, 5, 4)))
+    """The pool trusts its input's shape; the network checks it when it is built."""
+    with pytest.raises(ShapeError, match=r"layer 2 \(maxpool2d\)"):
+        Network([Conv2D(1, 2, 2), ReLU(), MaxPool2D(2), Flatten()], (1, 6, 5), (4, 3), 2)
 
 
 def test_relu_derivative_is_zero_at_exactly_zero():

@@ -208,6 +208,25 @@ def test_backward_rejects_empty_batch():
         net.backward(np.zeros((0, 4)), np.zeros(0, dtype=int))
 
 
+@pytest.mark.parametrize("call", ["forward_features", "loss", "backward"])
+@pytest.mark.parametrize("build, input_shape", [
+    (lambda: small_conv_net(dtype=np.float64), (1, 14, 14)),
+    (lambda: dense_net(4, (4, 3), 3, dtype=np.float64), (4,)),
+])
+def test_an_empty_batch_is_rejected_before_any_layer_runs(monkeypatch, build, input_shape,
+                                                          call):
+    net = build()
+    net.init_random(6)
+
+    def no_layer(self, x):
+        raise AssertionError(f"{self.kind} ran")
+    for cls in (Conv2D, Flatten, Linear, MaxPool2D, ReLU):
+        monkeypatch.setattr(cls, "forward", no_layer)
+    args = (np.zeros((0, *input_shape)),) + (() if call == "forward_features" else ([],))
+    with pytest.raises(ShapeError, match=r"not a batch .* empty"):
+        getattr(net, call)(*args)
+
+
 @pytest.mark.parametrize("shape", [(3, 33), (3, 31), (4, 32), (2, 32), (3, 1, 32), (96,)],
                          ids=["wide", "narrow", "more", "fewer", "3d", "flat"])
 def test_backward_rejects_features_of_the_wrong_shape_before_any_layer_runs(
@@ -228,7 +247,7 @@ def test_backward_rejects_features_of_the_wrong_shape_before_any_layer_runs(
 def test_backward_matches_central_differences(case_seed):
     net, xs, ys = sample_checkable_case(case_seed)
     analytic = net.backward(xs, ys)
-    numeric = central_difference_gradient(net, xs, ys, step=1e-5)
+    numeric = central_difference_gradient(net, xs, ys)
     diff = np.abs(analytic - numeric)
     scale = np.maximum(np.abs(analytic), np.abs(numeric))
     bad = diff > np.maximum(1e-4 * scale, 1e-8)
@@ -289,6 +308,9 @@ def test_layout_index_round_trips_through_flat_vector():
     assert vec[idx] == net.layers[h2].bias[0]
     cidx = net.layout.index_of(0, "weight", 1, 0, 2, 2)
     assert vec[cidx] == net.layers[0].weight[1, 0, 2, 2]
+    for coords in [(), (0, 0), (1, 0, 2)]:  # not one coordinate per axis
+        with pytest.raises(ValueError, match="multi_index"):
+            net.layout.index_of(0, "weight" if coords else "bias", *coords)
 
 
 LAYOUT_PROBE = """
