@@ -205,8 +205,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            PermissionError) as err:
+    except (ValueError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # noqa: BLE001 - CLI boundary

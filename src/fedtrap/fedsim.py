@@ -20,18 +20,17 @@ so stepping the suffix alone, with Adam's moment vectors m and v sliced
 the same way and its step count t kept global, changes no bit; the steps
 write in place, on views of the client's own buffers. The same rule
 makes reusing split activations (the feature extractor's output) exact.
-They depend only on the sample and the extractor's parameters, which are
-the prefix of the layout up to `net.extractor_params.stop`. While `lo` is
-at or above that stop, no step has written a byte of the extractor, so
-the first epoch computes each sample's activation once (an epoch is a
-permutation) and every batch hands its activations to `Network.backward`.
-Once `lo` falls below the stop it stays there, and `backward` runs the
-extractor itself, once per batch. Under a planted trap the extractor gets
-gradient only from a batch in which a sample other than the target fires
-the trap (the target sits exactly on the pair units' ReLU kink), and the
-suffix is short: `Network.backward` fills the gradient from the last
-layer down, the layout is in layer order, and the zero-cotangent stop
-usually ends in the final Linear.
+They depend only on the sample and the extractor's parameters, the
+prefix of the layout up to `net.extractor_params.stop`, so a batch is
+cached while `lo` is at or above that stop: no step has written a byte
+of the extractor. A cached batch hands `Network.backward` its rows of
+the feature cache, which epoch 0 fills as it goes (an epoch is a
+permutation); any other batch lets `backward` run the extractor. Under a
+planted trap the extractor gets gradient only from a batch in which a
+sample other than the target fires the trap (the target sits exactly on
+the pair units' ReLU kink), and the suffix is short: `Network.backward`
+fills the gradient from the last layer down, the layout is in layer
+order, and the zero-cotangent stop usually ends in the final Linear.
 """
 
 from __future__ import annotations
@@ -93,24 +92,15 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
     rng = np.random.default_rng(cfg.shuffle_seed)
     features = np.empty((n, net.feature_width), dtype=net.dtype)
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for j in range(cfg.num_batches):
-            sel = order[j * cfg.batch_size:(j + 1) * cfg.batch_size]
+        for sel in rng.permutation(n).reshape(cfg.num_batches, cfg.batch_size):
             x = xs[sel]
-            if lo < extractor_stop:
-                grad = work.backward(x, ys[sel])
-            elif epoch == 0:
-                batch_features = work.forward_features(x)
-                features[sel] = batch_features
-                grad = work.backward(x, ys[sel], features=batch_features)
-            else:
-                grad = work.backward(x, ys[sel], features=features[sel])
-            if lo:
-                # argmax is the first written entry, or 0 if there is none
-                written = grad[:lo].view(bits) != 0
-                first = int(written.argmax())
-                if written[first]:
-                    lo = first
+            cached = lo >= extractor_stop
+            if cached and epoch == 0:
+                features[sel] = work.forward_features(x)
+            grad = work.backward(x, ys[sel], features=features[sel] if cached else None)
+            written = np.flatnonzero(grad[:lo].view(bits))
+            if written.size:
+                lo = int(written[0])
             if adam:
                 t += 1
                 adam_step(params[lo:], grad[lo:], m[lo:], v[lo:], t, cfg.lr)

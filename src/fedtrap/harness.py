@@ -24,7 +24,7 @@ from .attack import run_attack
 from .datasets import Dataset, load_cifar, load_mnist_idx, sample_run, synth_dataset
 from .fedsim import ClientConfig
 from .network import Network, conv_net, small_conv_net
-from .trap import check_head_width
+from .trap import check_trap
 
 SYNTH_POOL_EXTRA = 512
 SYNTH_IMAGE_SHAPE = (1, 14, 14)
@@ -138,19 +138,17 @@ def build_source(cfg: ExperimentConfig) -> Dataset:
 
 
 def build_network(cfg: ExperimentConfig, source: Dataset) -> Network:
-    """The run's architecture; raises ValueError if its head cannot host M pairs
-    or if ε or lr is not finite and positive in the network's dtype."""
+    """The run's architecture; raises ValueError if it cannot host the trap
+    (see `check_trap`) or if lr is not finite and positive in its dtype."""
     if cfg.dataset == "synthetic":
         net = small_conv_net(SYNTH_IMAGE_SHAPE, SYNTH_CLASSES)
     else:
         net = conv_net(source.image_shape, source.num_classes)
-    check_head_width(net, cfg.num_values)
-    for name, value in (("epsilon", cfg.epsilon), ("lr", cfg.effective_lr)):
-        with np.errstate(over="ignore", under="ignore"):
-            cast = net.dtype.type(value)
-        if not 0 < cast < np.inf:
-            raise ValueError(f"{name} {value!r} is not finite and positive "
-                             f"in {net.dtype}")
+    check_trap(net, cfg.num_values, cfg.epsilon)
+    with np.errstate(over="ignore", under="ignore"):
+        lr = net.dtype.type(cfg.effective_lr)
+    if not 0 < lr < np.inf:
+        raise ValueError(f"lr {cfg.effective_lr!r} is not finite and positive in {net.dtype}")
     return net
 
 

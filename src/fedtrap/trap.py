@@ -90,12 +90,18 @@ def select_components(features: np.ndarray, num_values: int) -> tuple[list[int],
     return [int(i) for i in order], [float(features[i]) for i in order]
 
 
-def check_head_width(net: Network, num_values: int) -> None:
-    """Raise CraftError unless `net`'s first hidden layer can host M unit pairs."""
+def check_trap(net: Network, num_values: int, epsilon: float) -> None:
+    """Raise CraftError unless `net`'s first hidden layer can host M unit pairs,
+    and ValueError unless ε is finite and positive in `net`'s dtype."""
     width = net.layers[net.head_linear_indices()[0]].out_dim
     if 2 * num_values > width:
         raise CraftError(f"M={num_values} needs {2 * num_values} first-hidden units, "
                          f"head has {width}; the architecture is too narrow")
+    with np.errstate(over="ignore", under="ignore"):
+        cast = net.dtype.type(epsilon)
+    if not 0 < cast < np.inf:
+        raise ValueError(f"epsilon must be finite and positive in {net.dtype}, "
+                         f"got {epsilon!r}")
 
 
 def craft_parameters(net: Network, sample: tuple[np.ndarray, int], num_values: int,
@@ -108,9 +114,7 @@ def craft_parameters(net: Network, sample: tuple[np.ndarray, int], num_values: i
     x_t, y_t = sample
     if not 1 <= y_t <= net.num_classes:
         raise ValueError(f"target label {y_t} outside 1..{net.num_classes}")
-    if not 0 < epsilon < math.inf:
-        raise ValueError("epsilon must be finite and positive")
-    check_head_width(net, num_values)
+    check_trap(net, num_values, epsilon)
     work = net.with_params(net.params)
     h1, h2, out = (work.layers[i] for i in net.head_linear_indices())
 

@@ -415,6 +415,10 @@ def test_cli_paths_that_cannot_be_opened_exit_1(tmp_path, capsys, monkeypatch):
         assert cli_main(argv) == 1, kind
         err = capsys.readouterr().err
         assert err.startswith("error: ") and kind in err, err
+    # an output directory that is a regular file
+    assert cli_main(["fixtures", "--out-dir", test_bin]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "File exists" in err, err
     # an output that cannot be written fails before the first run
     runs = []
     execute_run = harness.execute_run

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,17 @@ def test_crafting_and_spec_reject_bad_epsilon(eps):
     with pytest.raises(ValueError, match="epsilon must be finite and positive"):
         TrapSpec(num_values=1, component_indices=(0,), etas=(0.5,), epsilon=eps,
                  target_label=1, seed=0)
+
+
+@pytest.mark.parametrize("eps", [1e-46, 1e39])
+def test_crafting_rejects_epsilon_that_rounds_to_zero_or_inf_in_the_dtype(eps):
+    net = dense_net(6, (24, 16), 10)
+    assert net.dtype == np.float32
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="epsilon must be finite and positive in float32"):
+            craft_parameters(net, (np.ones(6, np.float32), 1), num_values=2, epsilon=eps,
+                             seed=0)
 
 
 def test_degenerate_target_warns_but_crafts():
