@@ -98,7 +98,7 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
             if cached and epoch == 0:
                 features[sel] = work.forward_features(x)
             grad = work.backward(x, ys[sel], features=features[sel] if cached else None)
-            written = np.flatnonzero(grad[:lo].view(bits))
+            written = np.flatnonzero(grad[:lo].view(bits) != 0)
             if written.size:
                 lo = int(written[0])
             if adam:

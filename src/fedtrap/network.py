@@ -15,19 +15,20 @@ extractor's output, so every network has the head a trap subnetwork is
 planted in. `split_index` is the extractor's length: the extractor is
 the layers before it and the head the five from it on.
 
-Backward passes let exact zeros skip work, without changing a bit:
+`backward` is one reverse loop over the layers. Exact zeros let it
+skip work without changing a bit:
 
-- The reverse loop stops at the first all-zero cotangent (+0.0 and -0.0
-  alike). Every gradient below that point would be zero, and the
-  gradient buffer already holds +0.0 there. The layers would also give
-  +0.0, never -0.0: numpy's sums and matrix products accumulate from
-  +0.0. The one difference is a non-finite activation below the stop,
-  where 0 * inf would have given NaN.
-- `backward` can start from the batch's split activations when the
-  caller still holds them. It then runs the head first, and runs the
-  extractor forward with caches, and backpropagates into it, only when
-  the head sends a nonzero cotangent to the split. A planted trap that
-  the batch does not fire sends none.
+- The loop stops at the first all-zero cotangent (+0.0 and -0.0 alike).
+  Every gradient below that point would be zero, and the gradient
+  buffer already holds +0.0 there. The layers would also give +0.0,
+  never -0.0: numpy's sums and matrix products accumulate from +0.0.
+  The one difference is a non-finite activation below the stop, where
+  0 * inf would have given NaN.
+- Each layer reads the cache its forward left. Without `features`, the
+  extractor runs with caches before the head. Given split activations,
+  the head runs alone, and the loop makes the extractor's caches with
+  one forward when it reaches the split with a nonzero cotangent. A
+  planted trap that the batch does not fire sends none.
 """
 
 from __future__ import annotations
@@ -82,10 +83,10 @@ class Network:
     """A feature extractor followed by the trap head the constructor builds.
 
     `params` is the one flat parameter vector; its dtype is the network's.
-    The constructor allocates it as zeros and binds the layers'
-    `weight`/`bias` to views into it, so the layers belong to the network
-    from then on. Single-writer: one training run owns and mutates a
-    Network, and `with_params` gives each run its own.
+    The constructor allocates it as zeros, copies the given layers
+    shallowly and binds their `weight`/`bias` to views into it, so the
+    layers belong to this network alone. Single-writer: one training run
+    owns and mutates a Network, and `with_params` gives each run its own.
     """
 
     def __init__(self, extractor: list[Layer], input_shape: tuple[int, ...],
@@ -98,7 +99,7 @@ class Network:
                 Linear(hidden[0], hidden[1]), ReLU(),
                 Linear(hidden[1], num_classes)]
         _out_shape(head, shape, first=self.split_index)
-        self.layers = [*extractor, *head]
+        self.layers = [*map(copy.copy, extractor), *head]
         self.num_classes = num_classes
         self.layout = ParameterLayout(self.layers)
         self.params = np.zeros(self.layout.total, dtype=dtype)
@@ -171,8 +172,7 @@ class Network:
 
     def forward_features(self, x: np.ndarray) -> np.ndarray:
         """Flattened split activations, (n, feature_width); the inputs if split is 0."""
-        h, _ = self._run(self._as_batch(x), 0, self.split_index, keep_caches=False)
-        return h.reshape(h.shape[0], -1)
+        return self._run(self._as_batch(x), 0, self.split_index, keep_caches=False)[0]
 
     # -- loss and gradients ----------------------------------------------
 
@@ -203,38 +203,26 @@ class Network:
         xs = self._as_batch(x)
         ys = self._check_labels(y, len(xs))
         s = self.split_index
-        extractor_caches = None
+        caches = [None] * s
         if features is None:
-            features, extractor_caches = self._run(xs, 0, s, keep_caches=True)
+            features, caches = self._run(xs, 0, s, keep_caches=True)
         elif features.shape != (len(xs), self.feature_width):
             raise ShapeError(f"features of shape {features.shape} are not "
                              f"({len(xs)}, {self.feature_width})")
         logits, head_caches = self._run(features, s, len(self.layers), keep_caches=True)
-        dlogits = _softmax(logits)
-        dlogits[np.arange(len(ys)), ys - 1] -= 1.0
+        caches += head_caches
+        d = _softmax(logits)
+        d[np.arange(len(ys)), ys - 1] -= 1.0
         grad = np.zeros(self.layout.total, dtype=self.dtype)
-        d = self._backprop(dlogits, head_caches, grad, len(ys), first=s)
-        if d.any():
-            if extractor_caches is None:
-                _, extractor_caches = self._run(xs, 0, s, keep_caches=True)
-            self._backprop(d, extractor_caches, grad, len(ys))
-        return grad
-
-    def _backprop(self, d: np.ndarray, caches: list, grad: np.ndarray, batch: int,
-                  first: int = 0) -> np.ndarray:
-        """Backpropagate d through layers first..first+len(caches)-1, writing each
-        parameter gradient divided by `batch` into grad.
-
-        Returns the cotangent at layer `first`'s input, or the all-zero
-        cotangent the loop stopped at: nothing below it gets gradient.
-        """
-        for i in range(first + len(caches) - 1, first - 1, -1):
+        for i in reversed(range(len(self.layers))):
             if not d.any():
                 break
-            d, pgrads = self.layers[i].backward(d, caches[i - first])
+            if caches[i] is None:
+                _, caches[:s] = self._run(xs, 0, s, keep_caches=True)
+            d, pgrads = self.layers[i].backward(d, caches[i])
             for name, g in pgrads.items():
-                np.divide(g.ravel(), batch, out=grad[self.layout.slice_of(i, name)])
-        return d
+                np.divide(g.ravel(), len(ys), out=grad[self.layout.slice_of(i, name)])
+        return grad
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from fedtrap import verify
 from fedtrap.harness import derive_seed
 from fedtrap.layers import Conv2D, Flatten, Linear, MaxPool2D, ReLU, ShapeError
 from fedtrap.network import Network, conv_net, dense_net, small_conv_net
+from fedtrap.trap import craft_parameters
 from fedtrap.verify import central_difference_gradient, sample_checkable_case
 from oracles import forward, init_dead
 
@@ -243,6 +245,47 @@ def test_backward_rejects_features_of_the_wrong_shape_before_any_layer_runs(
         net.backward(xs, [1, 2, 3], features=np.zeros(shape))
 
 
+def live_small_conv_net():
+    net = small_conv_net()
+    net.init_random(3)
+    return net
+
+
+def trapped_small_conv_net():
+    net = small_conv_net()
+    x_t = np.random.default_rng(5).uniform(-1, 1, size=net.input_shape).astype(np.float32)
+    with warnings.catch_warnings():
+        # near-zero matched features are fine here: the batch below does not fire
+        warnings.simplefilter("ignore", UserWarning)
+        theta, _ = craft_parameters(net, (x_t, 1), 4, 1e-3, seed=5)
+    return net.with_params(theta)
+
+
+@pytest.mark.parametrize("build, conv_runs", [(live_small_conv_net, 2),
+                                              (trapped_small_conv_net, 0)],
+                         ids=["live", "trap"])
+def test_backward_from_features_is_backward_from_inputs(monkeypatch, build, conv_runs):
+    """Handed the split activations, `backward` runs the extractor again only
+    when the loop reaches the split, and gives the same bytes either way."""
+    net = build()
+    rng = np.random.default_rng(6)
+    xs = rng.uniform(-1, 1, size=(8, *net.input_shape)).astype(np.float32)
+    ys = rng.integers(1, net.num_classes + 1, size=8)
+    full = net.backward(xs, ys)
+    features = net.forward_features(xs)
+    forward = Conv2D.forward
+    calls = []
+
+    def counting(self, x):
+        calls.append(len(x))
+        return forward(self, x)
+    monkeypatch.setattr(Conv2D, "forward", counting)
+    grad = net.backward(xs, ys, features=features)
+    assert grad.tobytes() == full.tobytes()
+    assert calls == [8] * conv_runs  # each of the two convs at most once
+    assert grad[net.extractor_params].any() == bool(conv_runs)
+
+
 @pytest.mark.parametrize("case_seed", range(5))
 def test_backward_matches_central_differences(case_seed):
     net, xs, ys = sample_checkable_case(case_seed)
@@ -289,6 +332,18 @@ def test_with_params_owns_a_copy_in_the_vectors_dtype():
     assert net.dtype == np.float32
     assert not np.shares_memory(work.params, v)
     assert not np.shares_memory(work.params, net.params)
+
+
+def test_a_network_built_from_another_networks_layers_leaves_it_unchanged():
+    extractor = [Conv2D(1, 2, 3), ReLU(), MaxPool2D(2), Flatten()]
+    a = Network(extractor, (1, 8, 8), (8, 5), 3)
+    a.init_random(1)
+    x = np.random.default_rng(1).uniform(-1, 1, size=(2, 1, 8, 8)).astype(np.float32)
+    features = a.forward_features(x)
+    assert features.any()
+    Network(extractor, (1, 8, 8), (8, 5), 3)
+    assert a.forward_features(x).tobytes() == features.tobytes()
+    assert all(a.layers[i] is not layer for i, layer in enumerate(extractor))
 
 
 def test_with_params_rejects_wrong_length():
