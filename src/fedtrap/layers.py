@@ -2,14 +2,15 @@
 
 Every layer exposes the same surface: the shapes of its parameters
 (`param_shapes`, empty for a parameter-free layer), shape inference
-(`out_shape`), a pure `forward(x) -> (y, cache)` on batched arrays, and
-`backward(dout, cache) -> (dx, param_grads)`. A layer allocates no
-parameter array: the `Network` it belongs to allocates the flat vector
-and binds each `weight` and `bias` to a view of its slice. Conv2D and
-Linear share `init_random` / `init_dead`, which write through those
-views. A forward does not check its input's shape: the `Network` checks
-the layer chain through `out_shape` when it is built, and every batch
-when it comes in.
+(`out_shape`), a pure `forward(x, *params) -> (y, cache)` on batched
+arrays, and `backward(dout, cache, *params) -> (dx, param_grads)`. A
+layer holds no parameters, only its sizes, so one layer object can
+serve many networks: the `Network` that runs it allocates the flat
+vector and hands each call the layer's views of it, in `param_shapes`
+order (`weight, bias` for Conv2D and Linear, none for the others).
+`init_random` writes a fan-in-scaled init through such views. A forward
+does not check its input's shape: the `Network` checks the layer chain
+through `out_shape` when it is built, and every batch when it comes in.
 
 Convention: ReLU's derivative at exactly 0 is 0 (strict `x > 0` mask).
 Max pooling picks the first (lowest-index) maximal position of each
@@ -52,31 +53,15 @@ class ShapeError(ValueError):
     """Raised when an input does not match what a layer expects."""
 
 
-class _WeightBias:
-    """Init shared by the layers whose `weight` and `bias` a Network binds.
-
-    The weight's first axis is the output unit; the rest is its fan-in.
-    """
-
-    param_shapes: dict[str, tuple[int, ...]]
-    weight: np.ndarray
-    bias: np.ndarray
-
-    @property
-    def fan_in(self) -> int:
-        return math.prod(self.param_shapes["weight"][1:])
-
-    def init_random(self, rng: np.random.Generator) -> None:
-        bound = 1.0 / np.sqrt(self.fan_in)
-        self.weight[...] = rng.uniform(-bound, bound, self.weight.shape)
-        self.bias[...] = rng.uniform(-bound, bound, self.bias.shape)
-
-    def init_dead(self) -> None:
-        self.weight[...] = 0.0
-        self.bias[...] = -1.0
+def init_random(rng: np.random.Generator, weight: np.ndarray, bias: np.ndarray) -> None:
+    """Uniform in ±1/sqrt(fan-in), written through the views. The weight's
+    first axis is the output unit; the rest is its fan-in."""
+    bound = 1.0 / np.sqrt(math.prod(weight.shape[1:]))
+    weight[...] = rng.uniform(-bound, bound, weight.shape)
+    bias[...] = rng.uniform(-bound, bound, bias.shape)
 
 
-class Conv2D(_WeightBias):
+class Conv2D:
     """Valid (unpadded) 2-D convolution, stride 1. Weight shape (out, in, k, k)."""
 
     kind = "conv2d"
@@ -101,19 +86,19 @@ class Conv2D(_WeightBias):
             raise ShapeError(f"conv2d kernel {k} larger than input {h}x{w}")
         return (self.out_channels, h - k + 1, w - k + 1)
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
         n = x.shape[0]
         oc, oh, ow = self.out_shape(x.shape[1:])
-        packed = _packed_gather_matches(x.shape, x.dtype, self.weight.shape, self.weight.dtype)
+        packed = _packed_gather_matches(x.shape, x.dtype, weight.shape, weight.dtype)
         gather = _packed_windows if packed else _windows
         cols = gather(x, self.kernel_size)
-        out = cols @ self.weight.reshape(oc, -1).T                 # C-ordered (n, L, oc)
+        out = cols @ weight.reshape(oc, -1).T                      # C-ordered (n, L, oc)
         flat = out.reshape(n, -1)   # a broadcast add's innermost loop would be oc long
-        np.add(flat, np.repeat(self.bias[None], oh * ow, 0).reshape(-1), out=flat)
+        np.add(flat, np.repeat(bias[None], oh * ow, 0).reshape(-1), out=flat)
         out = out.transpose(0, 2, 1).reshape(n, oc, oh, ow)
         return out, (x.shape, cols)
 
-    def backward(self, dout: np.ndarray, cache):
+    def backward(self, dout: np.ndarray, cache, weight: np.ndarray, bias: np.ndarray):
         x_shape, cols = cache
         n, oc, oh, ow = dout.shape
         dflat = dout.reshape(n, oc, oh * ow).transpose(0, 2, 1)  # (n, L, oc)
@@ -123,9 +108,9 @@ class Conv2D(_WeightBias):
         cols = np.ascontiguousarray(cols)
         dw = np.tensordot(dflat, cols, axes=([0, 1], [0, 1]))    # (oc, c*k*k)
         db = dout.sum(axis=(0, 2, 3))
-        dcols = dflat @ self.weight.reshape(oc, -1)              # (n, L, c*k*k)
+        dcols = dflat @ weight.reshape(oc, -1)                   # (n, L, c*k*k)
         dx = self._cols_to_image(dcols, x_shape)
-        return dx, {"weight": dw.reshape(self.weight.shape), "bias": db}
+        return dx, {"weight": dw.reshape(weight.shape), "bias": db}
 
     def _cols_to_image(self, dcols: np.ndarray, x_shape: tuple[int, ...]) -> np.ndarray:
         n, c, h, w = x_shape
@@ -261,7 +246,7 @@ class ReLU:
         return dout * (cache > 0), {}
 
 
-class Linear(_WeightBias):
+class Linear:
     """Dense layer y = x @ W.T + b. Weight shape (out, in): weight[u, j] feeds unit u."""
 
     kind = "linear"
@@ -278,13 +263,13 @@ class Linear(_WeightBias):
             raise ShapeError(f"linear expects ({self.in_dim},) input, got {in_shape}")
         return (self.out_dim,)
 
-    def forward(self, x: np.ndarray):
-        return x @ self.weight.T + self.bias, x
+    def forward(self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
+        return x @ weight.T + bias, x
 
-    def backward(self, dout: np.ndarray, cache):
+    def backward(self, dout: np.ndarray, cache, weight: np.ndarray, bias: np.ndarray):
         dw = dout.T @ cache
         db = dout.sum(axis=0)
-        dx = dout @ self.weight
+        dx = dout @ weight
         return dx, {"weight": dw, "bias": db}
 
 

@@ -2,12 +2,12 @@
 
 Labels are 1-based (1..L) and inputs are (n, *input_shape) batches
 throughout. Parameters are stored once, in the flat vector
-`Network.params`. Layers only declare their parameter shapes; the
-network lays them out, allocates the vector as zeros in its dtype, and
-binds each Conv2D/Linear `weight` and `bias` to a reshaped view of its
-slice, so a write through either shows in the other. The layout is a
-pure function of the architecture (see ParameterLayout), so flat indices
-are stable across processes for a fixed architecture.
+`Network.params`. Layers hold no parameters and only declare their
+shapes; the network lays them out, allocates the vector as zeros in its
+dtype, and hands each call of layer i `views[i]`, reshaped views of that
+layer's slices, so a write to `params` shows in the next call. The
+layout is a pure function of the architecture (see ParameterLayout), so
+flat indices are stable across processes for a fixed architecture.
 
 The caller gives only the feature extractor's layers. The network
 builds the head itself, Linear-ReLU-Linear-ReLU-Linear sized from the
@@ -33,13 +33,12 @@ skip work without changing a bit:
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Conv2D, Flatten, Layer, Linear, MaxPool2D, ReLU, ShapeError
+from .layers import Conv2D, Flatten, Layer, Linear, MaxPool2D, ReLU, ShapeError, init_random
 
 @dataclass(frozen=True)
 class LayoutEntry:
@@ -83,9 +82,9 @@ class Network:
     """A feature extractor followed by the trap head the constructor builds.
 
     `params` is the one flat parameter vector; its dtype is the network's.
-    The constructor allocates it as zeros, copies the given layers
-    shallowly and binds their `weight`/`bias` to views into it, so the
-    layers belong to this network alone. Single-writer: one training run
+    The constructor allocates it as zeros and `views` over it. The layers
+    hold no parameters, so networks may share them, and no write to one
+    network's vector reaches another's. Single-writer: one training run
     owns and mutates a Network, and `with_params` gives each run its own.
     """
 
@@ -99,17 +98,32 @@ class Network:
                 Linear(hidden[0], hidden[1]), ReLU(),
                 Linear(hidden[1], num_classes)]
         _out_shape(head, shape, first=self.split_index)
-        self.layers = [*map(copy.copy, extractor), *head]
+        self.layers = [*extractor, *head]
         self.num_classes = num_classes
         self.layout = ParameterLayout(self.layers)
         self.params = np.zeros(self.layout.total, dtype=dtype)
         self._view_params()
 
     def _view_params(self) -> None:
-        """Rebind every layer's weight and bias to its slice of `params`."""
+        """`views[i]`: layer i's parameters as views of its slices of `params`,
+        in `param_shapes` order; `()` for a layer without parameters."""
+        views = [[] for _ in self.layers]
         for e in self.layout.entries:
-            setattr(self.layers[e.layer_index], e.name,
-                    self.params[e.offset:e.stop].reshape(e.shape))
+            views[e.layer_index].append(self.params[e.offset:e.stop].reshape(e.shape))
+        self.views = [tuple(v) for v in views]
+
+    def __getstate__(self) -> dict:
+        # pickle would copy each view apart from `params`; they are made anew on load
+        return {k: v for k, v in self.__dict__.items() if k != "views"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._view_params()
+
+    def __repr__(self) -> str:
+        kinds = ", ".join(layer.kind for layer in self.layers)
+        return (f"Network(layers=[{kinds}], input_shape={self.input_shape}, "
+                f"dtype={self.dtype}, params={self.layout.total})")
 
     # -- structure -----------------------------------------------------
 
@@ -132,25 +146,24 @@ class Network:
     def with_params(self, values: np.ndarray) -> "Network":
         """This architecture over a fresh copy of `values`, in `values`' dtype.
 
-        The layers are shallow copies bound to the copy, so neither this
-        network nor `values` is shared with the result.
+        Built as unpickling builds one, from this network's state with
+        `params` replaced; only the layers, which hold no parameters, are shared.
         """
         values = np.asarray(values)
         if values.shape != (self.layout.total,):
             raise ValueError(f"parameter vector has length {values.shape}, "
                              f"layout expects ({self.layout.total},)")
-        dup = copy.copy(self)
-        dup.params = values.copy()
-        dup.layers = [copy.copy(layer) for layer in self.layers]
-        dup._view_params()
+        dup = object.__new__(type(self))
+        dup.__setstate__(self.__getstate__() | {"params": values.copy()})
         return dup
 
-    def init_random(self, seed: int) -> None:
-        """Fan-in-scaled uniform init of every parameter layer, seeded."""
+    def init_random(self, seed: int, stop: int | None = None) -> None:
+        """Fan-in-scaled uniform init of the parameter layers before `stop`
+        (every one by default), seeded."""
         rng = np.random.default_rng(seed)
-        for layer in self.layers:
-            if layer.param_shapes:
-                layer.init_random(rng)
+        for views in self.views[:stop]:
+            if views:
+                init_random(rng, *views)
 
     # -- forward -------------------------------------------------------
 
@@ -164,8 +177,8 @@ class Network:
     def _run(self, h: np.ndarray, start: int, stop: int, keep_caches: bool):
         """Run layers start..stop-1 on h; caches[k] belongs to layer start+k."""
         caches = [] if keep_caches else None
-        for layer in self.layers[start:stop]:
-            h, cache = layer.forward(h)
+        for layer, views in zip(self.layers[start:stop], self.views[start:stop]):
+            h, cache = layer.forward(h, *views)
             if keep_caches:
                 caches.append(cache)
         return h, caches
@@ -219,7 +232,7 @@ class Network:
                 break
             if caches[i] is None:
                 _, caches[:s] = self._run(xs, 0, s, keep_caches=True)
-            d, pgrads = self.layers[i].backward(d, caches[i])
+            d, pgrads = self.layers[i].backward(d, caches[i], *self.views[i])
             for name, g in pgrads.items():
                 np.divide(g.ravel(), len(ys), out=grad[self.layout.slice_of(i, name)])
         return grad

@@ -116,14 +116,11 @@ def craft_parameters(net: Network, sample: tuple[np.ndarray, int], num_values: i
         raise ValueError(f"target label {y_t} outside 1..{net.num_classes}")
     check_trap(net, num_values, epsilon)
     work = net.with_params(net.params)
-    h1, h2, out = (work.layers[i] for i in net.head_linear_indices())
-
-    rng = np.random.default_rng(seed)
-    for layer in work.layers[:work.split_index]:
-        if layer.param_shapes:
-            layer.init_random(rng)
-    for layer in (h1, h2, out):
-        layer.init_dead()
+    work.init_random(seed, stop=work.split_index)
+    head = [work.views[i] for i in net.head_linear_indices()]
+    for w, b in head:
+        w[...] = 0.0
+        b[...] = -1.0
 
     features = work.forward_features(np.asarray(x_t)[None])[0]
     indices, etas = select_components(features, num_values)
@@ -132,14 +129,15 @@ def craft_parameters(net: Network, sample: tuple[np.ndarray, int], num_values: i
                       "values; near-zero thresholds invite accidental triggering",
                       stacklevel=2)
 
+    (w1, b1), (w2, b2), (w3, _) = head
     for m, (j, eta) in enumerate(zip(indices, etas)):
-        h1.weight[2 * m, j] = 1.0
-        h1.bias[2 * m] = -eta
-        h1.weight[2 * m + 1, j] = -1.0
-        h1.bias[2 * m + 1] = eta
-    h2.weight[0, :2 * num_values] = -1.0
-    h2.bias[0] = epsilon
-    out.weight[y_t - 1, 0] = 1.0
+        w1[2 * m, j] = 1.0
+        b1[2 * m] = -eta
+        w1[2 * m + 1, j] = -1.0
+        b1[2 * m + 1] = eta
+    w2[0, :2 * num_values] = -1.0
+    b2[0] = epsilon
+    w3[y_t - 1, 0] = 1.0
 
     spec = TrapSpec(num_values=num_values, component_indices=tuple(indices),
                     etas=tuple(etas), epsilon=float(epsilon),

@@ -75,14 +75,14 @@ def logit_grad(net, x, logit_index: int) -> np.ndarray:
     """Flat gradient of logits[logit_index] for one input (not through the loss)."""
     h = np.asarray(x, dtype=net.dtype)[None]
     caches = []
-    for layer in net.layers:
-        h, cache = layer.forward(h)
+    for layer, views in zip(net.layers, net.views):
+        h, cache = layer.forward(h, *views)
         caches.append(cache)
     d = np.zeros_like(h)
     d[0, logit_index] = 1.0
     grad = np.zeros(net.layout.total, dtype=net.dtype)
     for i in range(len(net.layers) - 1, -1, -1):
-        d, pgrads = net.layers[i].backward(d, caches[i])
+        d, pgrads = net.layers[i].backward(d, caches[i], *net.views[i])
         for name, g in pgrads.items():
             grad[net.layout.slice_of(i, name)] = g.ravel()
     return grad
@@ -94,16 +94,18 @@ def forward(net, x) -> np.ndarray:
     single = h.shape == net.input_shape
     if single:
         h = h[None]
-    for layer in net.layers:
-        h, _ = layer.forward(h)
+    for layer, views in zip(net.layers, net.views):
+        h, _ = layer.forward(h, *views)
     return h[0] if single else h
 
 
 def init_dead(net) -> None:
     """All weights 0, all biases -1: every hidden ReLU is dead."""
-    for layer in net.layers:
-        if layer.param_shapes:
-            layer.init_dead()
+    for views in net.views:
+        if views:
+            weight, bias = views
+            weight[...] = 0.0
+            bias[...] = -1.0
 
 
 def cols_by_windows(x, k):
@@ -113,13 +115,13 @@ def cols_by_windows(x, k):
     return win.transpose(0, 2, 3, 1, 4, 5).reshape(n, (h - k + 1) * (w - k + 1), c * k * k)
 
 
-def conv_by_windows(layer, x):
+def conv_by_windows(layer, x, weight, bias):
     """Conv2D's forward arithmetic over `cols_by_windows`, with the bias
     broadcast over the output positions: (output, cols)."""
     n = x.shape[0]
     oc, oh, ow = layer.out_shape(x.shape[1:])
     cols = cols_by_windows(x, layer.kernel_size)
-    out = cols @ layer.weight.reshape(oc, -1).T + layer.bias
+    out = cols @ weight.reshape(oc, -1).T + bias
     return out.transpose(0, 2, 1).reshape(n, oc, oh, ow), cols
 
 

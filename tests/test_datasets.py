@@ -163,6 +163,8 @@ def test_cifar_wrong_variant_length_error(tmp_path):
     path = hand_written_cifar(tmp_path, "c10.bin", [((7,), img)])
     with pytest.raises(DatasetFormatError, match="multiple"):
         load_cifar(path, "cifar100-fine")
+    with pytest.raises(ValueError, match="unknown variant 'cifar100-coarse'"):
+        load_cifar(path, "cifar100-coarse")
 
 
 def test_cifar_writer_round_trips_bytes(tmp_path):
@@ -686,6 +688,8 @@ def test_synth_dataset_is_deterministic_and_labeled_in_range():
     assert a.labels.min() >= 1 and a.labels.max() <= 10
     c = synth_dataset(32, num_classes=10, seed=14)
     assert a.images.tobytes() != c.images.tobytes()
+    with pytest.raises(ValueError, match="num_samples must be >= 1"):
+        synth_dataset(0)
 
 
 SYNTH_DIGESTS = {  # sha256 of images then labels bytes, pinned before images were uint8 throughout

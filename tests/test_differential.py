@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, note, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedtrap import layers
@@ -41,8 +41,8 @@ def reference_gradient(net, xs, ys):
     """Mean cross-entropy gradient: full forward, full reverse loop, no shortcuts."""
     h = np.asarray(xs, dtype=net.dtype)
     caches = []
-    for layer in net.layers:
-        h, cache = layer.forward(h)
+    for layer, views in zip(net.layers, net.views):
+        h, cache = layer.forward(h, *views)
         caches.append(cache)
     z = h - h.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -50,7 +50,7 @@ def reference_gradient(net, xs, ys):
     d[np.arange(len(ys)), np.asarray(ys) - 1] -= 1.0
     grad = np.zeros(net.layout.total, dtype=net.dtype)
     for i in range(len(net.layers) - 1, -1, -1):
-        d, pgrads = net.layers[i].backward(d, caches[i])
+        d, pgrads = net.layers[i].backward(d, caches[i], *net.views[i])
         for name, g in pgrads.items():
             grad[net.layout.slice_of(i, name)] = g.ravel()
     return grad / len(ys)
@@ -292,7 +292,6 @@ def test_random_architectures_train_bit_identical_to_reference(case):
     steps, the feature cache, the per-shape gather probe) on drawn
     architectures, batch counts, optimizers and trap placements."""
     net, theta, xs, ys, cfg = case
-    note(f"{[layer.kind for layer in net.layers]} on {net.input_shape}, {net.dtype}, {cfg}")
     assert_bit_identical(net, theta, xs, ys, cfg)
 
 
@@ -330,17 +329,17 @@ def test_negative_zero_gradient_below_the_written_suffix_is_stepped(monkeypatch)
     assert phi[index] == 0 and not np.signbit(phi[index])
 
 
-def sliding_window_forward(self, x):
+def sliding_window_forward(self, x, weight, bias):
     """Conv2D.forward as it was before the index-table gather: the gather the
     probe picks, its window-major side over numpy's sliding-window view, and
     the bias broadcast over the GEMM output."""
     n = x.shape[0]
     oc, oh, ow = self.out_shape(x.shape[1:])
-    if layers._packed_gather_matches(x.shape, x.dtype, self.weight.shape, self.weight.dtype):
+    if layers._packed_gather_matches(x.shape, x.dtype, weight.shape, weight.dtype):
         cols = layers._packed_windows(x, self.kernel_size)
     else:
         cols = cols_by_windows(x, self.kernel_size)
-    out = cols @ self.weight.reshape(oc, -1).T + self.bias
+    out = cols @ weight.reshape(oc, -1).T + bias
     return out.transpose(0, 2, 1).reshape(n, oc, oh, ow), (x.shape, cols)
 
 

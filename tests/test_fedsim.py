@@ -21,6 +21,9 @@ def test_client_train_rejects_size_mismatch():
     cfg = ClientConfig(batch_size=4, num_batches=2, epochs=1)
     with pytest.raises(ValueError, match="dataset size"):
         client_train(net, net.params, xs, ys, cfg)
+    xs, ys = make_batch(rng, 8)
+    with pytest.raises(ValueError, match="image/label counts differ"):
+        client_train(net, net.params, xs, ys[:7], cfg)
 
 
 def test_client_train_rejects_layout_mismatch():

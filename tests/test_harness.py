@@ -13,6 +13,7 @@ import pytest
 
 from fedtrap import cli, harness
 from fedtrap.cli import main as cli_main
+from fedtrap.datasets import write_cifar_fixture
 from fedtrap.harness import (ExperimentConfig, MetricsReport, RunRecord,
                              compute_metrics, derive_seed, emit_results,
                              mann_whitney_auc, parse_results, run_experiment)
@@ -108,6 +109,10 @@ def test_config_validation():
         ExperimentConfig(dataset="synthetic", runs=5)  # odd
     with pytest.raises(ValueError):
         ExperimentConfig(dataset="imagenet")
+    with pytest.raises(ValueError, match="M must be >= 1"):
+        ExperimentConfig(dataset="synthetic", num_values=0)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        ExperimentConfig(dataset="synthetic", workers=0)
     cfg = ExperimentConfig(dataset="synthetic", optimizer="adam")
     assert cfg.effective_lr == 1e-3
     assert cfg.echo()["lr_source"] == "assumed default"
@@ -464,6 +469,24 @@ def test_cli_attack_one_prints_outcome(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "member_flag=1" in out and "delta=" in out
+
+
+def test_cli_attack_one_on_a_cifar10_batch_file(tmp_path, capsys):
+    """`--dataset cifar10` reads `cifar-10-batches-bin/data_batch_1.bin` under
+    `--data-dir`: a member is detected and a non-member's Delta is exactly 0."""
+    rng = np.random.default_rng(10)
+    (tmp_path / "cifar-10-batches-bin").mkdir()
+    write_cifar_fixture(tmp_path / "cifar-10-batches-bin" / "data_batch_1.bin",
+                        rng.integers(0, 256, size=(40, 3, 32, 32), dtype=np.uint8),
+                        fine_labels=rng.integers(0, 10, size=40))
+    for seed in ["1", "2", "3"]:
+        for flag, expected in [("--member", "member_flag=1 delta=0.99"),
+                               ("--non-member", "member_flag=0 delta=0.0 decision=0")]:
+            assert cli_main(["attack-one", "--dataset", "cifar10", "--data-dir", str(tmp_path),
+                             "--B", "8", flag, "--seed", seed]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith(expected), (seed, out)
+            assert f"decision={int(flag == '--member')}" in out
 
 
 def test_cli_client_that_overflowed_is_a_runtime_error(capsys):

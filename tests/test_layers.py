@@ -27,16 +27,16 @@ def conv_by_loops(x, weight, bias):
 def test_conv2d_matches_direct_loops():
     rng = np.random.default_rng(3)
     layer = Conv2D(2, 3, 3)
-    layer.weight, layer.bias = (rng.uniform(-1, 1, shape)
-                                for shape in layer.param_shapes.values())
+    weight, bias = (rng.uniform(-1, 1, shape) for shape in layer.param_shapes.values())
     x = rng.normal(size=(4, 2, 6, 5))
-    out, _ = layer.forward(x)
-    expected = conv_by_loops(x, layer.weight, layer.bias)
+    out, _ = layer.forward(x, weight, bias)
+    expected = conv_by_loops(x, weight, bias)
     np.testing.assert_allclose(out, expected, rtol=1e-12)
 
 
 def stock_convs(dtype):
-    """(name, layer, input shape) for both convs of every stock conv network."""
+    """(name, layer, its parameter views, input shape) for both convs of every
+    stock conv network."""
     nets = {"mnist": conv_net((1, 28, 28), 10, dtype=dtype),
             "cifar100": conv_net((3, 32, 32), 100, dtype=dtype),
             "small": small_conv_net(dtype=dtype)}
@@ -45,19 +45,19 @@ def stock_convs(dtype):
         shape = net.input_shape
         for i, layer in enumerate(net.layers[:net.split_index]):
             if isinstance(layer, Conv2D):
-                yield f"{name}.{i}", layer, shape
+                yield f"{name}.{i}", layer, net.views[i], shape
             shape = layer.out_shape(shape)
 
 
-def assert_conv_matches_window_reference(layer, x, seed):
-    out, cache = layer.forward(x)
-    expected, ref_cols = conv_by_windows(layer, x)
+def assert_conv_matches_window_reference(layer, params, x, seed):
+    out, cache = layer.forward(x, *params)
+    expected, ref_cols = conv_by_windows(layer, x, *params)
     assert out.dtype == x.dtype and out.tobytes() == expected.tobytes()
     assert cache[1].shape == ref_cols.shape
     assert np.ascontiguousarray(cache[1]).tobytes() == ref_cols.tobytes()
     dout = np.random.default_rng(seed).normal(size=out.shape).astype(x.dtype)
-    dx, grads = layer.backward(dout, cache)
-    ref_dx, ref_grads = layer.backward(dout, (x.shape, ref_cols))
+    dx, grads = layer.backward(dout, cache, *params)
+    ref_dx, ref_grads = layer.backward(dout, (x.shape, ref_cols), *params)
     assert dx.tobytes() == ref_dx.tobytes()
     for name in ("weight", "bias"):
         assert grads[name].tobytes() == ref_grads[name].tobytes()
@@ -68,29 +68,29 @@ def assert_conv_matches_window_reference(layer, x, seed):
 def test_stock_convs_match_the_window_gather_byte_for_byte(dtype, batch):
     """Whichever gather each shape takes, the forward, its cached cols and
     the backward's dx, dw and db keep the bytes of the window-major gather."""
-    for seed, (name, layer, shape) in enumerate(stock_convs(dtype)):
+    for seed, (name, layer, params, shape) in enumerate(stock_convs(dtype)):
         x = np.random.default_rng(seed).uniform(-1, 1, (batch, *shape)).astype(dtype)
-        assert_conv_matches_window_reference(layer, x, seed)
+        assert_conv_matches_window_reference(layer, params, x, seed)
 
 
 def test_a_probe_mismatch_falls_back_to_the_window_gather(monkeypatch):
     keys = []
     monkeypatch.setattr(layers, "_packed_gather_matches", lambda *key: keys.append(key) or False)
-    for seed, (name, layer, shape) in enumerate(stock_convs(np.float32)):
+    for seed, (name, layer, params, shape) in enumerate(stock_convs(np.float32)):
         x = np.random.default_rng(seed).uniform(-1, 1, (4, *shape)).astype(np.float32)
-        assert_conv_matches_window_reference(layer, x, seed)
-        assert layer.forward(x)[1][1].flags.c_contiguous, name
+        assert_conv_matches_window_reference(layer, params, x, seed)
+        assert layer.forward(x, *params)[1][1].flags.c_contiguous, name
     assert len(set(keys)) == 6
 
 
 def test_the_probe_runs_once_per_shape():
     probe = layers._packed_gather_matches
     probe.cache_clear()
-    layer = next(stock_convs(np.float32))[1]
+    _, layer, params, _ = next(stock_convs(np.float32))
     rng = np.random.default_rng(0)
     for batch in [8, 8, 3, 8, 3]:
-        layer.forward(rng.uniform(-1, 1, (batch, 1, 28, 28)).astype(np.float32))
-    layer.forward(rng.uniform(-1, 1, (8, 1, 28, 28)))  # float64 input, float32 weight
+        layer.forward(rng.uniform(-1, 1, (batch, 1, 28, 28)).astype(np.float32), *params)
+    layer.forward(rng.uniform(-1, 1, (8, 1, 28, 28)), *params)  # float64 input, float32 weight
     assert probe.cache_info()[:4] == (3, 3, None, 3)  # hits, misses, maxsize, currsize
     # the keys are (input shape, input dtype, weight shape, weight dtype)
     f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
@@ -111,7 +111,7 @@ def test_conv_net_first_convs_take_the_packed_gather_on_scipy_openblas():
         net = conv_net(shape, classes)
         net.init_random(0)
         x = np.random.default_rng(0).uniform(-1, 1, (32, *shape)).astype(np.float32)
-        _, (_, cols) = net.layers[0].forward(x)
+        _, (_, cols) = net.layers[0].forward(x, *net.views[0])
         assert not cols.flags.c_contiguous, shape
 
 
@@ -138,15 +138,15 @@ def test_window_gather_matches_sliding_windows_on_any_memory_layout(c, h, w, k, 
     rng = np.random.default_rng(c * h * w * k + batch)
     x = rng.uniform(-1, 1, (batch, c, h, w)).astype(dtype)
     layer = Conv2D(c, 4, k)
-    layer.weight, layer.bias = (rng.uniform(-1, 1, shape).astype(weight_dtype)
-                                for shape in layer.param_shapes.values())
+    params = tuple(rng.uniform(-1, 1, shape).astype(weight_dtype)
+                   for shape in layer.param_shapes.values())
     for seed, (name, view) in enumerate(input_layouts(x)):
         assert view.tobytes() == x.tobytes()
         assert view.flags.c_contiguous == (name == "c-order")
         cols = layers._windows(view, k)
         assert cols.flags.c_contiguous, name
         assert cols.tobytes() == cols_by_windows(view, k).tobytes(), name
-        assert_conv_matches_window_reference(layer, view, seed)
+        assert_conv_matches_window_reference(layer, params, view, seed)
 
 
 def test_the_window_table_is_built_once_per_input_geometry(monkeypatch):
@@ -158,15 +158,16 @@ def test_the_window_table_is_built_once_per_input_geometry(monkeypatch):
     mnist = list(stock_convs(np.float32))[:2]
     rng = np.random.default_rng(0)
     for batch, dtype in [(8, np.float32), (3, np.float32), (8, np.float64), (1, np.float32)]:
-        for _, layer, shape in mnist:
-            layer.forward(rng.uniform(-1, 1, (batch, *shape)).astype(dtype))
+        for _, layer, params, shape in mnist:
+            layer.forward(rng.uniform(-1, 1, (batch, *shape)).astype(dtype), *params)
     assert build.cache_info()[:4] == (6, 2, None, 2)  # hits, misses, maxsize, currsize
     for key in [(1, 28, 28, 5), (6, 12, 12, 5)]:
         assert not build(*key).flags.writeable  # one shared table per key
     assert build.cache_info().misses == 2
     monkeypatch.undo()
     layers._packed_gather_matches.cache_clear()
-    mnist[1][1].forward(rng.uniform(-1, 1, (5, 6, 12, 12)).astype(np.float32))
+    _, layer, params, _ = mnist[1]
+    layer.forward(rng.uniform(-1, 1, (5, 6, 12, 12)).astype(np.float32), *params)
     assert build.cache_info().misses == 2
 
 
@@ -177,22 +178,31 @@ def test_signed_zero_and_infinite_biases_keep_the_broadcast_add_bytes(dtype, n):
     all-zero weight rows and to generic GEMM outputs."""
     rng = np.random.default_rng(5)
     layer = Conv2D(2, 8, 3)
-    layer.weight = rng.uniform(-1, 1, layer.param_shapes["weight"]).astype(dtype)
-    layer.weight[:4] = 0.0
-    layer.bias = np.array([0.0, -0.0, np.inf, -np.inf] * 2, dtype=dtype)
+    weight = rng.uniform(-1, 1, layer.param_shapes["weight"]).astype(dtype)
+    weight[:4] = 0.0
+    bias = np.array([0.0, -0.0, np.inf, -np.inf] * 2, dtype=dtype)
     x = rng.uniform(-1, 1, (n, 2, 7, 6)).astype(dtype)
-    out, _ = layer.forward(x)
-    expected, _ = conv_by_windows(layer, x)
+    out, _ = layer.forward(x, weight, bias)
+    expected, _ = conv_by_windows(layer, x, weight, bias)
     assert out.tobytes() == expected.tobytes()
     assert out.strides == expected.strides
     assert (out[:, [0, 1]] == 0).all()
     assert np.isposinf(out[:, [2, 6]]).all() and np.isneginf(out[:, [3, 7]]).all()
 
 
+@pytest.mark.parametrize("build", [lambda: Conv2D(0, 2, 3), lambda: Conv2D(1, 0, 3),
+                                   lambda: Conv2D(1, 2, 0), lambda: MaxPool2D(0),
+                                   lambda: Linear(0, 2), lambda: Linear(2, -1)])
+def test_constructors_reject_a_size_that_is_not_positive(build):
+    with pytest.raises(ValueError, match="must be positive"):
+        build()
+
+
 def test_conv2d_rejects_wrong_channels():
     layer = Conv2D(2, 3, 3)
+    params = (np.zeros(shape, dtype=np.float32) for shape in layer.param_shapes.values())
     with pytest.raises(ShapeError):
-        layer.forward(np.zeros((1, 5, 6, 6), dtype=np.float32))
+        layer.forward(np.zeros((1, 5, 6, 6), dtype=np.float32), *params)
 
 
 def test_maxpool_values_and_gradient_routing():
@@ -314,19 +324,19 @@ def test_relu_derivative_is_zero_at_exactly_zero():
 
 def test_linear_identity_weight_passes_input_through():
     layer = Linear(3, 3)
-    layer.weight, layer.bias = np.eye(3), np.zeros(layer.param_shapes["bias"])
+    weight, bias = np.eye(3), np.zeros(layer.param_shapes["bias"])
     x = np.array([[0.5, -2.0, 7.0]])
-    out, _ = layer.forward(x)
+    out, _ = layer.forward(x, weight, bias)
     np.testing.assert_array_equal(out, x)
 
 
 def test_linear_gradients_hand_case():
     layer = Linear(2, 1)
-    layer.weight, layer.bias = np.array([[3.0, -1.0]]), np.zeros(layer.param_shapes["bias"])
+    weight, bias = np.array([[3.0, -1.0]]), np.zeros(layer.param_shapes["bias"])
     x = np.array([[2.0, 5.0]])
-    out, cache = layer.forward(x)
+    out, cache = layer.forward(x, weight, bias)
     assert out[0, 0] == 1.0
-    dx, grads = layer.backward(np.array([[2.0]]), cache)
+    dx, grads = layer.backward(np.array([[2.0]]), cache, weight, bias)
     np.testing.assert_array_equal(grads["weight"], [[4.0, 10.0]])
     np.testing.assert_array_equal(grads["bias"], [2.0])
     np.testing.assert_array_equal(dx, [[6.0, -2.0]])

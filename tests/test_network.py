@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -40,7 +41,8 @@ def test_dead_network_hidden_activations_all_minus_one():
 def test_forward_positive_input_passes_through_identity_head():
     net = small_dense(in_dim=3, h1=3, h2=3, classes=3)
     for i in (1, 3, 5):
-        net.layers[i].weight[...] = np.eye(3)
+        weight, _ = net.views[i]
+        weight[...] = np.eye(3)
     x = np.array([0.25, 1.5, 3.0])
     np.testing.assert_array_equal(forward(net, x), x)
 
@@ -50,9 +52,7 @@ def test_forward_matches_straight_line_matrix_arithmetic():
     net = small_dense()
     net.init_random(7)
     x = rng.normal(size=4)
-    w1, b1 = net.layers[1].weight, net.layers[1].bias
-    w2, b2 = net.layers[3].weight, net.layers[3].bias
-    w3, b3 = net.layers[5].weight, net.layers[5].bias
+    (w1, b1), (w2, b2), (w3, b3) = net.views[1], net.views[3], net.views[5]
     h1 = np.maximum(w1 @ x + b1, 0)
     h2 = np.maximum(w2 @ h1 + b2, 0)
     expected = w3 @ h2 + b3
@@ -78,8 +78,8 @@ def test_forward_features_matches_instrumented_forward_prefix():
     net.init_random(3)
     xs = np.random.default_rng(2).uniform(-1, 1, size=(2, 1, 14, 14))
     h = xs
-    for layer in net.layers[:net.split_index]:
-        h, _ = layer.forward(h)
+    for layer, views in zip(net.layers[:net.split_index], net.views):
+        h, _ = layer.forward(h, *views)
     np.testing.assert_array_equal(net.forward_features(xs), h.reshape(2, -1))
 
 
@@ -108,6 +108,13 @@ def test_network_rejects_mismatched_chain():
     extractor = [Conv2D(1, 2, 3), ReLU(), Conv2D(3, 4, 3), Flatten()]
     with pytest.raises(ShapeError, match=r"layer 2 \(conv2d\)"):
         Network(extractor, (1, 8, 8), (4, 3), 2)
+    with pytest.raises(ShapeError, match=r"layer 0 \(conv2d\): conv2d kernel 5 larger than "
+                                         r"input 4x6"):
+        Network([Conv2D(1, 2, 5), Flatten()], (1, 4, 6), (4, 3), 2)
+    for first in (Conv2D(1, 2, 3), MaxPool2D(2)):
+        with pytest.raises(ShapeError, match=rf"layer 0 \({first.kind}\): {first.kind} "
+                                             r"expects \(C,H,W\) input, got \(8,\)"):
+            Network([first, Flatten()], (8,), (4, 3), 2)
 
 
 def test_network_rejects_non_flat_extractor_at_first_head_linear():
@@ -130,9 +137,9 @@ def test_loss_single_lifted_logit_closed_form():
     b, classes = 0.7, 10
     net = dense_net(3, (3, 3), classes, dtype=np.float64)
     init_dead(net)
-    for layer in (net.layers[1], net.layers[3], net.layers[5]):
-        layer.bias[...] = 0.0
-    net.layers[5].bias[4] = b
+    for _, bias in (net.views[1], net.views[3], net.views[5]):
+        bias[...] = 0.0
+    net.views[5][1][4] = b
     x = np.zeros((1, 3))
     expected = -b + math.log(classes - 1 + math.exp(b))
     assert net.loss(x, 5) == pytest.approx(expected, abs=1e-12)
@@ -148,7 +155,7 @@ def test_loss_shift_invariance():
     base = net.loss(x, [2, 3])
     for c in (0.5, -3.0, 100.0):
         shifted = net.with_params(net.params)
-        shifted.layers[5].bias[...] = net.layers[5].bias + c
+        shifted.views[5][1][...] = net.views[5][1] + c
         assert abs(shifted.loss(x, [2, 3]) - base) < 1e-12
 
 
@@ -220,7 +227,7 @@ def test_an_empty_batch_is_rejected_before_any_layer_runs(monkeypatch, build, in
     net = build()
     net.init_random(6)
 
-    def no_layer(self, x):
+    def no_layer(self, x, *params):
         raise AssertionError(f"{self.kind} ran")
     for cls in (Conv2D, Flatten, Linear, MaxPool2D, ReLU):
         monkeypatch.setattr(cls, "forward", no_layer)
@@ -237,7 +244,7 @@ def test_backward_rejects_features_of_the_wrong_shape_before_any_layer_runs(
     net.init_random(2)
     xs = np.zeros((3, 1, 14, 14))
 
-    def no_layer(self, x):
+    def no_layer(self, x, *params):
         raise AssertionError(f"{self.kind} ran")
     for cls in (Conv2D, Flatten, Linear, MaxPool2D, ReLU):
         monkeypatch.setattr(cls, "forward", no_layer)
@@ -276,9 +283,9 @@ def test_backward_from_features_is_backward_from_inputs(monkeypatch, build, conv
     forward = Conv2D.forward
     calls = []
 
-    def counting(self, x):
+    def counting(self, x, weight, bias):
         calls.append(len(x))
-        return forward(self, x)
+        return forward(self, x, weight, bias)
     monkeypatch.setattr(Conv2D, "forward", counting)
     grad = net.backward(xs, ys, features=features)
     assert grad.tobytes() == full.tobytes()
@@ -305,14 +312,14 @@ def test_layers_view_the_flat_parameter_vector():
     h2 = net.head_linear_indices()[1]
     net.params[net.layout.index_of(h2, "bias", 0)] = 2.5
     net.params[net.layout.index_of(0, "weight", 1, 0, 2, 2)] = -3.0
-    assert net.layers[h2].bias[0] == 2.5
-    assert net.layers[0].weight[1, 0, 2, 2] == -3.0
+    assert net.views[h2][1][0] == 2.5
+    assert net.views[0][0][1, 0, 2, 2] == -3.0
     net.init_random(13)
-    for e in net.layout.entries:
-        layer_array = getattr(net.layers[e.layer_index], e.name)
-        assert np.shares_memory(layer_array, net.params)
-        assert np.array_equal(net.params[net.layout.slice_of(e.layer_index, e.name)],
-                              layer_array.ravel())
+    for i, layer in enumerate(net.layers):
+        assert not hasattr(layer, "weight") and not hasattr(layer, "bias")
+        for name, view in zip(layer.param_shapes, net.views[i], strict=True):
+            assert np.shares_memory(view, net.params)
+            assert np.array_equal(net.params[net.layout.slice_of(i, name)], view.ravel())
 
 
 def test_with_params_owns_a_copy_in_the_vectors_dtype():
@@ -323,10 +330,10 @@ def test_with_params_owns_a_copy_in_the_vectors_dtype():
     work = net.with_params(v)
     assert work.dtype == np.float64 and work.params.dtype == np.float64
     assert work.params.tobytes() == v.tobytes()
-    assert work.layers[0].weight.dtype == np.float64
+    assert work.views[0][0].dtype == np.float64
     work.params[:] = -1.0
     work.init_random(15)
-    work.layers[-1].bias[0] = 7.0
+    work.views[-1][1][0] = 7.0
     assert np.array_equal(v, np.arange(net.layout.total, dtype=np.float64))
     assert net.params.tobytes() == source.tobytes()
     assert net.dtype == np.float32
@@ -343,7 +350,31 @@ def test_a_network_built_from_another_networks_layers_leaves_it_unchanged():
     assert features.any()
     Network(extractor, (1, 8, 8), (8, 5), 3)
     assert a.forward_features(x).tobytes() == features.tobytes()
-    assert all(a.layers[i] is not layer for i, layer in enumerate(extractor))
+
+
+def test_an_unpickled_network_computes_from_its_own_params():
+    """A worker started with spawn or forkserver gets its network by pickle;
+    a write to the copy's `params` must reach its forward, and only its."""
+    net = small_conv_net()
+    net.init_random(3)
+    x = np.random.default_rng(3).uniform(-1, 1, size=(2, 1, 14, 14)).astype(np.float32)
+    features = net.forward_features(x)
+    copy = pickle.loads(pickle.dumps(net))
+    assert copy.forward_features(x).tobytes() == features.tobytes()
+    copy.params[:] = 0.0
+    assert not copy.forward_features(x).any()
+    assert net.forward_features(x).tobytes() == features.tobytes()
+    assert all(np.shares_memory(view, copy.params) for views in copy.views for view in views)
+
+
+def test_repr_names_the_layers_input_shape_dtype_and_parameter_count():
+    assert repr(small_conv_net()) == (
+        "Network(layers=[conv2d, relu, maxpool2d, conv2d, relu, maxpool2d, flatten, "
+        "linear, relu, linear, relu, linear], input_shape=(1, 14, 14), dtype=float32, "
+        "params=1698)")
+    assert repr(dense_net(4, (4, 3), 3, dtype=np.float64)) == (
+        "Network(layers=[flatten, linear, relu, linear, relu, linear], input_shape=(4,), "
+        "dtype=float64, params=47)")
 
 
 def test_with_params_rejects_wrong_length():
@@ -360,12 +391,14 @@ def test_layout_index_round_trips_through_flat_vector():
     vec = net.params
     h2 = net.head_linear_indices()[1]
     idx = net.layout.index_of(h2, "bias", 0)
-    assert vec[idx] == net.layers[h2].bias[0]
+    assert vec[idx] == net.views[h2][1][0]
     cidx = net.layout.index_of(0, "weight", 1, 0, 2, 2)
-    assert vec[cidx] == net.layers[0].weight[1, 0, 2, 2]
+    assert vec[cidx] == net.views[0][0][1, 0, 2, 2]
     for coords in [(), (0, 0), (1, 0, 2)]:  # not one coordinate per axis
         with pytest.raises(ValueError, match="multi_index"):
             net.layout.index_of(0, "weight" if coords else "bias", *coords)
+    with pytest.raises(KeyError, match="layer 1 has no parameter 'weight'"):
+        net.layout.entry(1, "weight")  # a ReLU
 
 
 LAYOUT_PROBE = """
@@ -407,7 +440,7 @@ def test_checkable_cases_clear_the_kink_and_tie_margins(monkeypatch):
     monkeypatch.setattr(verify, "POOL_MARGIN", 1e-2)
     for seed in range(12):
         net, h, _ = sample_checkable_case(seed)
-        for layer in net.layers:
+        for layer, views in zip(net.layers, net.views):
             if isinstance(layer, ReLU):
                 assert np.abs(h).min() >= 1e-2
             if isinstance(layer, MaxPool2D):
@@ -415,7 +448,7 @@ def test_checkable_cases_clear_the_kink_and_tie_margins(monkeypatch):
                 windows = np.stack([h[:, :, i::k, j::k] for i in range(k) for j in range(k)])
                 top2 = np.sort(windows, axis=0)[-2:]
                 assert (top2[1] - top2[0]).min() >= 1e-2
-            h, _ = layer.forward(h)
+            h, _ = layer.forward(h, *views)
 
 
 def test_conv_net_feature_widths_match_contract():

@@ -14,7 +14,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, note, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedtrap.attack import run_attack
@@ -49,7 +49,6 @@ optimizers = st.one_of(
        num_values=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_non_triggering_training_changes_only_final_biases(net, opt, epochs, batches,
                                                            batch_size, num_values, seed):
-    note(f"{[layer.kind for layer in net.layers]} on {net.input_shape}, {net.dtype}")
     first_hidden = net.layers[net.head_linear_indices()[0]]
     assume(2 * num_values <= first_hidden.out_dim)
     rng = np.random.default_rng(seed)

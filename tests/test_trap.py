@@ -167,6 +167,13 @@ def test_crafting_rejects_narrow_head():
         craft_parameters(net, (x, 1), num_values=13, epsilon=1e-3, seed=0)
 
 
+@pytest.mark.parametrize("label", [0, 11])
+def test_crafting_rejects_a_target_label_outside_1_to_L(label):
+    net = dense_net(6, (24, 16), 10, dtype=np.float64)
+    with pytest.raises(ValueError, match=f"target label {label} outside 1..10"):
+        craft_parameters(net, (np.ones(6), label), num_values=2, epsilon=1e-3, seed=0)
+
+
 def test_crafting_rejects_oversized_component_count():
     net = dense_net(6, (24, 16), 10, dtype=np.float64)
     with pytest.raises(CraftError, match="feature"):
@@ -208,6 +215,11 @@ def test_trap_spec_json_round_trip_and_epsilon_index():
     assert restored == spec
     payload = json.loads(spec.to_json())
     assert set(payload) == {"M", "indices", "etas", "epsilon", "target_label", "seed"}
+    for change, message in [({"M": 0, "indices": [], "etas": []}, "at least one"),
+                            ({"etas": payload["etas"][:-1]}, "length num_values"),
+                            ({"indices": [payload["indices"][0]] * 5}, "distinct")]:
+        with pytest.raises(ValueError, match=message):
+            TrapSpec.from_json(json.dumps({**payload, **change}))
     idx = epsilon_flat_index(net)
     assert theta[idx] == np.float32(2e-3)
 
