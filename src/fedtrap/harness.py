@@ -138,8 +138,8 @@ def build_source(cfg: ExperimentConfig) -> Dataset:
 
 
 def build_network(cfg: ExperimentConfig, source: Dataset) -> Network:
-    """The run's architecture; raises ValueError if it cannot host the trap
-    (see `check_trap`) or if lr is not finite and positive in its dtype."""
+    """The run's architecture; raises ValueError if `check_trap` refuses M or ε
+    on it, or if lr is not finite and positive in its dtype."""
     if cfg.dataset == "synthetic":
         net = small_conv_net(SYNTH_IMAGE_SHAPE, SYNTH_CLASSES)
     else:

@@ -1,13 +1,14 @@
 """Feedforward network: forward pass, cross-entropy loss, exact reverse-mode gradients.
 
-Labels are 1-based (1..L) and inputs are (n, *input_shape) batches
-throughout. Parameters are stored once, in the flat vector
-`Network.params`. Layers hold no parameters and only declare their
-shapes; the network lays them out, allocates the vector as zeros in its
-dtype, and hands each call of layer i `views[i]`, reshaped views of that
-layer's slices, so a write to `params` shows in the next call. The
-layout is a pure function of the architecture (see ParameterLayout), so
-flat indices are stable across processes for a fixed architecture.
+Labels are 1-based (1..L) and inputs are non-empty (n, *input_shape)
+batches throughout; anything else raises ShapeError before a layer runs.
+Parameters are stored once, in the flat vector `Network.params`. Layers
+hold no parameters and only declare their shapes; the network lays them
+out, allocates the vector as zeros in its dtype, and hands each call of
+layer i `views[i]`, reshaped views of that layer's slices, so a write to
+`params` shows in the next call. The layout is a pure function of the
+architecture (see ParameterLayout), so flat indices are stable across
+processes for a fixed architecture.
 
 The caller gives only the feature extractor's layers. The network
 builds the head itself, Linear-ReLU-Linear-ReLU-Linear sized from the

@@ -18,7 +18,6 @@ the architecture alone, is what the membership decision monitors.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,7 +32,7 @@ class CraftError(ValueError):
 
 @dataclass(frozen=True)
 class TrapSpec:
-    """The planted trap: matched components, thresholds, margin and target label.
+    """What crafting planted: matched components, thresholds, margin and label.
 
     Unit placement is fixed: pair m sits at first-hidden units (2m, 2m+1)
     and the aggregator at second-hidden unit 0.
@@ -46,16 +45,6 @@ class TrapSpec:
     target_label: int                   # 1..L
     seed: int                           # feature-extractor init seed
 
-    def __post_init__(self):
-        if self.num_values < 1:
-            raise ValueError("need at least one matched value")
-        if len(self.component_indices) != self.num_values or len(self.etas) != self.num_values:
-            raise ValueError("indices/etas must have length num_values")
-        if len(set(self.component_indices)) != self.num_values:
-            raise ValueError("component indices must be distinct")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be finite and positive")
-
     def to_json(self) -> str:
         return json.dumps({
             "M": self.num_values,
@@ -66,16 +55,6 @@ class TrapSpec:
             "seed": self.seed,
         })
 
-    @classmethod
-    def from_json(cls, text: str) -> "TrapSpec":
-        d = json.loads(text)
-        return cls(num_values=d["M"],
-                   component_indices=tuple(d["indices"]),
-                   etas=tuple(d["etas"]),
-                   epsilon=d["epsilon"],
-                   target_label=d["target_label"],
-                   seed=d["seed"])
-
 
 def select_components(features: np.ndarray, num_values: int) -> tuple[list[int], list[float]]:
     """Indices and signed values of the M largest-magnitude components.
@@ -83,7 +62,7 @@ def select_components(features: np.ndarray, num_values: int) -> tuple[list[int],
     Ordered by decreasing magnitude; ties resolve to the smaller index.
     """
     features = np.asarray(features).reshape(-1)
-    if num_values > features.size:
+    if not 1 <= num_values <= features.size:
         raise CraftError(f"requested {num_values} components from a "
                          f"{features.size}-wide feature vector")
     order = np.argsort(-np.abs(features), kind="stable")[:num_values]
@@ -91,8 +70,11 @@ def select_components(features: np.ndarray, num_values: int) -> tuple[list[int],
 
 
 def check_trap(net: Network, num_values: int, epsilon: float) -> None:
-    """Raise CraftError unless `net`'s first hidden layer can host M unit pairs,
-    and ValueError unless ε is finite and positive in `net`'s dtype."""
+    """Raise ValueError unless M >= 1, CraftError unless `net`'s first hidden
+    layer can host M unit pairs, and ValueError unless ε is finite and
+    positive in `net`'s dtype."""
+    if num_values < 1:
+        raise ValueError(f"a trap needs M >= 1 matched values, got M={num_values}")
     width = net.layers[net.head_linear_indices()[0]].out_dim
     if 2 * num_values > width:
         raise CraftError(f"M={num_values} needs {2 * num_values} first-hidden units, "
@@ -109,7 +91,8 @@ def craft_parameters(net: Network, sample: tuple[np.ndarray, int], num_values: i
     """Build the full trap parameter vector for `net`'s architecture.
 
     The target image must already be normalized exactly as the client will
-    normalize its training data. The input network is not modified.
+    normalize its training data. The input network is not modified, and the
+    label, M and ε (`check_trap`) are checked before any parameter is written.
     """
     x_t, y_t = sample
     if not 1 <= y_t <= net.num_classes:
@@ -139,10 +122,9 @@ def craft_parameters(net: Network, sample: tuple[np.ndarray, int], num_values: i
     b2[0] = epsilon
     w3[y_t - 1, 0] = 1.0
 
-    spec = TrapSpec(num_values=num_values, component_indices=tuple(indices),
-                    etas=tuple(etas), epsilon=float(epsilon),
-                    target_label=int(y_t), seed=int(seed))
-    return work.params, spec
+    return work.params, TrapSpec(num_values=num_values, component_indices=tuple(indices),
+                                 etas=tuple(etas), epsilon=float(epsilon),
+                                 target_label=int(y_t), seed=int(seed))
 
 
 def epsilon_flat_index(net: Network) -> int:

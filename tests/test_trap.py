@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from fedtrap.network import dense_net, small_conv_net
-from fedtrap.trap import (CraftError, TrapSpec, craft_parameters, epsilon_flat_index,
+from fedtrap.network import Network, dense_net, small_conv_net
+from fedtrap.trap import (CraftError, check_trap, craft_parameters, epsilon_flat_index,
                           select_components)
 from oracles import (KinkError, forward, logit_grad, trap_eps_grad_oracle,
                      trap_loss_eps_grad_oracle, trap_loss_oracle, trap_output_oracle)
@@ -38,6 +38,13 @@ def test_select_components_matches_full_sort_oracle():
 def test_select_components_rejects_oversized_request():
     with pytest.raises(CraftError):
         select_components(np.zeros(3), 4)
+
+
+@pytest.mark.parametrize("M", [0, -1])
+def test_select_components_rejects_fewer_than_one_value(M):
+    # `order[:M]` counts from the end for M < 0: -1 would pick 255 of 256 components
+    with pytest.raises(CraftError, match=f"requested {M} components"):
+        select_components(np.arange(256.0), M)
 
 
 # -- closed-form oracles ---------------------------------------------------------
@@ -160,6 +167,23 @@ def test_crafting_returns_a_vector_of_its_own():
     assert theta.tobytes() == kept.tobytes()
 
 
+@pytest.mark.parametrize("M", [0, -1])
+def test_check_trap_rejects_fewer_than_one_matched_value(M):
+    with pytest.raises(ValueError, match=f"got M={M}"):
+        check_trap(small_conv_net(), M, 1e-3)
+
+
+@pytest.mark.parametrize("M", [0, -1, -3])
+def test_crafting_rejects_fewer_than_one_matched_value_before_any_write(M, monkeypatch):
+    def no_copy(self, values):
+        raise AssertionError("crafting copied the network before checking M")
+
+    monkeypatch.setattr(Network, "with_params", no_copy)
+    x = np.zeros((1, 14, 14), dtype=np.float32)
+    with pytest.raises(ValueError, match=f"got M={M}"):
+        craft_parameters(small_conv_net(), (x, 1), num_values=M, epsilon=1e-3, seed=0)
+
+
 def test_crafting_rejects_narrow_head():
     net = small_conv_net()  # first hidden width 24
     x = np.zeros((1, 14, 14), dtype=np.float32)
@@ -185,9 +209,6 @@ def test_crafting_and_spec_reject_bad_epsilon(eps):
     net = dense_net(6, (24, 16), 10, dtype=np.float64)
     with pytest.raises(ValueError, match="epsilon must be finite and positive"):
         craft_parameters(net, (np.ones(6), 1), num_values=2, epsilon=eps, seed=0)
-    with pytest.raises(ValueError, match="epsilon must be finite and positive"):
-        TrapSpec(num_values=1, component_indices=(0,), etas=(0.5,), epsilon=eps,
-                 target_label=1, seed=0)
 
 
 @pytest.mark.parametrize("eps", [1e-46, 1e39])
@@ -211,15 +232,8 @@ def test_degenerate_target_warns_but_crafts():
 
 def test_trap_spec_json_round_trip_and_epsilon_index():
     net, _, theta, spec = craft_on_small_net(M=5, eps=2e-3, seed=8, label=7)
-    restored = TrapSpec.from_json(spec.to_json())
-    assert restored == spec
     payload = json.loads(spec.to_json())
     assert set(payload) == {"M", "indices", "etas", "epsilon", "target_label", "seed"}
-    for change, message in [({"M": 0, "indices": [], "etas": []}, "at least one"),
-                            ({"etas": payload["etas"][:-1]}, "length num_values"),
-                            ({"indices": [payload["indices"][0]] * 5}, "distinct")]:
-        with pytest.raises(ValueError, match=message):
-            TrapSpec.from_json(json.dumps({**payload, **change}))
     idx = epsilon_flat_index(net)
     assert theta[idx] == np.float32(2e-3)
 
