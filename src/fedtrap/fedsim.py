@@ -18,15 +18,25 @@ a -0.0 gradient counts as written, since SGD turns a -0.0 parameter into
 +0.0 under it. Below `lo` both steps are exact fixed points (see `optim`),
 so stepping the suffix alone, with Adam's moment vectors m and v sliced
 the same way and its step count t kept global, changes no bit; the steps
-write in place, on views of the client's own buffers. The same rule
-makes reusing split activations (the feature extractor's output) exact.
-They depend only on the sample and the extractor's parameters, the
-prefix of the layout up to `net.extractor_params.stop`, so a batch is
-cached while `lo` is at or above that stop: no step has written a byte
-of the extractor. A cached batch hands `Network.backward` its rows of
-the feature cache, which epoch 0 fills as it goes (an epoch is a
-permutation); any other batch lets `backward` run the extractor. Under a
-planted trap the extractor gets gradient only from a batch in which a
+write in place, on views of the client's own buffers.
+
+Each batch makes one decision: a dead step or `Network.backward`. A
+call with more than one step first builds a dead screen
+(`fedtrap.screen`), which holds while `lo` is at or above the second
+hidden layer's bias: from one feature column, computed for every
+sample through its receptive field, it proves for each sample that the
+head's second hidden ReLU stays zero under the current b2, which is
+re-read every batch. A batch whose every sample is proved dead takes
+`Network.dead_backward`, which writes only the final bias into one
+gradient buffer the call owns, so only that slice is scanned for
+written bytes; it runs no layer. Any other batch calls `backward`,
+which runs the whole network. Under a planted trap that leaves only the
+batches that may fire it: the target's, and those of samples near it
+in the screened feature. A live network, or any head the certificate
+does not cover, gets no screen, and neither does a one-step call
+(FedSGD, the reference step): its crop pass would cover the samples of
+its one batch, and a live batch would pay it on top of its forward.
+Under a trap the extractor gets gradient only from a batch in which a
 sample other than the target fires the trap (the target sits exactly on
 the pair units' ReLU kink), and the suffix is short: `Network.backward`
 fills the gradient from the last layer down, the layout is in layer
@@ -42,6 +52,7 @@ import numpy as np
 
 from .network import Network
 from .optim import DEFAULT_LR, adam_step, sgd_step
+from .screen import dead_screen
 
 
 @dataclass(frozen=True)
@@ -88,23 +99,23 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
         m, v, t = np.zeros_like(params), np.zeros_like(params), 0
     bits = np.dtype(f"u{params.itemsize}")
     lo = params.size
-    extractor_stop = net.extractor_params.stop
+    screen = dead_screen(work, xs) if cfg.num_batches * cfg.epochs > 1 else None
+    if screen is not None:
+        dead = np.zeros_like(params)  # dead_backward writes its final bias only
+        final_bias = net.layout.entry(len(net.layers) - 1, "bias").offset
     rng = np.random.default_rng(cfg.shuffle_seed)
-    features = np.empty((n, net.feature_width), dtype=net.dtype)
-    for epoch in range(cfg.epochs):
+    for _ in range(cfg.epochs):
         for sel in rng.permutation(n).reshape(cfg.num_batches, cfg.batch_size):
-            x = xs[sel]
-            cached = lo >= extractor_stop
-            if cached and epoch == 0:
-                features[sel] = work.forward_features(x)
-            grad = work.backward(x, ys[sel], features=features[sel] if cached else None)
-            written = np.flatnonzero(grad[:lo].view(bits) != 0)
+            if screen is not None and screen.dead(params, lo, sel):
+                grad, start = work.dead_backward(ys[sel], dead), final_bias
+            else:
+                grad, start = work.backward(xs[sel], ys[sel]), 0
+            written = np.flatnonzero(grad[start:lo].view(bits) != 0)
             if written.size:
-                lo = int(written[0])
+                lo = start + int(written[0])
             if adam:
                 t += 1
                 adam_step(params[lo:], grad[lo:], m[lo:], v[lo:], t, cfg.lr)
             else:
                 sgd_step(params[lo:], grad[lo:], cfg.lr)
     return params
-

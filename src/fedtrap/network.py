@@ -25,11 +25,15 @@ skip work without changing a bit:
   never -0.0: numpy's sums and matrix products accumulate from +0.0.
   The one difference is a non-finite activation below the stop, where
   0 * inf would have given NaN.
-- Each layer reads the cache its forward left. Without `features`, the
-  extractor runs with caches before the head. Given split activations,
-  the head runs alone, and the loop makes the extractor's caches with
-  one forward when it reaches the split with a nonzero cotangent. A
-  planted trap that the batch does not fire sends none.
+- Each layer reads the cache its forward left: the whole network runs
+  forward with caches before the loop starts.
+
+`dead_backward` gives `backward`'s bytes, without running a layer, for a
+batch whose second hidden ReLU is zero for every sample: that batch's
+gradient is the final bias's alone. Only a caller that has proved the
+ReLU zero may call it (`fedtrap.screen`). `receptive_field` maps one
+feature to the input crop it depends on, so that one feature can be
+computed for many samples without computing the others.
 """
 
 from __future__ import annotations
@@ -205,38 +209,71 @@ class Network:
         logits, _ = self._run(xs, 0, len(self.layers), keep_caches=False)
         return float(np.mean(_cross_entropy(logits, ys)))
 
-    def backward(self, x: np.ndarray, y, features: np.ndarray | None = None) -> np.ndarray:
-        """Flat gradient of the mean cross-entropy over the batch.
-
-        `features`, if given, must be bit for bit `forward_features(x)` under
-        the current parameters, so of shape (n, feature_width); any other
-        shape raises ShapeError. The head then starts from them, and the
-        feature extractor runs only if the head sends a nonzero cotangent to
-        the split.
-        """
+    def backward(self, x: np.ndarray, y) -> np.ndarray:
+        """Flat gradient of the mean cross-entropy over the batch."""
         xs = self._as_batch(x)
         ys = self._check_labels(y, len(xs))
-        s = self.split_index
-        caches = [None] * s
-        if features is None:
-            features, caches = self._run(xs, 0, s, keep_caches=True)
-        elif features.shape != (len(xs), self.feature_width):
-            raise ShapeError(f"features of shape {features.shape} are not "
-                             f"({len(xs)}, {self.feature_width})")
-        logits, head_caches = self._run(features, s, len(self.layers), keep_caches=True)
-        caches += head_caches
+        logits, caches = self._run(xs, 0, len(self.layers), keep_caches=True)
         d = _softmax(logits)
         d[np.arange(len(ys)), ys - 1] -= 1.0
         grad = np.zeros(self.layout.total, dtype=self.dtype)
         for i in reversed(range(len(self.layers))):
             if not d.any():
                 break
-            if caches[i] is None:
-                _, caches[:s] = self._run(xs, 0, s, keep_caches=True)
             d, pgrads = self.layers[i].backward(d, caches[i], *self.views[i])
             for name, g in pgrads.items():
                 np.divide(g.ravel(), len(ys), out=grad[self.layout.slice_of(i, name)])
         return grad
+
+    def dead_backward(self, y, out: np.ndarray) -> np.ndarray:
+        """`backward`'s gradient for a batch with labels `y` whose second hidden
+        ReLU is zero for every sample, written into `out` and returned.
+
+        `out` must hold +0.0 outside the final bias; only that slice is
+        written. With that ReLU zero the logits are `0 + b3` in every row
+        (the product with the final weight accumulates from +0.0), so the
+        cotangent is d = softmax(b3) - onehot(y). The final weight's gradient
+        d.T @ 0 is +0.0, the ReLU stops the loop, and the final bias gets
+        d.sum(0) / B. Nothing here checks that the ReLU is zero.
+        """
+        ys = self._check_labels(y, np.size(y))
+        final = len(self.layers) - 1
+        d = _softmax(np.zeros((len(ys), self.num_classes), self.dtype) + self.views[final][1])
+        d[np.arange(len(ys)), ys - 1] -= 1.0
+        np.divide(d.sum(axis=0), len(ys), out=out[self.layout.slice_of(final, "bias")])
+        return out
+
+    def receptive_field(self, column: int) -> tuple[tuple[slice, ...], int] | None:
+        """The crop of a sample that feature `column` depends on, and the
+        column's index among the features the extractor computes from that
+        crop alone: `forward_features(x)[:, column]` is, up to rounding, the
+        extractor's output on `x[(slice(None), *box)]` at `index`.
+
+        The cell that Flatten reads is walked back to the input: a ReLU keeps
+        it, a k-window MaxPool2D scales it by k, and a Conv2D with kernel k
+        widens it by k - 1 over every input channel. None unless the
+        extractor is Conv2D, ReLU and MaxPool2D layers followed by one Flatten.
+        """
+        extractor = self.layers[:self.split_index]
+        if (not extractor or extractor[-1].kind != "flatten"
+                or any(layer.kind not in _CROPPABLE for layer in extractor[:-1])):
+            return None
+        shape = _out_shape(extractor[:-1], self.input_shape, first=0)
+        cell = [int(i) for i in np.unravel_index(column, shape)]
+        lo, hi = cell, [i + 1 for i in cell]
+        for layer in reversed(extractor[:-1]):
+            if layer.kind == "conv2d":
+                k = layer.kernel_size - 1
+                lo, hi = [0, lo[1], lo[2]], [layer.in_channels, hi[1] + k, hi[2] + k]
+            elif layer.kind == "maxpool2d":
+                k = layer.window
+                lo, hi = [lo[0], lo[1] * k, lo[2] * k], [hi[0], hi[1] * k, hi[2] * k]
+        # the crop's output is one cell wide; after a Conv2D it has every channel
+        convs = any(layer.kind == "conv2d" for layer in extractor)
+        return tuple(slice(a, b) for a, b in zip(lo, hi)), cell[0] if convs else 0
+
+
+_CROPPABLE = ("conv2d", "relu", "maxpool2d")
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

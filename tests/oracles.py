@@ -9,7 +9,8 @@ shortcut, the same way `test_differential.reference_gradient` does for
 the loss. `forward` and `init_dead` are the plain whole-network passes
 the tests read logits and dead networks from. `cols_by_windows` and
 `conv_by_windows` are Conv2D's forward written over numpy's
-sliding-window view, the reference for the layer's own gathers.
+sliding-window view, the reference for the layer's own gathers, and
+`conv_backward_by_windows` its backward over those windows.
 `duplicates_by_dict` is the exact-duplicate scan written as one dict
 keyed by every train image's bytes, the reference for the hashed scan;
 `row_hashes_by_matmul` is the row hash as one integer matmul over every
@@ -123,6 +124,15 @@ def conv_by_windows(layer, x, weight, bias):
     cols = cols_by_windows(x, layer.kernel_size)
     out = cols @ weight.reshape(oc, -1).T + bias
     return out.transpose(0, 2, 1).reshape(n, oc, oh, ow), cols
+
+
+def conv_backward_by_windows(layer, dout, x, cols, weight):
+    """Conv2D's backward arithmetic over the reference `cols`: (dx, grads)."""
+    n, oc, oh, ow = dout.shape
+    dflat = dout.reshape(n, oc, oh * ow).transpose(0, 2, 1)
+    dw = np.tensordot(dflat, cols, axes=([0, 1], [0, 1])).reshape(weight.shape)
+    dx = layer._cols_to_image(dflat @ weight.reshape(oc, -1), x.shape)
+    return dx, {"weight": dw, "bias": dout.sum(axis=(0, 2, 3))}
 
 
 def duplicates_by_dict(train, test) -> DuplicateReport:

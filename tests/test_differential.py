@@ -1,10 +1,10 @@
 """Bit-identical differential test: optimized client training against a plain reference.
 
-`Network.backward` stops at the first all-zero cotangent and can start
-from split activations, and `client_train` steps only the suffix of its
-parameter vector (and of Adam's moments) that has ever had gradient; it
-reuses the activations of its first epoch while that suffix starts at or
-after the feature extractor's parameters. The reference below does none of that: for every batch it
+`Network.backward` stops at the first all-zero cotangent, and
+`client_train` steps only the suffix of its parameter vector (and of
+Adam's moments) that has ever had gradient; a batch the dead screen
+certifies takes `Network.dead_backward`, which runs no layer. The
+reference below does none of that: for every batch it
 builds a fresh network over the current vector, runs every layer's
 forward and backward, and steps the whole of its own copy of the vector
 in place. The two must agree on every bit of phi, including the sign of
@@ -33,6 +33,7 @@ from fedtrap.harness import ExperimentConfig, build_network, build_source, execu
 from fedtrap.layers import Conv2D, Flatten, MaxPool2D, ReLU
 from fedtrap.network import Network, conv_net, dense_net, small_conv_net
 from fedtrap.optim import adam_step, sgd_step
+from fedtrap.screen import dead_screen
 from fedtrap.trap import craft_parameters
 from oracles import cols_by_windows
 
@@ -75,8 +76,9 @@ def reference_client_train(net, theta, xs, ys, cfg):
     return params
 
 
-def trap_case(net, n, member, seed, negative_zeros):
-    """Crafted theta around a random target, plus a training set of n random images."""
+def trap_case(net, n, member, seed, negative_zeros, position=None):
+    """Crafted theta around a random target, plus a training set of n random images;
+    a member's target is at `position`, or at a random one."""
     rng = np.random.default_rng(seed)
     shape, classes = net.input_shape, net.num_classes
     x_t = rng.uniform(-1, 1, size=shape).astype(np.float32)
@@ -91,7 +93,7 @@ def trap_case(net, n, member, seed, negative_zeros):
     xs = rng.uniform(-1, 1, size=(n, *shape)).astype(np.float32)
     ys = rng.integers(1, classes + 1, size=n)
     if member:
-        k = int(rng.integers(n))
+        k = int(rng.integers(n)) if position is None else position
         xs[k], ys[k] = x_t, y_t
     return theta, xs, ys
 
@@ -170,23 +172,26 @@ def count_conv_calls(monkeypatch):
 
 
 def test_extractor_runs_once_per_sample_under_a_trap(monkeypatch):
-    """Under the trap the extractor is never backpropagated and its outputs are reused."""
+    """Under the trap the extractor is never backpropagated. It runs forward once
+    over every sample's crop for the screen, and then only in batches the screen
+    does not certify dead."""
     net = small_conv_net()
     theta, xs, ys = trap_case(net, 32, member=True, seed=3, negative_zeros=False)
+    # the target, and two samples whose screened feature is within 1e-3 of the
+    # target's; the other matched features keep those two from firing
+    uncertified = dead_screen(net.with_params(theta), xs).bound >= -1e-3
+    assert uncertified.sum() == 3
     calls = count_conv_calls(monkeypatch)
     client_train(net, theta, xs, ys, ClientConfig(8, 4, 3, optimizer="adam"))
-    # two conv layers, four batches, first epoch only
-    assert calls == {"forward": 2 * 4, "backward": 0}
+    # two conv layers: the crop pass, then the 7 of the 12 batches that hold
+    # one of those samples (3 in the first epoch, 2 in each later one)
+    assert calls == {"forward": 2 * (1 + 7), "backward": 0}
 
 
 @pytest.mark.parametrize("opt", ["sgd", "adam"])
 def test_live_training_runs_the_extractor_forward_once_per_batch(monkeypatch, opt):
-    """Only the first batch, still on theta's extractor, computes its activations twice.
-
-    It fills the first epoch's cache, then sends gradient into the extractor,
-    which `backward` must run again with caches. Every later batch runs it
-    once, inside `backward`.
-    """
+    """A live network has no screen, and every batch runs the extractor once,
+    inside `backward`."""
     net = small_conv_net()
     net.init_random(4)
     rng = np.random.default_rng(4)
@@ -197,8 +202,7 @@ def test_live_training_runs_the_extractor_forward_once_per_batch(monkeypatch, op
     client_train(net, net.params, xs, ys,
                  ClientConfig(8, batches, epochs, optimizer=opt, lr=LR[opt]))
     # two conv layers
-    assert calls == {"forward": 2 * (epochs * batches + 1),
-                     "backward": 2 * epochs * batches}
+    assert calls == {"forward": 2 * epochs * batches, "backward": 2 * epochs * batches}
 
 
 @pytest.mark.parametrize("opt,epochs,twin_batch",
@@ -207,8 +211,8 @@ def test_mid_run_firing_is_bit_identical_to_reference(opt, epochs, twin_batch):
     """A near-twin of the target fires the trap after at least one dead batch.
 
     It sits inside the margin but off the pair units' kink, so its batch
-    sends gradient into the extractor: training switches from the first
-    epoch's cached activations to running the extractor in every batch.
+    sends gradient into the extractor: training switches from dead steps to
+    running the whole network in every batch.
     """
     net = small_conv_net()
     seed, batches = 40 + 2 * epochs + twin_batch, 4
@@ -289,7 +293,7 @@ def random_trap_cases(draw):
 @given(case=random_trap_cases())
 def test_random_architectures_train_bit_identical_to_reference(case):
     """Every fast path of client_train (the zero-cotangent stop, the suffix
-    steps, the feature cache, the per-shape gather probe) on drawn
+    steps, the dead screen, the per-shape gather probe) on drawn
     architectures, batch counts, optimizers and trap placements."""
     net, theta, xs, ys, cfg = case
     assert_bit_identical(net, theta, xs, ys, cfg)
@@ -298,35 +302,40 @@ def test_random_architectures_train_bit_identical_to_reference(case):
 def test_negative_zero_gradient_below_the_written_suffix_is_stepped(monkeypatch):
     """A -0.0 gradient is written: SGD turns the -0.0 parameter under it into +0.0.
 
-    From the second batch on, every gradient gets -0.0 at a conv weight, far
-    below the final layer where the trap's gradients end. A step that skips
-    entries whose gradient compares equal to zero leaves that parameter -0.0.
+    From the second on, every gradient the client takes, from `backward` or
+    from `dead_backward`, gets -0.0 at a conv weight, far below the final
+    layer where the trap's gradients end. The target sits in the second
+    batch, so that gradient comes from `backward`. A step that skips entries
+    whose gradient compares equal to zero leaves that parameter -0.0.
     """
     net = small_conv_net()
-    theta, xs, ys = trap_case(net, 32, member=False, seed=6, negative_zeros=True)
+    cfg = ClientConfig(8, 4, 2, optimizer="sgd", lr=LR["sgd"], shuffle_seed=6)
+    second_batch = np.random.default_rng(cfg.shuffle_seed).permutation(32)[8]
+    theta, xs, ys = trap_case(net, 32, member=True, seed=6, negative_zeros=True,
+                              position=second_batch)
     index = net.layout.index_of(3, "weight", 0, 0, 0, 0)
     theta[index] = -0.0
 
-    def negative_zero_after_first_call(gradient):
-        calls = []
-
+    def negative_zero_after_first_call(gradient, calls):
         def wrapped(*args, **kwargs):
             grad = gradient(*args, **kwargs)
-            calls.append(None)
+            calls.append(gradient.__name__)
             if len(calls) > 1:
                 assert grad[index] == 0
                 grad[index] = -0.0
             return grad
         return wrapped
 
-    monkeypatch.setattr(Network, "backward",
-                        negative_zero_after_first_call(Network.backward))
+    client_calls, reference_calls = [], []
+    for name in ("backward", "dead_backward"):
+        monkeypatch.setattr(Network, name, negative_zero_after_first_call(
+            getattr(Network, name), client_calls))
     monkeypatch.setattr(sys.modules[__name__], "reference_gradient",
-                        negative_zero_after_first_call(reference_gradient))
-    cfg = ClientConfig(8, 4, 2, optimizer="sgd", lr=LR["sgd"], shuffle_seed=6)
+                        negative_zero_after_first_call(reference_gradient, reference_calls))
     phi = client_train(net, theta, xs, ys, cfg)
     assert phi.tobytes() == reference_client_train(net, theta, xs, ys, cfg).tobytes()
     assert phi[index] == 0 and not np.signbit(phi[index])
+    assert client_calls[:2] == ["dead_backward", "backward"] and len(client_calls) == 8
 
 
 def sliding_window_forward(self, x, weight, bias):
@@ -340,7 +349,7 @@ def sliding_window_forward(self, x, weight, bias):
     else:
         cols = cols_by_windows(x, self.kernel_size)
     out = cols @ weight.reshape(oc, -1).T + bias
-    return out.transpose(0, 2, 1).reshape(n, oc, oh, ow), (x.shape, cols)
+    return out.transpose(0, 2, 1).reshape(n, oc, oh, ow), x
 
 
 PAPER_SHAPES = {"mnist": ((1, 28, 28), 10), "cifar100": ((3, 32, 32), 100)}

@@ -236,61 +236,44 @@ def test_an_empty_batch_is_rejected_before_any_layer_runs(monkeypatch, build, in
         getattr(net, call)(*args)
 
 
-@pytest.mark.parametrize("shape", [(3, 33), (3, 31), (4, 32), (2, 32), (3, 1, 32), (96,)],
-                         ids=["wide", "narrow", "more", "fewer", "3d", "flat"])
-def test_backward_rejects_features_of_the_wrong_shape_before_any_layer_runs(
-        monkeypatch, shape):
-    net = small_conv_net(dtype=np.float64)
-    net.init_random(2)
-    xs = np.zeros((3, 1, 14, 14))
-
-    def no_layer(self, x, *params):
-        raise AssertionError(f"{self.kind} ran")
-    for cls in (Conv2D, Flatten, Linear, MaxPool2D, ReLU):
-        monkeypatch.setattr(cls, "forward", no_layer)
-    with pytest.raises(ShapeError, match=r"features of shape .* are not \(3, 32\)"):
-        net.backward(xs, [1, 2, 3], features=np.zeros(shape))
-
-
-def live_small_conv_net():
-    net = small_conv_net()
-    net.init_random(3)
-    return net
-
-
 def trapped_small_conv_net():
     net = small_conv_net()
     x_t = np.random.default_rng(5).uniform(-1, 1, size=net.input_shape).astype(np.float32)
     with warnings.catch_warnings():
-        # near-zero matched features are fine here: the batch below does not fire
+        # near-zero matched features are fine here: the batches below do not fire
         warnings.simplefilter("ignore", UserWarning)
         theta, _ = craft_parameters(net, (x_t, 1), 4, 1e-3, seed=5)
     return net.with_params(theta)
 
 
-@pytest.mark.parametrize("build, conv_runs", [(live_small_conv_net, 2),
-                                              (trapped_small_conv_net, 0)],
-                         ids=["live", "trap"])
-def test_backward_from_features_is_backward_from_inputs(monkeypatch, build, conv_runs):
-    """Handed the split activations, `backward` runs the extractor again only
-    when the loop reaches the split, and gives the same bytes either way."""
-    net = build()
-    rng = np.random.default_rng(6)
-    xs = rng.uniform(-1, 1, size=(8, *net.input_shape)).astype(np.float32)
-    ys = rng.integers(1, net.num_classes + 1, size=8)
-    full = net.backward(xs, ys)
-    features = net.forward_features(xs)
-    forward = Conv2D.forward
-    calls = []
+@pytest.mark.parametrize("final_bias", [None, 0.0, -0.0, "random"],
+                         ids=["crafted", "+0", "-0", "random"])
+@pytest.mark.parametrize("batch", [1, 8, 33])
+def test_dead_backward_is_backward_when_the_second_hidden_relu_is_zero(batch, final_bias):
+    net = trapped_small_conv_net()
+    bias = net.views[len(net.layers) - 1][1]
+    rng = np.random.default_rng(batch)
+    if final_bias == "random":
+        bias[...] = rng.normal(size=bias.shape)
+    elif final_bias is not None:
+        bias[...] = final_bias
+    xs = rng.uniform(-1, 1, size=(batch, *net.input_shape)).astype(np.float32)
+    ys = rng.integers(1, net.num_classes + 1, size=batch)
+    _, caches = net._run(xs, 0, len(net.layers), keep_caches=True)
+    assert (caches[-2] <= 0).all()  # the second hidden ReLU's input
+    grad = net.backward(xs, ys)
+    out = np.zeros_like(grad)
+    assert net.dead_backward(ys, out) is out
+    assert out.tobytes() == grad.tobytes()
 
-    def counting(self, x, weight, bias):
-        calls.append(len(x))
-        return forward(self, x, weight, bias)
-    monkeypatch.setattr(Conv2D, "forward", counting)
-    grad = net.backward(xs, ys, features=features)
-    assert grad.tobytes() == full.tobytes()
-    assert calls == [8] * conv_runs  # each of the two convs at most once
-    assert grad[net.extractor_params].any() == bool(conv_runs)
+
+def test_dead_backward_rejects_labels_outside_the_classes():
+    net = trapped_small_conv_net()
+    out = np.zeros_like(net.params)
+    for ys in ([0, 1], [1, net.num_classes + 1]):
+        with pytest.raises(ValueError, match="labels must lie in"):
+            net.dead_backward(np.array(ys), out)
+    assert not out.any()
 
 
 @pytest.mark.parametrize("case_seed", range(5))
