@@ -138,7 +138,10 @@ def extractor_bound(net: Network, max_input: float) -> tuple[float, float]:
 
 def dead_screen(net: Network, xs: np.ndarray) -> Screen | None:
     """The screen for training `net`'s current parameters on `xs`, or None
-    when they do not have the shape the certificate needs."""
+    when they do not have the shape the certificate needs. Raises ShapeError,
+    as `backward` does, unless `xs` is a batch of `net`'s input shape: a crop
+    would fit in a wider or deeper image."""
+    xs = net._as_batch(xs)
     i1, i2, _ = net.head_linear_indices()
     (w1, b1), (w2, _) = net.views[i1], net.views[i2]
     live = np.flatnonzero((w2 != 0).any(axis=1))
@@ -153,7 +156,6 @@ def dead_screen(net: Network, xs: np.ndarray) -> Screen | None:
     if ((reads[screened].sum(axis=1) != 1).any() or field is None
             or not np.isfinite(net.params[net.extractor_params.stop:]).all()):
         return None
-    xs = np.asarray(xs, dtype=net.dtype)
     max_input = max(float(xs.max()), -float(xs.min()))  # NaN if any pixel is
     if not max_input < math.inf:
         return None

@@ -49,6 +49,21 @@ def stock_convs(dtype):
             shape = layer.out_shape(shape)
 
 
+def record_gathers(monkeypatch):
+    """Wrap both gathers; the list gets the name of each one called on an
+    array, paired with that array, so the probe's own calls can be told apart."""
+    calls = []
+    for name in ("_windows", "_packed_windows"):
+        gather = getattr(layers, name)
+        monkeypatch.setattr(layers, name, lambda x, k, name=name, gather=gather:
+                            calls.append((name, x)) or gather(x, k))
+    return calls
+
+
+def gathers_on(calls, x):
+    return [name for name, arg in calls if arg is x]
+
+
 def assert_conv_matches_window_reference(layer, params, x, seed):
     out, cache = layer.forward(x, *params)
     expected, ref_cols = conv_by_windows(layer, x, *params)
@@ -75,9 +90,12 @@ def test_stock_convs_match_the_window_gather_byte_for_byte(dtype, batch):
 def test_a_probe_mismatch_falls_back_to_the_window_gather(monkeypatch):
     keys = []
     monkeypatch.setattr(layers, "_packed_gather_matches", lambda *key: keys.append(key) or False)
+    calls = record_gathers(monkeypatch)
     for seed, (name, layer, params, shape) in enumerate(stock_convs(np.float32)):
         x = np.random.default_rng(seed).uniform(-1, 1, (4, *shape)).astype(np.float32)
         assert_conv_matches_window_reference(layer, params, x, seed)
+        # one window gather in the forward, one in the backward
+        assert gathers_on(calls, x) == ["_windows", "_windows"], name
     assert len(set(keys)) == 6
 
 
@@ -97,21 +115,24 @@ def test_the_probe_runs_once_per_shape():
     assert probe.cache_info().misses == 3
 
 
-def test_conv_net_first_convs_take_the_packed_gather_on_scipy_openblas():
-    """On this BLAS the probe accepts the packed gather at every stock first
-    conv. A probe that stops reproducing the forward's operand layouts
-    loses that, and the speed-up with it, without changing a byte."""
+def test_conv_net_first_convs_take_the_packed_gather_on_scipy_openblas(monkeypatch):
+    """On this BLAS the forward of every stock first conv takes the packed
+    gather, and its backward the window gather. A probe that stops
+    reproducing the forward's operand layouts loses that, and the speed-up
+    with it, without changing a byte."""
     if not hasattr(ctypes.CDLL(np.linalg._umath_linalg.__file__),
                    "scipy_openblas_get_num_threads64_"):
         pytest.skip("numpy's BLAS is not scipy-openblas")
     layers._packed_gather_matches.cache_clear()
+    calls = record_gathers(monkeypatch)
     for shape, classes in [((1, 28, 28), 10), ((3, 32, 32), 100)]:
         net = conv_net(shape, classes)
         net.init_random(0)
         x = np.random.default_rng(0).uniform(-1, 1, (32, *shape)).astype(np.float32)
-        weight, _ = net.views[0]
-        net.layers[0].forward(x, *net.views[0])
-        assert layers._packed_gather_matches(x.shape, x.dtype, weight.shape, weight.dtype), shape
+        out, cache = net.layers[0].forward(x, *net.views[0])
+        assert gathers_on(calls, x) == ["_packed_windows"], shape
+        net.layers[0].backward(np.ones_like(out), cache, *net.views[0])
+        assert gathers_on(calls, x) == ["_packed_windows", "_windows"], shape
 
 
 def input_layouts(x):

@@ -13,7 +13,7 @@ import pytest
 
 from fedtrap.attack import run_attack
 from fedtrap.fedsim import ClientConfig, client_train
-from fedtrap.layers import Flatten, Linear, ReLU
+from fedtrap.layers import Flatten, Linear, ReLU, ShapeError
 from fedtrap.network import Network, conv_net, dense_net, small_conv_net
 from fedtrap.screen import dead_screen, extractor_bound
 from fedtrap.trap import craft_parameters, epsilon_flat_index
@@ -296,3 +296,17 @@ def test_a_one_step_call_builds_no_screen(monkeypatch):
     calls = count_paths(monkeypatch)
     train_both(net, theta, xs, ys, ClientConfig(8, 1, 1))
     assert calls == {"backward": 1, "dead_backward": 0}
+
+
+@pytest.mark.parametrize("shape", [(2, 14, 14), (1, 16, 16), (196,)], ids=["channels", "wider", "flat"])
+def test_images_of_the_wrong_shape_raise_before_any_batch_is_certified(shape):
+    """The screened column's crop fits inside a wider or deeper image, so
+    the screen checks the batch shape as `backward` does."""
+    net = small_conv_net()
+    theta, *_ = trapped(net, seed=19)
+    xs = np.zeros((16, *shape), dtype=np.float32)
+    ys = np.ones(16, dtype=np.int64)
+    with pytest.raises(ShapeError, match="input shape"):
+        dead_screen(net.with_params(theta), xs)
+    with pytest.raises(ShapeError, match="input shape"):
+        client_train(net, theta, xs, ys, ClientConfig(4, 4, 2))
