@@ -26,13 +26,16 @@ call with more than one step first builds a dead screen
 hidden layer's bias: from one feature column, computed for every
 sample through its receptive field, it proves for each sample that the
 head's second hidden ReLU stays zero under the current b2, which is
-re-read every batch. A batch whose every sample is proved dead takes
+re-read every batch, and the samples that column leaves uncertified are
+refined with every matched column the first time a batch is not
+certified. A batch whose every sample is proved dead takes
 `Network.dead_backward`, which writes only the final bias into one
 gradient buffer the call owns, so only that slice is scanned for
 written bytes; it runs no layer. Any other batch calls `backward`,
 which runs the whole network. Under a planted trap that leaves only the
-batches that may fire it: the target's, and those of samples near it
-in the screened feature. A live network, or any head the certificate
+batches that may fire it: those holding a sample whose whole ℓ1 sum
+over the matched features may come within the current margin, the
+target's among them. A live network, or any head the certificate
 does not cover, gets no screen, and neither does a one-step call
 (FedSGD, the reference step): its crop pass would cover the samples of
 its one batch, and a live batch would pay it on top of its forward.

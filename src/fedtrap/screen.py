@@ -9,21 +9,32 @@ most 0, the second hidden ReLU is zero for the whole batch and
 feature column, computed for every sample through that column's
 receptive field (`Network.receptive_field`) instead of through the
 whole extractor. `Screen.dead` then decides a batch from the current b2,
-which the target's firing and Adam's momentum both move.
+which the target's firing and Adam's momentum both move. When a batch
+is not certified, `Screen.dead` first refines, once each, every sample
+of the call that the current b2 leaves uncertified and that was not
+refined before: it computes every column that r's units read through
+the receptive fields, one crop pass per distinct field over those
+samples only (the first column's field is not run again), and lowers
+the sample's bound to the one summed over all those units. Only a batch
+holding a sample that may fire the whole trap then calls `backward`.
 
 Everything is read from the parameters, never from a `TrapSpec`:
 
 - r is the only second-hidden row with a nonzero weight, and none of
   its weights is positive;
 - the column j is the one the first unit that r reads reads, and the
-  screened units U are the units r reads that read j; each reads only j;
+  units r reads that read j read only j;
+- the refined units U are all the units r reads that read exactly one
+  column, j's among them; a unit that reads several columns, or none,
+  is left out of the refined sum;
 - the head is finite, every pixel is finite, and the bounds below stay
   far from the dtype's overflow.
 
 Anything else gives no screen, and every batch calls `backward`. The
 bound is proved for the parameters below b2's offset, which a step has
 not written while the client's written suffix `lo` starts at or above
-it (`Screen.stop`).
+it (`Screen.stop`); refinement runs only then, so its crop passes and
+the units it reads see the parameters the first pass saw.
 
 The certificate. u is the unit roundoff of the network's dtype, τ its
 smallest subnormal, and γ_K = Ku/(1 - Ku). A K-term dot product plus a
@@ -44,40 +55,48 @@ blocking, with or without FMA), is within γ_{K+1}(Σ|w||x| + |b|) +
    every feature of every sample is within E of its exact value, for
    any batch. No partial sum overflows while every layer's M + e stays
    below half the dtype's largest value, which the screen requires.
-2. Crop against full. The column's exact value f* depends only on its
+2. Crop against full. A column's exact value f* depends only on its
    receptive field, so the crop pass's value c and the full forward's a
-   are both within E of f*: |c - a| ≤ 2E.
-3. The screened units. Unit u ∈ U has weight w_u on column j and bias
-   β_u, and zero weight elsewhere, so the full forward's pre-activation
-   is within δ_u = γ_{K1+1}(|w_u||a| + |β_u|) + (K1+1)τ of w_u a + β_u
-   (K1 = feature width), and |a| ≤ |c| + 2E. The Lipschitz term
-   |w_u a - w_u c| ≤ |w_u| 2E carries the crop's error through the unit.
-   ReLU is monotone, so the full forward's output is
-   h_u ≥ L_u = max(w_u c + β_u - |w_u| 2E - δ_u, 0), with |c| + 2E in δ_u.
+   are both within E of f*: |c - a| ≤ 2E, for every column.
+3. The single-column units. Unit u ∈ U reads column j_u with weight
+   w_u and bias β_u, and has zero weight elsewhere, so the full
+   forward's pre-activation is within
+   δ_u = γ_{K1+1}(|w_u||a_u| + |β_u|) + (K1+1)τ of w_u a_u + β_u
+   (K1 = feature width, a_u the full forward's j_u), and
+   |a_u| ≤ |c_u| + 2E for c_u the crop pass's j_u. The Lipschitz term
+   |w_u a_u - w_u c_u| ≤ |w_u| 2E carries the crop's error through the
+   unit. ReLU is monotone, so the full forward's output is
+   h_u ≥ L_u = max(w_u c_u + β_u - |w_u| 2E - δ_u, 0), with |c_u| + 2E
+   in δ_u.
 4. The live row. Every weight v_u of r is ≤ 0 and every ReLU output is
    ≥ 0, so every product is ≤ 0. Rounding a sum of non-positive terms
    moves it toward zero by a factor of at least 1 - u per rounding, so
    the float sum S over all K2 = hidden[0] units satisfies
-   S ≤ (1 - γ_{K2}) Σ_u v_u h_u + K2 τ, and dropping the units outside U,
-   whose terms are ≤ 0, only raises the bound:
-   S ≤ (1 - γ_{K2}) Σ_{u∈U} v_u L_u + K2 τ = bound. Rounding is monotone
-   and keeps the sign, so bound < -b2_r gives r's pre-activation
-   fl(S + b2_r) ≤ 0. An all-zero row's products are exact zeros (every
-   first hidden output is finite: the screen requires
-   ‖W1_u‖₁(F + E) + |β_u| below half the largest value for every unit),
-   so its pre-activation is b2 up to the sign of zero, and b2 ≤ 0 makes
-   its ReLU 0.
-5. float64. `bound` is evaluated in float64 from c. With
-   P_u = |w_u|(|c| + 2E) + |β_u| + (K1+1)τ, every term of it is at most
-   3 Σ_u |v_u| P_u + K2 τ in absolute value, and passes through at most
-   m = |U| + 16 roundings, so the evaluation is within
-   γ64_m (3 Σ_u |v_u| P_u + K2 τ) + m τ64 / 2 of the exact expression,
-   τ64 covering float64 products that underflow. The screen adds
-   6 γ64_m (Σ_u |v_u| P_u + K2 τ) + m τ64, which also covers P_u's own
-   rounding. F, E and the overflow checks are sums and products of
-   non-negative numbers, so each is multiplied by 1 + 2γ64_n for the n
-   roundings on its longest path. The comparison bound < -b2_r is
-   exact: b2 widens to float64 exactly.
+   S ≤ (1 - γ_{K2}) Σ_u v_u h_u + K2 τ, and dropping any units, whose
+   terms are ≤ 0, only raises the bound: for any V ⊆ U,
+   S ≤ (1 - γ_{K2}) Σ_{u∈V} v_u L_u + K2 τ = bound_V. The one-column
+   bound takes V = U_j, the units that read j; the all-column bound
+   takes V = U. Each is a certificate on its own, so their minimum is
+   one too: a refined sample keeps the lower of the two. Rounding is
+   monotone and keeps the sign, so bound < -b2_r gives r's
+   pre-activation fl(S + b2_r) ≤ 0. An all-zero row's products are
+   exact zeros (every first hidden output is finite: the screen
+   requires ‖W1_u‖₁(F + E) + |β_u| below half the largest value for
+   every unit), so its pre-activation is b2 up to the sign of zero, and
+   b2 ≤ 0 makes its ReLU 0.
+5. float64. `bound_V` is evaluated in float64 from the c_u. With
+   P_u = |w_u|(|c_u| + 2E) + |β_u| + (K1+1)τ, every term of it is at
+   most 3 Σ_{u∈V} |v_u| P_u + K2 τ in absolute value, and passes through
+   at most m = |V| + 16 roundings, counted over the set the bound sums,
+   so at most |U| + 16; the evaluation is within
+   γ64_m (3 Σ_{u∈V} |v_u| P_u + K2 τ) + m τ64 / 2 of the exact
+   expression, τ64 covering float64 products that underflow. The
+   screen adds 6 γ64_m (Σ_{u∈V} |v_u| P_u + K2 τ) + m τ64, which also
+   covers P_u's own rounding. F, E and the overflow checks are sums and
+   products of non-negative numbers, so each is multiplied by
+   1 + 2γ64_n for the n roundings on its longest path. The comparison
+   bound < -b2_r is exact: b2 widens to float64 exactly, and it is read
+   again for every batch.
 
 Finally, `Network.dead_backward` reads the final layer's weight only
 through 0 + b3, so `Screen.dead` also requires b2, the final weight and
@@ -87,6 +106,7 @@ the final bias to be finite in the current parameters.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,21 +116,32 @@ from .network import Network
 _CROP_CHUNK = 128  # samples per crop pass: bounds the gathered windows' memory
 
 
-@dataclass(frozen=True)
+@dataclass
 class Screen:
     """Per-sample certificates for one client call (see the module docstring)."""
 
-    bound: np.ndarray   # (n,) float64: bound[i] < -b2[row] proves sample i dead
-    row: int            # flat index of the live row's bias in b2
-    others: np.ndarray  # flat indices of every other row's bias in b2
-    stop: int           # b2's offset: the bound holds while lo >= stop
+    bound: np.ndarray    # (n,) float64: bound[i] < -b2[row] proves sample i dead
+    row: int             # flat index of the live row's bias in b2
+    others: np.ndarray   # flat indices of every other row's bias in b2
+    stop: int            # b2's offset: the bound holds while lo >= stop
+    refine: Callable[[np.ndarray], np.ndarray]  # samples -> their all-column bound
+    refined: np.ndarray  # (n,) bool: the sample's bound already had the all-column one
 
     def dead(self, params: np.ndarray, lo: int, sel: np.ndarray) -> bool:
         """Whether the batch `sel` is certified dead under the current `params`,
-        whose written suffix starts at `lo`."""
-        return bool(lo >= self.stop and self.bound[sel].max() < -params[self.row]
-                    and (params[self.others] <= 0).all()
-                    and np.isfinite(params[self.stop:]).all())
+        whose written suffix starts at `lo`. A batch that is not first refines
+        every sample of the call still uncertified under the current b2."""
+        if not (lo >= self.stop and (params[self.others] <= 0).all()
+                and np.isfinite(params[self.stop:]).all()):
+            return False
+        threshold = -params[self.row]
+        if self.bound[sel].max() < threshold:
+            return True
+        fresh = np.flatnonzero(~self.refined & (self.bound >= threshold))
+        if fresh.size:
+            self.refined[fresh] = True
+            self.bound[fresh] = np.minimum(self.bound[fresh], self.refine(fresh))
+        return bool(self.bound[sel].max() < threshold)
 
 
 def extractor_bound(net: Network, max_input: float) -> tuple[float, float]:
@@ -140,7 +171,8 @@ def dead_screen(net: Network, xs: np.ndarray) -> Screen | None:
     """The screen for training `net`'s current parameters on `xs`, or None
     when they do not have the shape the certificate needs. Raises ShapeError,
     as `backward` does, unless `xs` is a batch of `net`'s input shape: a crop
-    would fit in a wider or deeper image."""
+    would fit in a wider or deeper image. The screen's refinement runs `net`'s
+    extractor again, on parameters it requires unwritten."""
     xs = net._as_batch(xs)
     i1, i2, _ = net.head_linear_indices()
     (w1, b1), (w2, _) = net.views[i1], net.views[i2]
@@ -162,31 +194,64 @@ def dead_screen(net: Network, xs: np.ndarray) -> Screen | None:
     features, error = extractor_bound(net, max_input)
     if not features + error < _overflow(net.dtype):
         return None
-    u, tiny = _roundoff(net.dtype)
     width = w1.shape[1]
     hidden = np.abs(w1).sum(axis=1, dtype=np.float64) * (features + error) + np.abs(b1)
     if not _inflate(hidden.max(), width + 4) < _overflow(net.dtype):
         return None
 
-    box, index = field
-    crop = xs[(slice(None), *box)]
-    c = np.concatenate([net._run(crop[i:i + _CROP_CHUNK], 0, net.split_index, False)[0][:, index]
-                        for i in range(0, len(crop), _CROP_CHUNK)]).astype(np.float64)
-    units = units[screened]
-    w = w1[units, column].astype(np.float64)
-    beta = b1[units].astype(np.float64)
-    v = w2[row, units].astype(np.float64)
-    two_e, t1 = 2 * error, (width + 1) * tiny
-    size = np.abs(w) * (np.abs(c)[:, None] + two_e) + np.abs(beta) + t1   # P_u, (n, |U|)
-    low = np.maximum(c[:, None] * w + beta - np.abs(w) * two_e
-                     - (_gamma(width + 1, u) * size + t1), 0)             # L_u
-    k2, m = w2.shape[1], len(units) + 16
-    u64, tiny64 = _roundoff(np.dtype(np.float64))
-    bound = ((1 - _gamma(k2, u)) * (low @ v) + k2 * tiny
-             + 6 * _gamma(m, u64) * (size @ np.abs(v) + k2 * tiny) + m * tiny64)
+    def certificate(units: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """bound_V for V = `units`, each unit's crop value a column of `values`
+        (items 3-5 of the module docstring)."""
+        u, tiny = _roundoff(net.dtype)
+        cols = np.argmax(w1[units] != 0, axis=1)
+        w = w1[units, cols].astype(np.float64)
+        beta = b1[units].astype(np.float64)
+        v = w2[row, units].astype(np.float64)
+        two_e, t1 = 2 * error, (width + 1) * tiny
+        size = np.abs(w) * (np.abs(values) + two_e) + np.abs(beta) + t1   # P_u, (n, |V|)
+        low = np.maximum(values * w + beta - np.abs(w) * two_e
+                         - (_gamma(width + 1, u) * size + t1), 0)         # L_u
+        k2, m = w2.shape[1], len(units) + 16
+        u64, tiny64 = _roundoff(np.dtype(np.float64))
+        return ((1 - _gamma(k2, u)) * (low @ v) + k2 * tiny
+                + 6 * _gamma(m, u64) * (size @ np.abs(v) + k2 * tiny) + m * tiny64)
+
+    # the refined units, and the columns they read grouped by receptive field:
+    # (box, the columns' positions in `columns`, their indices in the crop's output)
+    single = units[reads.sum(axis=1) == 1]
+    columns, position = np.unique(np.argmax(w1[single] != 0, axis=1), return_inverse=True)
+    fields = {}
+    for k, j in enumerate(columns):
+        box, index = net.receptive_field(int(j))
+        _, at, indices = fields.setdefault(str(box), (box, [], []))
+        at.append(k)
+        indices.append(index)
+    first_box, first_index = field
+    _, first_at, first_indices = fields.pop(str(first_box))
+    first = _crop_pass(net, xs, slice(None), first_box, first_indices)
+
+    def refine(samples: np.ndarray) -> np.ndarray:
+        values = np.empty((len(samples), len(columns)))
+        values[:, first_at] = first[samples]
+        for box, at, indices in fields.values():
+            values[:, at] = _crop_pass(net, xs, samples, box, indices)
+        return certificate(single, values[:, position])
+
+    c = first[:, first_indices.index(first_index)]
+    bound = certificate(units[screened], c[:, None])
     b2 = net.layout.entry(i2, "bias")
     flat = np.arange(b2.offset, b2.stop)
-    return Screen(bound=bound, row=int(flat[row]), others=np.delete(flat, row), stop=b2.offset)
+    return Screen(bound=bound, row=int(flat[row]), others=np.delete(flat, row), stop=b2.offset,
+                  refine=refine, refined=np.zeros(len(xs), dtype=bool))
+
+
+def _crop_pass(net: Network, xs: np.ndarray, samples, box: tuple[slice, ...],
+               indices: list[int]) -> np.ndarray:
+    """The extractor run on the crop `box` of `xs[samples]`: the columns at
+    `indices` of its output, (n, len(indices)) float64."""
+    crop = xs[(samples, *box)]
+    return np.concatenate([net._run(crop[i:i + _CROP_CHUNK], 0, net.split_index, False)[0][:, indices]
+                           for i in range(0, len(crop), _CROP_CHUNK)]).astype(np.float64)
 
 
 def _gamma(k: int, u: float) -> float:

@@ -59,6 +59,44 @@ def train_both(net, theta, xs, ys, cfg):
     return phi
 
 
+def count_crop_rows(monkeypatch):
+    """The batch size of every extractor run on crops smaller than the input."""
+    rows = []
+    run = Network._run
+
+    def wrapped(self, h, *args, **kwargs):
+        if h.shape[1:] != self.input_shape:
+            rows.append(len(h))
+        return run(self, h, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "_run", wrapped)
+    return rows
+
+
+def matched_columns(net, theta):
+    """The column each of the trap's pairs reads, in pair order."""
+    w1, _ = net.with_params(theta).views[net.head_linear_indices()[0]]
+    pairs = np.count_nonzero(w1.any(axis=1)) // 2
+    return [int(np.flatnonzero(w1[2 * m])[0]) for m in range(pairs)]
+
+
+def fields_of(net, columns):
+    """The distinct receptive fields of `columns`."""
+    return {str(net.receptive_field(j)[0]) for j in columns}
+
+
+def moved_trap(net, theta, x, deviations):
+    """`theta` with pair m's threshold η_m moved to x's matched feature plus
+    deviations[m], so that x lies sum(|deviations|) from the trap in ℓ1."""
+    work = net.with_params(theta)
+    _, b1 = work.views[net.head_linear_indices()[0]]
+    features = work.forward_features(x[None])[0]
+    for m, (column, d) in enumerate(zip(matched_columns(net, theta), deviations)):
+        eta = np.float32(features[column] + d)
+        b1[2 * m], b1[2 * m + 1] = -eta, eta
+    return work.params
+
+
 def second_hidden_input(net, params, xs):
     """The full forward's second hidden pre-activations, (n, hidden[1])."""
     work = net.with_params(params)
@@ -220,6 +258,145 @@ def test_a_margin_moved_by_an_earlier_firing_batch_is_read_again(monkeypatch):
     phi = train_both(net, theta, xs, ys, cfg)
     assert phi[epsilon_flat_index(net)] > 2.6 * epsilon
     assert calls == {"backward": 2, "dead_backward": 2}  # the target's batch, the twin's
+
+
+# -- refinement with every matched column ---------------------------------------
+
+
+@pytest.mark.parametrize("other", [0.7, 5.0], ids=["split", "far"])
+def test_a_sample_near_the_trap_on_the_first_column_only_is_certified_after_refinement(
+        monkeypatch, other):
+    """The sample lies 0.7ε from η on the first matched column, which alone
+    cannot certify it, and `other`·ε from it on the second. The refined bound
+    sums every column: 1.4ε certifies the sample where neither column would
+    alone, and 5.7ε where the second would. Every batch is then dead."""
+    net = small_conv_net()
+    theta, *_ = trapped(net, seed=23)
+    epsilon = float(theta[epsilon_flat_index(net)])
+    xs, ys = images(net, 8, seed=23)
+    theta = moved_trap(net, theta, xs[0], [0.7 * epsilon, other * epsilon, 0, 0])
+    bound = dead_screen(net.with_params(theta), xs).bound
+    assert bound[0] >= -epsilon and (bound[1:] < -epsilon).all()
+    calls = count_paths(monkeypatch)
+    train_both(net, theta, xs, ys, ClientConfig(2, 4, 2))
+    assert calls == {"backward": 0, "dead_backward": 8}
+
+
+def test_a_sample_near_the_trap_on_every_column_stays_live(monkeypatch):
+    """0.2ε from η on each of the four matched columns is 0.8ε in all: the
+    sample fires the trap, off the pair units' kink, so from its batch on the
+    extractor is written and every batch takes `backward`."""
+    net = small_conv_net()
+    theta, *_ = trapped(net, seed=23)
+    epsilon = float(theta[epsilon_flat_index(net)])
+    xs, ys = images(net, 8, seed=23)
+    theta = moved_trap(net, theta, xs[0], [0.2 * epsilon] * 4)
+    assert second_hidden_input(net, theta, xs)[0, 0] > 0
+    cfg = ClientConfig(2, 4, 2)
+    first = int(np.argmax(np.random.default_rng(cfg.shuffle_seed).permutation(8) == 0)) // 2
+    calls = count_paths(monkeypatch)
+    phi = train_both(net, theta, xs, ys, cfg)
+    assert calls == {"backward": 8 - first, "dead_backward": first}
+    assert phi[net.extractor_params].tobytes() != theta[net.extractor_params].tobytes()
+
+
+def test_refinement_crops_only_the_samples_left_uncertified(monkeypatch):
+    """Two of 16 samples, in different batches, share their first matched
+    column's receptive field, and so lie 0.7ε from η there. The first batch
+    that holds one refines both at once: one crop pass of those two samples
+    for each other field the matched columns read (two fields for three
+    columns here), and none for the first column's field, whose values the
+    screen already has. Nothing is refined again."""
+    net = small_conv_net()
+    theta, *_ = trapped(net, seed=21)
+    epsilon = float(theta[epsilon_flat_index(net)])
+    columns = matched_columns(net, theta)
+    box, _ = net.receptive_field(columns[0])
+    assert len(fields_of(net, columns)) == 3 and len(fields_of(net, columns[1:])) == 2
+    xs, ys = images(net, 16, seed=21)
+    cfg = ClientConfig(4, 4, 2)
+    batch = np.argsort(np.random.default_rng(cfg.shuffle_seed).permutation(16)) // 4
+    near = [int(i) for i in np.flatnonzero(batch == 0)[:1]] + \
+           [int(i) for i in np.flatnonzero(batch == 3)[:1]]
+    xs[near[1]][box] = xs[near[0]][box]
+    theta = moved_trap(net, theta, xs[near[0]], [0.7 * epsilon, 0.7 * epsilon, 0, 0])
+    bound = dead_screen(net.with_params(theta), xs).bound
+    assert np.flatnonzero(bound >= -epsilon).tolist() == sorted(near)
+    calls = count_paths(monkeypatch)
+    rows = count_crop_rows(monkeypatch)
+    train_both(net, theta, xs, ys, cfg)
+    assert rows == [16, 2, 2]
+    assert calls == {"backward": 0, "dead_backward": 8}
+
+
+def test_a_refined_sample_goes_back_to_backward_when_the_margin_rises_past_its_bound(
+        monkeypatch):
+    """The last test with four matched columns. The twin and a decoy match the
+    target on the first column's receptive field, and lie 2.5ε and 5ε from it
+    over the other columns. The target's batch refines all three under the
+    crafted ε, which certifies the twin and the decoy. ε then rises past the
+    twin's refined bound, and its batch takes `backward`; the decoy's stays dead."""
+    net = small_conv_net()
+    theta, x_t, y_t, column = trapped(net, seed=8)
+    epsilon = float(theta[epsilon_flat_index(net)])
+    columns = matched_columns(net, theta)
+    cfg = ClientConfig(4, 4, 1, optimizer="adam", shuffle_seed=8)
+    order = np.random.default_rng(cfg.shuffle_seed).permutation(16)
+    xs, ys = images(net, 16, seed=8)
+    xs[order[0]], ys[order[0]] = x_t, y_t
+    work = net.with_params(theta)
+    eta = work.forward_features(x_t[None])[0, columns]
+    noise = np.random.default_rng(9).uniform(-1, 1, size=x_t.shape).astype(np.float32)
+    box, _ = net.receptive_field(column)
+    noise[box] = 0
+
+    def deviation(scale):
+        twin = (x_t + np.float32(scale) * noise)[None]
+        return float(np.abs(work.forward_features(twin)[0, columns] - eta).sum())
+
+    def away(multiple):
+        lo, hi = 0.0, 1.0
+        while hi - lo > 1e-9:
+            lo, hi = (lo, (lo + hi) / 2) if deviation((lo + hi) / 2) > multiple * epsilon \
+                else ((lo + hi) / 2, hi)
+        assert multiple - 0.1 < deviation(hi) / epsilon < multiple + 0.1
+        return x_t + np.float32(hi) * noise
+
+    xs[order[12]], xs[order[8]] = away(2.5), away(5)
+    screen = dead_screen(work, xs)
+    assert (screen.bound[order[[0, 8, 12]]] >= -epsilon).all()
+    assert (screen.refine(order[[8, 12]]) < -epsilon).all()
+    calls = count_paths(monkeypatch)
+    rows = count_crop_rows(monkeypatch)
+    phi = train_both(net, theta, xs, ys, cfg)
+    assert phi[epsilon_flat_index(net)] > 2.6 * epsilon
+    assert calls == {"backward": 2, "dead_backward": 2}  # the target's batch, the twin's
+    assert rows == [16] + [3] * (len(fields_of(net, columns)) - 1)
+
+
+def test_a_refined_sample_keeps_its_one_column_bound_where_that_is_lower(monkeypatch):
+    """At η on every column, the target's all-column bound carries more float64
+    slack than its one-column bound. Under a negative b2 between the two, the
+    target is dead, and the screen certifies it from the one-column bound it
+    kept when a positive b2 had it refined."""
+    net = small_conv_net()
+    theta, x_t, y_t, _ = trapped(net, seed=25)
+    xs, ys = images(net, 4, seed=25)
+    xs[0], ys[0] = x_t, y_t
+    screen = dead_screen(net.with_params(theta), xs)
+    one, every = screen.bound[0], screen.refine(np.array([0]))[0]
+    assert 0 < one < every
+    params = theta.copy()
+    assert not screen.dead(params, params.size, np.array([0]))
+    assert screen.refined[0]
+    margin = epsilon_flat_index(net)
+    params[margin] = -np.float32((one + every) / 2)
+    assert one < -params[margin] <= every
+    assert screen.dead(params, params.size, np.array([0]))
+    assert second_hidden_input(net, params, xs[:1])[0, 0] <= 0
+    calls = count_paths(monkeypatch)
+    train_both(net, params, xs, ys, ClientConfig(2, 2, 1))
+    assert calls == {"backward": 0, "dead_backward": 2}
 
 
 # -- where the screen stays off ----------------------------------------------------
