@@ -27,8 +27,9 @@ hidden layer's bias: from one feature column, computed for every
 sample through its receptive field, it proves for each sample that the
 head's second hidden ReLU stays zero under the current b2, which is
 re-read every batch, and the samples that column leaves uncertified are
-refined with every matched column the first time a batch is not
-certified. A batch whose every sample is proved dead takes
+refined with every matched column, whose crops of them run through the
+extractor as one batch, the first time a batch is not certified. A
+batch whose every sample is proved dead takes
 `Network.dead_backward`, which writes only the final bias into one
 gradient buffer the call owns, so only that slice is scanned for
 written bytes; it runs no layer. Any other batch calls `backward`,

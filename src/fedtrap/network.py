@@ -179,10 +179,10 @@ class Network:
                              f"or is empty")
         return x
 
-    def _run(self, h: np.ndarray, start: int, stop: int, keep_caches: bool):
-        """Run layers start..stop-1 on h; caches[k] belongs to layer start+k."""
+    def _run(self, h: np.ndarray, stop: int, keep_caches: bool):
+        """Run layers 0..stop-1 on h; caches[i] belongs to layer i."""
         caches = [] if keep_caches else None
-        for layer, views in zip(self.layers[start:stop], self.views[start:stop]):
+        for layer, views in zip(self.layers[:stop], self.views[:stop]):
             h, cache = layer.forward(h, *views)
             if keep_caches:
                 caches.append(cache)
@@ -190,7 +190,7 @@ class Network:
 
     def forward_features(self, x: np.ndarray) -> np.ndarray:
         """Flattened split activations, (n, feature_width); the inputs if split is 0."""
-        return self._run(self._as_batch(x), 0, self.split_index, keep_caches=False)[0]
+        return self._run(self._as_batch(x), self.split_index, keep_caches=False)[0]
 
     # -- loss and gradients ----------------------------------------------
 
@@ -206,14 +206,14 @@ class Network:
         """Softmax cross-entropy, mean over the batch; log-sum-exp is max-shifted."""
         xs = self._as_batch(x)
         ys = self._check_labels(y, len(xs))
-        logits, _ = self._run(xs, 0, len(self.layers), keep_caches=False)
+        logits, _ = self._run(xs, len(self.layers), keep_caches=False)
         return float(np.mean(_cross_entropy(logits, ys)))
 
     def backward(self, x: np.ndarray, y) -> np.ndarray:
         """Flat gradient of the mean cross-entropy over the batch."""
         xs = self._as_batch(x)
         ys = self._check_labels(y, len(xs))
-        logits, caches = self._run(xs, 0, len(self.layers), keep_caches=True)
+        logits, caches = self._run(xs, len(self.layers), keep_caches=True)
         d = _softmax(logits)
         d[np.arange(len(ys)), ys - 1] -= 1.0
         grad = np.zeros(self.layout.total, dtype=self.dtype)

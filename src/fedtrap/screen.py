@@ -12,23 +12,21 @@ whole extractor. `Screen.dead` then decides a batch from the current b2,
 which the target's firing and Adam's momentum both move. When a batch
 is not certified, `Screen.dead` first refines, once each, every sample
 of the call that the current b2 leaves uncertified and that was not
-refined before: it computes every column that r's units read through
-the receptive fields, one crop pass per distinct field over those
-samples only (the first column's field is not run again), and lowers
-the sample's bound to the one summed over all those units. Only a batch
+refined before: the crops of every column that the units U below read,
+for those samples only, go through the extractor as one batch, and the
+sample's bound is lowered to the one summed over U. Only a batch
 holding a sample that may fire the whole trap then calls `backward`.
 
 Everything is read from the parameters, never from a `TrapSpec`:
 
 - r is the only second-hidden row with a nonzero weight, and none of
   its weights is positive;
-- the column j is the one the first unit that r reads reads, and the
-  units r reads that read j read only j;
-- the refined units U are all the units r reads that read exactly one
-  column, j's among them; a unit that reads several columns, or none,
-  is left out of the refined sum;
-- the head is finite, every pixel is finite, and the bounds below stay
-  far from the dtype's overflow.
+- U is the units r reads that read exactly one column; a unit that
+  reads several columns, or none, is left out of every sum (item 4);
+- j is the column that U's first unit reads, and U_j ⊆ U the units of
+  U that read j;
+- U is not empty, the head is finite, every pixel is finite, and the
+  bounds below stay far from the dtype's overflow.
 
 Anything else gives no screen, and every batch calls `backward`. The
 bound is proved for the parameters below b2's offset, which a step has
@@ -57,7 +55,9 @@ blocking, with or without FMA), is within γ_{K+1}(Σ|w||x| + |b|) +
    below half the dtype's largest value, which the screen requires.
 2. Crop against full. A column's exact value f* depends only on its
    receptive field, so the crop pass's value c and the full forward's a
-   are both within E of f*: |c - a| ≤ 2E, for every column.
+   are both within E of f*: |c - a| ≤ 2E, for every column, also when
+   its crop runs in one batch with other fields' crops (item 1 holds
+   for any batch).
 3. The single-column units. Unit u ∈ U reads column j_u with weight
    w_u and bias β_u, and has zero weight elsewhere, so the full
    forward's pre-activation is within
@@ -75,7 +75,7 @@ blocking, with or without FMA), is within γ_{K+1}(Σ|w||x| + |b|) +
    S ≤ (1 - γ_{K2}) Σ_u v_u h_u + K2 τ, and dropping any units, whose
    terms are ≤ 0, only raises the bound: for any V ⊆ U,
    S ≤ (1 - γ_{K2}) Σ_{u∈V} v_u L_u + K2 τ = bound_V. The one-column
-   bound takes V = U_j, the units that read j; the all-column bound
+   bound takes V = U_j, the units of U that read j; the all-column bound
    takes V = U. Each is a certificate on its own, so their minimum is
    one too: a refined sample keeps the lower of the two. Rounding is
    monotone and keeps the sign, so bound < -b2_r gives r's
@@ -113,7 +113,7 @@ import numpy as np
 
 from .network import Network
 
-_CROP_CHUNK = 128  # samples per crop pass: bounds the gathered windows' memory
+_CROP_CHUNK = 128  # crops per extractor batch: bounds the gathered windows' memory
 
 
 @dataclass
@@ -181,11 +181,10 @@ def dead_screen(net: Network, xs: np.ndarray) -> Screen | None:
         return None
     row = int(live[0])
     units = np.flatnonzero(w2[row])
-    reads = w1[units] != 0
-    column = int(np.argmax(reads[0]))
-    screened = reads[:, column]
-    field = net.receptive_field(column)
-    if ((reads[screened].sum(axis=1) != 1).any() or field is None
+    single = units[(w1[units] != 0).sum(axis=1) == 1]  # U
+    columns, position = np.unique(np.argmax(w1[single] != 0, axis=1), return_inverse=True)
+    fields = [net.receptive_field(int(j)) for j in columns]
+    if (not fields or fields[0] is None
             or not np.isfinite(net.params[net.extractor_params.stop:]).all()):
         return None
     max_input = max(float(xs.max()), -float(xs.min()))  # NaN if any pixel is
@@ -216,42 +215,31 @@ def dead_screen(net: Network, xs: np.ndarray) -> Screen | None:
         return ((1 - _gamma(k2, u)) * (low @ v) + k2 * tiny
                 + 6 * _gamma(m, u64) * (size @ np.abs(v) + k2 * tiny) + m * tiny64)
 
-    # the refined units, and the columns they read grouped by receptive field:
-    # (box, the columns' positions in `columns`, their indices in the crop's output)
-    single = units[reads.sum(axis=1) == 1]
-    columns, position = np.unique(np.argmax(w1[single] != 0, axis=1), return_inverse=True)
-    fields = {}
-    for k, j in enumerate(columns):
-        box, index = net.receptive_field(int(j))
-        _, at, indices = fields.setdefault(str(box), (box, [], []))
-        at.append(k)
-        indices.append(index)
-    first_box, first_index = field
-    _, first_at, first_indices = fields.pop(str(first_box))
-    first = _crop_pass(net, xs, slice(None), first_box, first_indices)
-
     def refine(samples: np.ndarray) -> np.ndarray:
-        values = np.empty((len(samples), len(columns)))
-        values[:, first_at] = first[samples]
-        for box, at, indices in fields.values():
-            values[:, at] = _crop_pass(net, xs, samples, box, indices)
-        return certificate(single, values[:, position])
+        return certificate(single, _crop_pass(net, xs[samples], fields)[:, position])
 
-    c = first[:, first_indices.index(first_index)]
-    bound = certificate(units[screened], c[:, None])
+    first = position == position[0]  # U_j: the units of U that read j
+    bound = certificate(single[first], _crop_pass(net, xs, [fields[position[0]]]))
     b2 = net.layout.entry(i2, "bias")
     flat = np.arange(b2.offset, b2.stop)
     return Screen(bound=bound, row=int(flat[row]), others=np.delete(flat, row), stop=b2.offset,
                   refine=refine, refined=np.zeros(len(xs), dtype=bool))
 
 
-def _crop_pass(net: Network, xs: np.ndarray, samples, box: tuple[slice, ...],
-               indices: list[int]) -> np.ndarray:
-    """The extractor run on the crop `box` of `xs[samples]`: the columns at
-    `indices` of its output, (n, len(indices)) float64."""
-    crop = xs[(samples, *box)]
-    return np.concatenate([net._run(crop[i:i + _CROP_CHUNK], 0, net.split_index, False)[0][:, indices]
-                           for i in range(0, len(crop), _CROP_CHUNK)]).astype(np.float64)
+def _crop_pass(net: Network, xs: np.ndarray,
+               fields: list[tuple[tuple[slice, ...], int]]) -> np.ndarray:
+    """The extractor's value of each `(box, index)` field for every sample of
+    `xs`, from the sample's crop `box`: (n, len(fields)) float64. Every field's
+    crops of `_CROP_CHUNK // len(fields)` samples, one at least, run through
+    the extractor as one batch."""
+    chunk = max(1, _CROP_CHUNK // len(fields))
+    at, indices = np.arange(len(fields)), [index for _, index in fields]
+    values = []
+    for i in range(0, len(xs), chunk):
+        crops = np.stack([xs[(slice(i, i + chunk), *box)] for box, _ in fields], axis=1)
+        out, _ = net._run(crops.reshape(-1, *crops.shape[2:]), net.split_index, False)
+        values.append(out.reshape(len(crops), len(fields), -1)[:, at, indices])
+    return np.concatenate(values).astype(np.float64)
 
 
 def _gamma(k: int, u: float) -> float:

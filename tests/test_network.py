@@ -29,7 +29,7 @@ def test_dead_network_hidden_activations_all_minus_one():
     net = small_conv_net(dtype=np.float64)
     init_dead(net)
     x = np.random.default_rng(0).uniform(-1, 1, size=(2, 1, 14, 14))
-    _, caches = net._run(x, 0, len(net.layers), keep_caches=True)
+    _, caches = net._run(x, len(net.layers), keep_caches=True)
     relu_inputs = [c for layer, c in zip(net.layers, caches) if isinstance(layer, ReLU)]
     assert len(relu_inputs) == 4
     for pre in relu_inputs:
@@ -259,7 +259,7 @@ def test_dead_backward_is_backward_when_the_second_hidden_relu_is_zero(batch, fi
         bias[...] = final_bias
     xs = rng.uniform(-1, 1, size=(batch, *net.input_shape)).astype(np.float32)
     ys = rng.integers(1, net.num_classes + 1, size=batch)
-    _, caches = net._run(xs, 0, len(net.layers), keep_caches=True)
+    _, caches = net._run(xs, len(net.layers), keep_caches=True)
     assert (caches[-2] <= 0).all()  # the second hidden ReLU's input
     grad = net.backward(xs, ys)
     out = np.zeros_like(grad)

@@ -15,7 +15,7 @@ from fedtrap.attack import run_attack
 from fedtrap.fedsim import ClientConfig, client_train
 from fedtrap.layers import Flatten, Linear, ReLU, ShapeError
 from fedtrap.network import Network, conv_net, dense_net, small_conv_net
-from fedtrap.screen import dead_screen, extractor_bound
+from fedtrap.screen import _CROP_CHUNK, _crop_pass, dead_screen, extractor_bound
 from fedtrap.trap import craft_parameters, epsilon_flat_index
 from test_differential import reference_client_train
 
@@ -80,11 +80,6 @@ def matched_columns(net, theta):
     return [int(np.flatnonzero(w1[2 * m])[0]) for m in range(pairs)]
 
 
-def fields_of(net, columns):
-    """The distinct receptive fields of `columns`."""
-    return {str(net.receptive_field(j)[0]) for j in columns}
-
-
 def moved_trap(net, theta, x, deviations):
     """`theta` with pair m's threshold η_m moved to x's matched feature plus
     deviations[m], so that x lies sum(|deviations|) from the trap in ℓ1."""
@@ -100,7 +95,7 @@ def moved_trap(net, theta, x, deviations):
 def second_hidden_input(net, params, xs):
     """The full forward's second hidden pre-activations, (n, hidden[1])."""
     work = net.with_params(params)
-    _, caches = work._run(np.asarray(xs, dtype=net.dtype), 0, len(net.layers), keep_caches=True)
+    _, caches = work._run(np.asarray(xs, dtype=net.dtype), len(net.layers), keep_caches=True)
     return caches[net.head_linear_indices()[1] + 1]  # a ReLU's cache is its input
 
 
@@ -114,7 +109,8 @@ def second_hidden_input(net, params, xs):
 def test_every_crop_feature_is_within_the_bound_of_the_full_feature(build):
     """For every column, the extractor run on the column's receptive field of
     each sample gives the full forward's feature to within 2E, and both lie
-    within F + E in magnitude."""
+    within F + E in magnitude: run field by field, and in one crop pass over
+    every field, whose batches mix the fields' crops over several chunks."""
     net = build()
     net.init_random(7)
     xs, _ = images(net, 12, seed=7)
@@ -122,11 +118,15 @@ def test_every_crop_feature_is_within_the_bound_of_the_full_feature(build):
     features, error = extractor_bound(net, float(np.abs(xs).max()))
     assert (error > 0) == (net.split_index > 1)
     assert (np.abs(full) <= features + error).all()
-    for column in range(net.feature_width):
-        box, index = net.receptive_field(column)
-        crop, _ = net._run(xs[(slice(None), *box)], 0, net.split_index, keep_caches=False)
+    fields = [net.receptive_field(column) for column in range(net.feature_width)]
+    for column, (box, index) in enumerate(fields):
+        crop, _ = net._run(xs[(slice(None), *box)], net.split_index, keep_caches=False)
         assert crop.shape[1] <= net.feature_width
         assert (np.abs(crop[:, index] - full[:, column]) <= 2 * error).all(), column
+    assert len(xs) > max(1, _CROP_CHUNK // len(fields))
+    values = _crop_pass(net, xs, fields)
+    assert values.shape == full.shape and values.dtype == np.float64
+    assert (np.abs(values - full) <= 2 * error).all()
 
 
 def test_receptive_field_needs_conv_relu_and_pool_layers_then_one_flatten():
@@ -189,7 +189,7 @@ def test_crop_and_full_features_that_differ_are_covered(monkeypatch):
     net.init_random(3, stop=net.split_index)
     xs, ys = images(net, 16, seed=3)
     full = net.forward_features(xs)
-    crops = np.stack([net._run(xs[(slice(None), *box)], 0, net.split_index, False)[0][:, index]
+    crops = np.stack([net._run(xs[(slice(None), *box)], net.split_index, False)[0][:, index]
                       for box, index in map(net.receptive_field, range(net.feature_width))],
                      axis=1)
     sample, column = np.unravel_index(np.argmax(np.abs(crops - full)), full.shape)
@@ -303,16 +303,15 @@ def test_a_sample_near_the_trap_on_every_column_stays_live(monkeypatch):
 def test_refinement_crops_only_the_samples_left_uncertified(monkeypatch):
     """Two of 16 samples, in different batches, share their first matched
     column's receptive field, and so lie 0.7ε from η there. The first batch
-    that holds one refines both at once: one crop pass of those two samples
-    for each other field the matched columns read (two fields for three
-    columns here), and none for the first column's field, whose values the
-    screen already has. Nothing is refined again."""
+    that holds one refines both at once: one extractor batch of the two
+    samples' crops of each of the four matched columns, 2 × 4 = 8 crops.
+    Nothing is refined again."""
     net = small_conv_net()
     theta, *_ = trapped(net, seed=21)
     epsilon = float(theta[epsilon_flat_index(net)])
     columns = matched_columns(net, theta)
     box, _ = net.receptive_field(columns[0])
-    assert len(fields_of(net, columns)) == 3 and len(fields_of(net, columns[1:])) == 2
+    assert len(columns) == 4
     xs, ys = images(net, 16, seed=21)
     cfg = ClientConfig(4, 4, 2)
     batch = np.argsort(np.random.default_rng(cfg.shuffle_seed).permutation(16)) // 4
@@ -325,7 +324,7 @@ def test_refinement_crops_only_the_samples_left_uncertified(monkeypatch):
     calls = count_paths(monkeypatch)
     rows = count_crop_rows(monkeypatch)
     train_both(net, theta, xs, ys, cfg)
-    assert rows == [16, 2, 2]
+    assert rows == [16, 2 * 4]
     assert calls == {"backward": 0, "dead_backward": 8}
 
 
@@ -371,7 +370,7 @@ def test_a_refined_sample_goes_back_to_backward_when_the_margin_rises_past_its_b
     phi = train_both(net, theta, xs, ys, cfg)
     assert phi[epsilon_flat_index(net)] > 2.6 * epsilon
     assert calls == {"backward": 2, "dead_backward": 2}  # the target's batch, the twin's
-    assert rows == [16] + [3] * (len(fields_of(net, columns)) - 1)
+    assert len(columns) == 4 and rows == [16, 3 * 4]  # one batch: 3 samples' 4 crops
 
 
 def test_a_refined_sample_keeps_its_one_column_bound_where_that_is_lower(monkeypatch):
@@ -397,6 +396,31 @@ def test_a_refined_sample_keeps_its_one_column_bound_where_that_is_lower(monkeyp
     calls = count_paths(monkeypatch)
     train_both(net, params, xs, ys, ClientConfig(2, 2, 1))
     assert calls == {"backward": 0, "dead_backward": 2}
+
+
+def test_a_unit_reading_the_first_column_and_another_is_left_out_of_the_bound(monkeypatch):
+    """The first unit of the live row reads its pair's column and one more.
+    The certificate's sum may drop any of the row's units, so the screen drops
+    that one: its bounds are those of the head with the unit cut from the row,
+    the next unit's column is screened, and the batches are dead."""
+    net = small_conv_net()
+    theta, *_ = trapped(net, seed=27)
+    columns = matched_columns(net, theta)
+    other = next(j for j in range(net.feature_width) if j not in columns)
+    work = net.with_params(theta)
+    (w1, _), (w2, _) = (work.views[i] for i in net.head_linear_indices()[:2])
+    w1[0, other] = 0.5
+    cut = net.with_params(work.params)
+    cut.views[net.head_linear_indices()[1]][0][0, 0] = 0
+    xs, ys = images(net, 16, seed=27)
+    screen, without = dead_screen(work, xs), dead_screen(cut, xs)
+    assert screen is not None and w2[0, 0] < 0
+    assert screen.bound.tobytes() == without.bound.tobytes()
+    every = np.arange(16)
+    assert screen.refine(every).tobytes() == without.refine(every).tobytes()
+    calls = count_paths(monkeypatch)
+    train_both(net, work.params, xs, ys, ClientConfig(4, 4, 2))
+    assert calls == {"backward": 0, "dead_backward": 8}
 
 
 # -- where the screen stays off ----------------------------------------------------
