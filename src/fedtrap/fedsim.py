@@ -24,22 +24,25 @@ Each batch makes one decision: a dead step or `Network.backward`. A
 call with more than one step first builds a dead screen
 (`fedtrap.screen`), which holds while `lo` is at or above the second
 hidden layer's bias: from one feature column, computed for every
-sample through its receptive field, it proves for each sample that the
-head's second hidden ReLU stays zero under the current b2, which is
-re-read every batch, and the samples that column leaves uncertified are
-refined with every matched column, whose crops of them run through the
-extractor as one batch, the first time a batch is not certified. A
-batch whose every sample is proved dead takes
-`Network.dead_backward`, which writes only the final bias into one
-gradient buffer the call owns, so only that slice is scanned for
-written bytes; it runs no layer. Any other batch calls `backward`,
-which runs the whole network. Under a planted trap that leaves only the
-batches that may fire it: those holding a sample whose whole ℓ1 sum
-over the matched features may come within the current margin, the
-target's among them. A live network, or any head the certificate
-does not cover, gets no screen, and neither does a one-step call
-(FedSGD, the reference step): its crop pass would cover the samples of
-its one batch, and a live batch would pay it on top of its forward.
+sample through its receptive field by the screen's own crop pass, it
+proves for each sample that the head's second hidden ReLU stays zero
+under the current b2, which is re-read every batch. The samples that
+column leaves uncertified are refined with every matched column, whose
+crops of them go through the crop pass as one batch, the first time a
+batch is not certified. The screen keeps each epoch's per-batch maxima
+of the bounds, so a batch costs it one comparison. A batch whose every
+sample is proved dead takes `Network.dead_backward`, which writes only
+the final bias into one gradient buffer the call owns, so only that
+slice is scanned for written bytes; it runs no layer and checks no
+label, so the labels are checked once per call, before the first step.
+Any other batch calls `backward`, which runs the whole network. Under
+a planted trap that leaves only the batches that may fire it: those
+holding a sample whose whole ℓ1 sum over the matched features may come
+within the current margin, the target's among them. A live network, or
+any head the certificate does not cover, gets no screen, and neither
+does a one-step call (FedSGD, the reference step): its crop pass would
+cover the samples of its one batch, and a live batch would pay it on
+top of its forward.
 Under a trap the extractor gets gradient only from a batch in which a
 sample other than the target fires the trap (the target sits exactly on
 the pair units' ReLU kink), and the suffix is short: `Network.backward`
@@ -96,6 +99,7 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
                          f"({cfg.batch_size}*{cfg.num_batches})")
     if len(ys) != n:
         raise ValueError("image/label counts differ")
+    ys = net._check_labels(ys, n)  # once: a dead step does not check them
     work = net.with_params(np.asarray(theta, dtype=net.dtype))
     params = work.params
     adam = cfg.optimizer == "adam"
@@ -109,8 +113,11 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
         final_bias = net.layout.entry(len(net.layers) - 1, "bias").offset
     rng = np.random.default_rng(cfg.shuffle_seed)
     for _ in range(cfg.epochs):
-        for sel in rng.permutation(n).reshape(cfg.num_batches, cfg.batch_size):
-            if screen is not None and screen.dead(params, lo, sel):
+        batches = rng.permutation(n).reshape(cfg.num_batches, cfg.batch_size)
+        if screen is not None:
+            screen.epoch(batches)
+        for j, sel in enumerate(batches):
+            if screen is not None and screen.dead(params, lo, j):
                 grad, start = work.dead_backward(ys[sel], dead), final_bias
             else:
                 grad, start = work.backward(xs[sel], ys[sel]), 0

@@ -31,7 +31,7 @@ skip work without changing a bit:
 `dead_backward` gives `backward`'s bytes, without running a layer, for a
 batch whose second hidden ReLU is zero for every sample: that batch's
 gradient is the final bias's alone. Only a caller that has proved the
-ReLU zero may call it (`fedtrap.screen`). `receptive_field` maps one
+ReLU zero (`fedtrap.screen`) and checked the labels may call it. `receptive_field` maps one
 feature to the input crop it depends on, so that one feature can be
 computed for many samples without computing the others.
 """
@@ -225,20 +225,23 @@ class Network:
                 np.divide(g.ravel(), len(ys), out=grad[self.layout.slice_of(i, name)])
         return grad
 
-    def dead_backward(self, y, out: np.ndarray) -> np.ndarray:
-        """`backward`'s gradient for a batch with labels `y` whose second hidden
+    def dead_backward(self, ys: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """`backward`'s gradient for a batch with labels `ys` whose second hidden
         ReLU is zero for every sample, written into `out` and returned.
 
-        `out` must hold +0.0 outside the final bias; only that slice is
-        written. With that ReLU zero the logits are `0 + b3` in every row
-        (the product with the final weight accumulates from +0.0), so the
-        cotangent is d = softmax(b3) - onehot(y). The final weight's gradient
-        d.T @ 0 is +0.0, the ReLU stops the loop, and the final bias gets
-        d.sum(0) / B. Nothing here checks that the ReLU is zero.
+        `ys` must be labels that `_check_labels` returned: nothing here
+        checks them, nor that the ReLU is zero. `out` must hold +0.0 outside
+        the final bias; only that slice is written. With that ReLU zero the
+        logits are `0 + b3` in every row (the product with the final weight
+        accumulates from +0.0), so the cotangent is d = softmax(b3) - onehot(y),
+        with softmax(b3) computed on one row and repeated: numpy's softmax of
+        each row reads that row alone. The final weight's gradient d.T @ 0 is
+        +0.0, the ReLU stops the loop, and the final bias gets d.sum(0) / B,
+        summed over the B rows as `backward` sums them.
         """
-        ys = self._check_labels(y, np.size(y))
         final = len(self.layers) - 1
-        d = _softmax(np.zeros((len(ys), self.num_classes), self.dtype) + self.views[final][1])
+        row = _softmax(np.zeros((1, self.num_classes), self.dtype) + self.views[final][1])
+        d = np.repeat(row, len(ys), axis=0)
         d[np.arange(len(ys)), ys - 1] -= 1.0
         np.divide(d.sum(axis=0), len(ys), out=out[self.layout.slice_of(final, "bias")])
         return out

@@ -8,14 +8,17 @@ most 0, the second hidden ReLU is zero for the whole batch and
 `dead_screen` proves this for each sample once per client call from one
 feature column, computed for every sample through that column's
 receptive field (`Network.receptive_field`) instead of through the
-whole extractor. `Screen.dead` then decides a batch from the current b2,
-which the target's firing and Adam's momentum both move. When a batch
-is not certified, `Screen.dead` first refines, once each, every sample
-of the call that the current b2 leaves uncertified and that was not
-refined before: the crops of every column that the units U below read,
-for those samples only, go through the extractor as one batch, and the
-sample's bound is lowered to the one summed over U. Only a batch
-holding a sample that may fire the whole trap then calls `backward`.
+whole extractor. The crop pass computes it in its own arithmetic, not
+the full forward's (item 1). `Screen.dead` then decides a batch from the
+current b2, which the target's firing and Adam's momentum both move; it
+keeps each epoch's per-batch maxima of the bounds, so a batch costs one
+comparison. When a batch is not certified, `Screen.dead` first refines,
+once each, every sample of the call that the current b2 leaves
+uncertified and that was not refined before: the crops of every column
+that the units U below read, for those samples only, go through the
+crop pass as one batch, and the sample's bound is lowered to the one
+summed over U. Only a batch holding a sample that may fire the whole
+trap then calls `backward`.
 
 Everything is read from the parameters, never from a `TrapSpec`:
 
@@ -31,8 +34,10 @@ Everything is read from the parameters, never from a `TrapSpec`:
 Anything else gives no screen, and every batch calls `backward`. The
 bound is proved for the parameters below b2's offset, which a step has
 not written while the client's written suffix `lo` starts at or above
-it (`Screen.stop`); refinement runs only then, so its crop passes and
-the units it reads see the parameters the first pass saw.
+it (`Screen.stop`). The crop pass reads copies of the extractor's
+parameters, made when the screen is built, and refinement runs only
+while the bound holds, so the parameters it computes from are the
+current ones.
 
 The certificate. u is the unit roundoff of the network's dtype, τ its
 smallest subnormal, and γ_K = Ku/(1 - Ku). A K-term dot product plus a
@@ -53,6 +58,20 @@ blocking, with or without FMA), is within γ_{K+1}(Σ|w||x| + |b|) +
    every feature of every sample is within E of its exact value, for
    any batch. No partial sum overflows while every layer's M + e stays
    below half the dtype's largest value, which the screen requires.
+   The crop pass (`_crop_values`) computes the same layers in another
+   form, and E covers it too:
+   - Each Conv2D is one GEMM by a banded (Toeplitz) weight. An output's
+     row of it holds that output's K = c·k·k weights and exact zeros
+     elsewhere. A zero weight times a finite value is ±0, and adding ±0
+     to a partial sum never rounds: it returns the sum, up to the sign
+     of a zero sum. So each output is its K products summed in some
+     order, and γ_{K+1} still counts the roundings with the bias add.
+   - A conv's max-pools run on its raw sums, before its bias and ReLU.
+     Rounding is monotone, so fl(max_i s_i + b) = max_i fl(s_i + b), and
+     ReLU commutes with max: the values are those of the layers run in
+     their order on the same sums.
+   - The last conv computes only the output channels its fields read,
+     each output as above.
 2. Crop against full. A column's exact value f* depends only on its
    receptive field, so the crop pass's value c and the full forward's a
    are both within E of f*: |c - a| ≤ 2E, for every column, also when
@@ -108,12 +127,14 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .network import Network
 
-_CROP_CHUNK = 128  # crops per extractor batch: bounds the gathered windows' memory
+_CROP_CHUNK = 128  # crops per crop-pass batch: bounds the gathered rows' memory
 
 
 @dataclass
@@ -126,22 +147,31 @@ class Screen:
     stop: int            # b2's offset: the bound holds while lo >= stop
     refine: Callable[[np.ndarray], np.ndarray]  # samples -> their all-column bound
     refined: np.ndarray  # (n,) bool: the sample's bound already had the all-column one
+    batches: np.ndarray | None = None  # (J, B): the current epoch's batches
+    maxima: np.ndarray | None = None   # (J,): bound's maximum over each of them
 
-    def dead(self, params: np.ndarray, lo: int, sel: np.ndarray) -> bool:
-        """Whether the batch `sel` is certified dead under the current `params`,
-        whose written suffix starts at `lo`. A batch that is not first refines
-        every sample of the call still uncertified under the current b2."""
+    def epoch(self, batches: np.ndarray) -> None:
+        """Start an epoch whose batch j is the samples `batches[j]`."""
+        self.batches = batches
+        self.maxima = self.bound[batches].max(axis=1)
+
+    def dead(self, params: np.ndarray, lo: int, batch: int) -> bool:
+        """Whether the current epoch's batch `batch` is certified dead under the
+        current `params`, whose written suffix starts at `lo`. A batch that is
+        not first refines every sample of the call still uncertified under the
+        current b2."""
         if not (lo >= self.stop and (params[self.others] <= 0).all()
                 and np.isfinite(params[self.stop:]).all()):
             return False
         threshold = -params[self.row]
-        if self.bound[sel].max() < threshold:
+        if self.maxima[batch] < threshold:
             return True
         fresh = np.flatnonzero(~self.refined & (self.bound >= threshold))
         if fresh.size:
             self.refined[fresh] = True
             self.bound[fresh] = np.minimum(self.bound[fresh], self.refine(fresh))
-        return bool(self.bound[sel].max() < threshold)
+            self.maxima = self.bound[self.batches].max(axis=1)
+        return bool(self.maxima[batch] < threshold)
 
 
 def extractor_bound(net: Network, max_input: float) -> tuple[float, float]:
@@ -171,8 +201,9 @@ def dead_screen(net: Network, xs: np.ndarray) -> Screen | None:
     """The screen for training `net`'s current parameters on `xs`, or None
     when they do not have the shape the certificate needs. Raises ShapeError,
     as `backward` does, unless `xs` is a batch of `net`'s input shape: a crop
-    would fit in a wider or deeper image. The screen's refinement runs `net`'s
-    extractor again, on parameters it requires unwritten."""
+    would fit in a wider or deeper image. The screen's crop pass computes
+    from copies of `net`'s extractor parameters, which refinement requires
+    unwritten."""
     xs = net._as_batch(xs)
     i1, i2, _ = net.head_linear_indices()
     (w1, b1), (w2, _) = net.views[i1], net.views[i2]
@@ -215,31 +246,133 @@ def dead_screen(net: Network, xs: np.ndarray) -> Screen | None:
         return ((1 - _gamma(k2, u)) * (low @ v) + k2 * tiny
                 + 6 * _gamma(m, u64) * (size @ np.abs(v) + k2 * tiny) + m * tiny64)
 
+    plan = _crop_plan(net, fields[0][0])
+
     def refine(samples: np.ndarray) -> np.ndarray:
-        return certificate(single, _crop_pass(net, xs[samples], fields)[:, position])
+        return certificate(single, _crop_pass(plan, xs[samples], fields)[:, position])
 
     first = position == position[0]  # U_j: the units of U that read j
-    bound = certificate(single[first], _crop_pass(net, xs, [fields[position[0]]]))
+    bound = certificate(single[first], _crop_pass(plan, xs, [fields[position[0]]]))
     b2 = net.layout.entry(i2, "bias")
     flat = np.arange(b2.offset, b2.stop)
     return Screen(bound=bound, row=int(flat[row]), others=np.delete(flat, row), stop=b2.offset,
                   refine=refine, refined=np.zeros(len(xs), dtype=bool))
 
 
-def _crop_pass(net: Network, xs: np.ndarray,
+def _crop_pass(plan: list[_Stage], xs: np.ndarray,
                fields: list[tuple[tuple[slice, ...], int]]) -> np.ndarray:
     """The extractor's value of each `(box, index)` field for every sample of
-    `xs`, from the sample's crop `box`: (n, len(fields)) float64. Every field's
-    crops of `_CROP_CHUNK // len(fields)` samples, one at least, run through
-    the extractor as one batch."""
+    `xs`, from the sample's crop `box` run through `plan`: (n, len(fields))
+    float64. Every field's crops of `_CROP_CHUNK // len(fields)` samples, one
+    at least, go through the plan as one batch."""
     chunk = max(1, _CROP_CHUNK // len(fields))
-    at, indices = np.arange(len(fields)), [index for _, index in fields]
+    channels = [index for _, index in fields]
     values = []
     for i in range(0, len(xs), chunk):
-        crops = np.stack([xs[(slice(i, i + chunk), *box)] for box, _ in fields], axis=1)
-        out, _ = net._run(crops.reshape(-1, *crops.shape[2:]), net.split_index, False)
-        values.append(out.reshape(len(crops), len(fields), -1)[:, at, indices])
-    return np.concatenate(values).astype(np.float64)
+        views = [np.moveaxis(xs[(slice(i, i + chunk), *box)], 1, -1) for box, _ in fields]
+        # C order: np.stack alone would keep the views' channel-first memory order
+        crops = np.stack(views, out=np.empty((len(views), *views[0].shape), xs.dtype))
+        values.append(_crop_values(plan, crops, channels))
+    return np.concatenate(values, axis=1).T.astype(np.float64)
+
+
+class _Stage(NamedTuple):
+    """One Conv2D of the extractor and the ReLU and MaxPool2D layers after it,
+    up to the next Conv2D; the stage before the first Conv2D has no conv."""
+
+    kernel: int                 # the conv's k; 0 without a conv
+    weight: np.ndarray | None   # Toeplitz (k*w*c, ow*oc); (oc, k*w*c, ow) for the last conv
+    bias: np.ndarray | None     # tiled to the pooled row, (pw*oc,); (oc,) for the last conv
+    pools: tuple[int, ...]      # the MaxPool2D windows, in order
+    relu: bool
+
+
+def _crop_plan(net: Network, box: tuple[slice, ...]) -> list[_Stage]:
+    """`net`'s extractor as the crop pass runs it on channel-last crops of
+    `box`'s shape (item 1 of the module docstring). The Toeplitz weights and
+    biases are copies of the parameters they are built from."""
+    shape = [s.stop - s.start for s in box]
+    w, c = (shape[2], shape[0]) if len(shape) == 3 else (1, 1)  # a Toeplitz reads whole rows
+    stages = [[None, []]]
+    for layer, views in zip(net.layers[:net.split_index - 1], net.views):
+        if layer.kind == "conv2d":
+            stages.append([views, []])
+        else:
+            stages[-1][1].append(layer)
+    plan = []
+    for i, (views, layers) in enumerate(stages):
+        pools = tuple(layer.window for layer in layers if layer.kind == "maxpool2d")
+        relu = any(layer.kind == "relu" for layer in layers)
+        if views is not None:
+            weight, bias = views
+            oc, _, kernel, _ = weight.shape
+            ow = w - kernel + 1
+            toeplitz = np.zeros((kernel, w, c, ow, oc), net.dtype)
+            for j in range(ow):   # output column j reads input columns j..j+k-1
+                toeplitz[:, j:j + kernel, :, j, :] = weight.transpose(2, 3, 1, 0)
+            w, c = ow, oc
+        for p in pools:
+            w //= p
+        if views is None:
+            plan.append(_Stage(0, None, None, pools, relu))
+        elif i == len(stages) - 1:   # each field reads one output channel of the last conv
+            toeplitz = np.ascontiguousarray(toeplitz.transpose(4, 0, 1, 2, 3))
+            plan.append(_Stage(kernel, toeplitz.reshape(oc, -1, ow), bias.copy(), pools, relu))
+        else:
+            plan.append(_Stage(kernel, toeplitz.reshape(-1, ow * oc), np.tile(bias, w),
+                               pools, relu))
+    return plan
+
+
+def _crop_values(plan: list[_Stage], crops: np.ndarray, channels: list[int]) -> np.ndarray:
+    """`plan` run on `crops`, (F, m, *crop) channel-last with field f's crops
+    at `crops[f]`: (F, m), each crop's value at its field's channel.
+
+    A conv is one GEMM of its rows, (m*oh, k*w*c), each output row's k input
+    rows whole, by its Toeplitz weight; its max-pools run before its bias
+    and ReLU, and the last conv computes each field's own channel only
+    (item 1 of the module docstring)."""
+    fields, m = crops.shape[:2]
+    x = crops.reshape(fields * m, *crops.shape[2:])
+    for stage in plan:
+        last = stage.weight is not None and stage.weight.ndim == 3
+        if stage.weight is not None:
+            n, h, w, c = x.shape
+            k = stage.kernel
+            s = x.strides
+            rows = as_strided(x, (n, h - k + 1, k, w, c), (s[0], s[1], s[1], s[2], s[3]),
+                              writeable=False).reshape(n * (h - k + 1), k * w * c)
+            if last:
+                x = np.matmul(rows.reshape(fields, -1, rows.shape[1]), stage.weight[channels])
+            else:
+                x = rows @ stage.weight
+            x = x.reshape(n, h - k + 1, w - k + 1, -1)
+        for p in stage.pools:
+            x = _max_pool(x, p)
+        if last:
+            x = x.reshape(fields, m) + stage.bias[channels][:, None]
+        elif stage.weight is not None:
+            flat = x.reshape(-1, len(stage.bias))
+            np.add(flat, stage.bias, out=flat)
+        if stage.relu:
+            x = np.maximum(x, 0, out=x)
+    return x.reshape(fields, m)
+
+
+def _max_pool(x: np.ndarray, p: int) -> np.ndarray:
+    """Max over p x p windows of channel-last (n, h, w, c): rows, then columns,
+    each by `np.maximum` over the window's contiguous parts."""
+    n, h, w, c = x.shape
+    x = _fold_max(x.reshape(n * h // p, p, w * c))
+    return _fold_max(x.reshape(n * h // p * w // p, p, c)).reshape(n, h // p, w // p, c)
+
+
+def _fold_max(x: np.ndarray) -> np.ndarray:
+    """The max over axis 1 of (a, p, b)."""
+    out = x[:, 0]
+    for i in range(1, x.shape[1]):
+        out = np.maximum(out, x[:, i])
+    return out
 
 
 def _gamma(k: int, u: float) -> float:

@@ -27,6 +27,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedtrap import layers
+from fedtrap import screen as screen_module
 from fedtrap.datasets import write_cifar_fixture, write_mnist_fixture
 from fedtrap.fedsim import ClientConfig, client_train
 from fedtrap.harness import ExperimentConfig, build_network, build_source, execute_run
@@ -172,10 +173,11 @@ def count_conv_calls(monkeypatch):
 
 
 def test_extractor_runs_once_per_sample_under_a_trap(monkeypatch):
-    """Under the trap the extractor is never backpropagated. It runs forward once
-    over every sample's crop of the first matched column for the screen, once
-    more over the crops of every matched column for the samples that first
-    crop leaves uncertified, and then only in batches that may fire the trap."""
+    """Under the trap the extractor is never backpropagated. The crop pass runs
+    it, in its own arithmetic, once over every sample's crop of the first
+    matched column for the screen, and once more over the crops of every
+    matched column for the samples that first crop leaves uncertified. The
+    full forward runs it only in batches that may fire the trap."""
     net = small_conv_net()
     theta, xs, ys = trap_case(net, 32, member=True, seed=3, negative_zeros=False)
     # the target, and two samples whose first matched feature is within 1e-3 of
@@ -185,15 +187,21 @@ def test_extractor_runs_once_per_sample_under_a_trap(monkeypatch):
     assert len(uncertified) == 3
     assert (screen.refine(uncertified) < -1e-3).sum() == 2
     convs = count_conv_calls(monkeypatch)
+    crops = []
+    values = screen_module._crop_values
+    monkeypatch.setattr(screen_module, "_crop_values",
+                        lambda plan, x, channels: crops.append(x.shape[:2])
+                        or values(plan, x, channels))
     backwards = []
     full = Network.backward
     monkeypatch.setattr(Network, "backward", lambda *a: backwards.append(1) or full(*a))
     client_train(net, theta, xs, ys, ClientConfig(8, 4, 3, optimizer="adam"))
-    # two conv layers, each run by: the first column's crop pass over all 32
-    # samples; one refinement batch of those 3 samples' crops of every matched
-    # column; and the target's batch in each of the 3 epochs, the only batches
-    # that call `backward`
-    assert convs == {"forward": 2 * (1 + 1 + 3), "backward": 0}
+    # the crop pass: the first column's crops of all 32 samples, then one
+    # refinement batch of those 3 samples' crops of the 4 matched columns
+    assert crops == [(1, 32), (4, 3)]
+    # the full forward, two conv layers each: the target's batch in each of
+    # the 3 epochs, the only batches that call `backward`
+    assert convs == {"forward": 2 * 3, "backward": 0}
     assert len(backwards) == 3
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fedtrap import verify
+from fedtrap.fedsim import ClientConfig, client_train
 from fedtrap.harness import derive_seed
 from fedtrap.layers import Conv2D, Flatten, Linear, MaxPool2D, ReLU, ShapeError
 from fedtrap.network import Network, conv_net, dense_net, small_conv_net
@@ -267,13 +268,50 @@ def test_dead_backward_is_backward_when_the_second_hidden_relu_is_zero(batch, fi
     assert out.tobytes() == grad.tobytes()
 
 
-def test_dead_backward_rejects_labels_outside_the_classes():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("scale", [1e-3, 1e-2, 0.1, 1.0, 10.0, 50.0])
+def test_dead_backward_softmax_of_one_row_is_backward_on_random_final_biases(dtype, scale):
+    """`dead_backward` runs the softmax on the one row b3 and repeats it to B
+    rows; `backward` runs it on B rows. Random final biases, some entries +0.0,
+    -0.0 or subnormal, give the same bytes at every batch size drawn."""
     net = trapped_small_conv_net()
-    out = np.zeros_like(net.params)
-    for ys in ([0, 1], [1, net.num_classes + 1]):
+    net = net.with_params(net.params.astype(dtype))
+    bias = net.views[len(net.layers) - 1][1]
+    rng = np.random.default_rng([7, int(scale * 1000), np.dtype(dtype).itemsize])
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array([0.0, -0.0, tiny, -tiny, 1000 * tiny, -77 * tiny], dtype)
+    for _ in range(60):
+        bias[...] = rng.normal(scale=scale, size=bias.shape)
+        picked = rng.random(bias.shape) < 0.3
+        bias[picked] = rng.choice(specials, size=int(picked.sum()))
+        batch = int(rng.integers(1, 34))
+        xs = rng.uniform(-1, 1, size=(batch, *net.input_shape)).astype(dtype)
+        ys = rng.integers(1, net.num_classes + 1, size=batch)
+        out = np.zeros_like(net.params)
+        assert net.dead_backward(ys, out).tobytes() == net.backward(xs, ys).tobytes()
+
+
+def test_dead_backward_rejects_labels_outside_the_classes(monkeypatch):
+    """`dead_backward` checks no labels: `client_train` checks them once, so a
+    call whose every batch is dead raises before its first step."""
+    net = trapped_small_conv_net()
+    steps = []
+    for name in ("backward", "dead_backward"):
+        method = getattr(Network, name)
+        monkeypatch.setattr(Network, name, lambda *a, method=method, name=name:
+                            steps.append(name) or method(*a))
+    rng = np.random.default_rng(6)
+    xs = rng.uniform(-1, 1, size=(8, *net.input_shape)).astype(np.float32)
+    cfg = ClientConfig(2, 4, 2)
+    client_train(net, net.params, xs, np.ones(8, dtype=np.int64), cfg)
+    assert steps == ["dead_backward"] * 8
+    steps.clear()
+    for bad in (0, net.num_classes + 1):
+        ys = np.ones(8, dtype=np.int64)
+        ys[5] = bad
         with pytest.raises(ValueError, match="labels must lie in"):
-            net.dead_backward(np.array(ys), out)
-    assert not out.any()
+            client_train(net, net.params, xs, ys, cfg)
+    assert steps == []
 
 
 @pytest.mark.parametrize("case_seed", range(5))

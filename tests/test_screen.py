@@ -11,11 +11,12 @@ import warnings
 import numpy as np
 import pytest
 
+from fedtrap import screen as screen_module
 from fedtrap.attack import run_attack
 from fedtrap.fedsim import ClientConfig, client_train
-from fedtrap.layers import Flatten, Linear, ReLU, ShapeError
+from fedtrap.layers import Conv2D, Flatten, Linear, MaxPool2D, ReLU, ShapeError
 from fedtrap.network import Network, conv_net, dense_net, small_conv_net
-from fedtrap.screen import _CROP_CHUNK, _crop_pass, dead_screen, extractor_bound
+from fedtrap.screen import _CROP_CHUNK, _crop_pass, _crop_plan, dead_screen, extractor_bound
 from fedtrap.trap import craft_parameters, epsilon_flat_index
 from test_differential import reference_client_train
 
@@ -60,16 +61,15 @@ def train_both(net, theta, xs, ys, cfg):
 
 
 def count_crop_rows(monkeypatch):
-    """The batch size of every extractor run on crops smaller than the input."""
+    """The number of crops in every batch the crop pass runs."""
     rows = []
-    run = Network._run
+    values = screen_module._crop_values
 
-    def wrapped(self, h, *args, **kwargs):
-        if h.shape[1:] != self.input_shape:
-            rows.append(len(h))
-        return run(self, h, *args, **kwargs)
+    def wrapped(plan, crops, channels):
+        rows.append(crops.shape[0] * crops.shape[1])
+        return values(plan, crops, channels)
 
-    monkeypatch.setattr(Network, "_run", wrapped)
+    monkeypatch.setattr(screen_module, "_crop_values", wrapped)
     return rows
 
 
@@ -102,15 +102,23 @@ def second_hidden_input(net, params, xs):
 # -- the certificate ---------------------------------------------------------------
 
 
+def mixed_net():
+    """A pool and a ReLU before the first conv, a conv with no pool, and a
+    last conv pooled twice before its ReLU."""
+    return Network([MaxPool2D(2), ReLU(), Conv2D(2, 3, 4), ReLU(), Conv2D(3, 4, 1),
+                    MaxPool2D(2), MaxPool2D(2), ReLU(), Flatten()], (2, 22, 22), (8, 6), 3)
+
+
 @pytest.mark.parametrize("build", [
     lambda: conv_net((1, 28, 28), 10), lambda: conv_net((3, 32, 32), 100),
-    lambda: small_conv_net(), lambda: dense_net(20, (12, 8), 10)],
-    ids=["mnist", "cifar100", "small", "dense"])
+    lambda: small_conv_net(), lambda: dense_net(20, (12, 8), 10), mixed_net],
+    ids=["mnist", "cifar100", "small", "dense", "mixed"])
 def test_every_crop_feature_is_within_the_bound_of_the_full_feature(build):
-    """For every column, the extractor run on the column's receptive field of
-    each sample gives the full forward's feature to within 2E, and both lie
-    within F + E in magnitude: run field by field, and in one crop pass over
-    every field, whose batches mix the fields' crops over several chunks."""
+    """For every column, the extractor's own layers run on the column's
+    receptive field of each sample give the full forward's feature to within
+    2E, and both lie within F + E in magnitude. The crop pass's banded
+    arithmetic, in one call over every field whose batches mix the fields'
+    crops over several chunks, is within 2E of both."""
     net = build()
     net.init_random(7)
     xs, _ = images(net, 12, seed=7)
@@ -119,14 +127,17 @@ def test_every_crop_feature_is_within_the_bound_of_the_full_feature(build):
     assert (error > 0) == (net.split_index > 1)
     assert (np.abs(full) <= features + error).all()
     fields = [net.receptive_field(column) for column in range(net.feature_width)]
+    layers = np.empty_like(full)
     for column, (box, index) in enumerate(fields):
         crop, _ = net._run(xs[(slice(None), *box)], net.split_index, keep_caches=False)
         assert crop.shape[1] <= net.feature_width
-        assert (np.abs(crop[:, index] - full[:, column]) <= 2 * error).all(), column
+        layers[:, column] = crop[:, index]
+    assert (np.abs(layers - full) <= 2 * error).all()
     assert len(xs) > max(1, _CROP_CHUNK // len(fields))
-    values = _crop_pass(net, xs, fields)
+    values = _crop_pass(_crop_plan(net, fields[0][0]), xs, fields)
     assert values.shape == full.shape and values.dtype == np.float64
     assert (np.abs(values - full) <= 2 * error).all()
+    assert (np.abs(values - layers) <= 2 * error).all()
 
 
 def test_receptive_field_needs_conv_relu_and_pool_layers_then_one_flatten():
@@ -169,10 +180,12 @@ def test_samples_at_the_certified_threshold_take_the_full_path_whenever_they_fir
     for eps in around(certified) + around(deviation):
         params = theta.copy()
         params[margin] = eps
-        dead = screen.dead(params, params.size, np.array([0, 1]))
+        screen.epoch(np.array([[0, 1]]))
+        dead = screen.dead(params, params.size, 0)
         fires = (second_hidden_input(net, params, xs)[:, 0] > 0).any()
         assert dead == (eps < certified) and not (dead and fires)
-        assert screen.dead(params, params.size, np.array([1]))
+        screen.epoch(np.array([[1]]))
+        assert screen.dead(params, params.size, 0)
         calls.update(backward=0, dead_backward=0)
         train_both(net, params, xs, ys, cfg)
         assert calls == ({"backward": 0, "dead_backward": 3} if dead
@@ -189,9 +202,8 @@ def test_crop_and_full_features_that_differ_are_covered(monkeypatch):
     net.init_random(3, stop=net.split_index)
     xs, ys = images(net, 16, seed=3)
     full = net.forward_features(xs)
-    crops = np.stack([net._run(xs[(slice(None), *box)], net.split_index, False)[0][:, index]
-                      for box, index in map(net.receptive_field, range(net.feature_width))],
-                     axis=1)
+    fields = [net.receptive_field(column) for column in range(net.feature_width)]
+    crops = _crop_pass(_crop_plan(net, fields[0][0]), xs, fields)
     sample, column = np.unravel_index(np.argmax(np.abs(crops - full)), full.shape)
     gap = abs(float(crops[sample, column]) - float(full[sample, column]))
     if gap == 0:
@@ -386,12 +398,13 @@ def test_a_refined_sample_keeps_its_one_column_bound_where_that_is_lower(monkeyp
     one, every = screen.bound[0], screen.refine(np.array([0]))[0]
     assert 0 < one < every
     params = theta.copy()
-    assert not screen.dead(params, params.size, np.array([0]))
+    screen.epoch(np.array([[0]]))
+    assert not screen.dead(params, params.size, 0)
     assert screen.refined[0]
     margin = epsilon_flat_index(net)
     params[margin] = -np.float32((one + every) / 2)
     assert one < -params[margin] <= every
-    assert screen.dead(params, params.size, np.array([0]))
+    assert screen.dead(params, params.size, 0)
     assert second_hidden_input(net, params, xs[:1])[0, 0] <= 0
     calls = count_paths(monkeypatch)
     train_both(net, params, xs, ys, ClientConfig(2, 2, 1))
