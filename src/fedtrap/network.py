@@ -31,9 +31,7 @@ skip work without changing a bit:
 `dead_backward` gives `backward`'s bytes, without running a layer, for a
 batch whose second hidden ReLU is zero for every sample: that batch's
 gradient is the final bias's alone. Only a caller that has proved the
-ReLU zero (`fedtrap.screen`) and checked the labels may call it. `receptive_field` maps one
-feature to the input crop it depends on, so that one feature can be
-computed for many samples without computing the others.
+ReLU zero (`fedtrap.screen`) and checked the labels may call it.
 """
 
 from __future__ import annotations
@@ -245,38 +243,6 @@ class Network:
         d[np.arange(len(ys)), ys - 1] -= 1.0
         np.divide(d.sum(axis=0), len(ys), out=out[self.layout.slice_of(final, "bias")])
         return out
-
-    def receptive_field(self, column: int) -> tuple[tuple[slice, ...], int] | None:
-        """The crop of a sample that feature `column` depends on, and the
-        column's index among the features the extractor computes from that
-        crop alone: `forward_features(x)[:, column]` is, up to rounding, the
-        extractor's output on `x[(slice(None), *box)]` at `index`.
-
-        The cell that Flatten reads is walked back to the input: a ReLU keeps
-        it, a k-window MaxPool2D scales it by k, and a Conv2D with kernel k
-        widens it by k - 1 over every input channel. None unless the
-        extractor is Conv2D, ReLU and MaxPool2D layers followed by one Flatten.
-        """
-        extractor = self.layers[:self.split_index]
-        if (not extractor or extractor[-1].kind != "flatten"
-                or any(layer.kind not in _CROPPABLE for layer in extractor[:-1])):
-            return None
-        shape = _out_shape(extractor[:-1], self.input_shape, first=0)
-        cell = [int(i) for i in np.unravel_index(column, shape)]
-        lo, hi = cell, [i + 1 for i in cell]
-        for layer in reversed(extractor[:-1]):
-            if layer.kind == "conv2d":
-                k = layer.kernel_size - 1
-                lo, hi = [0, lo[1], lo[2]], [layer.in_channels, hi[1] + k, hi[2] + k]
-            elif layer.kind == "maxpool2d":
-                k = layer.window
-                lo, hi = [lo[0], lo[1] * k, lo[2] * k], [hi[0], hi[1] * k, hi[2] * k]
-        # the crop's output is one cell wide; after a Conv2D it has every channel
-        convs = any(layer.kind == "conv2d" for layer in extractor)
-        return tuple(slice(a, b) for a, b in zip(lo, hi)), cell[0] if convs else 0
-
-
-_CROPPABLE = ("conv2d", "relu", "maxpool2d")
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

@@ -1,26 +1,32 @@
 """Certifying, without computing their features, that batches leave a trap dead.
 
 A planted trap reads its input through one live row r of the head's
-second hidden layer. If that row's pre-activation is at most 0 for
-every sample of a batch, and every other row is all zero with a bias at
-most 0, the second hidden ReLU is zero for the whole batch and
+second hidden layer. If that row's pre-activation is at most 0 for every
+sample of a batch, and every other row is all zero with a bias at most
+0, the second hidden ReLU is zero for the whole batch and
 `Network.backward` writes only the final bias (`Network.dead_backward`).
 `dead_screen` proves this for each sample once per client call from one
 feature column, computed for every sample through that column's
-receptive field (`Network.receptive_field`) instead of through the
-whole extractor. The crop pass computes it in its own arithmetic, not
-the full forward's (item 1). `Screen.dead` then decides a batch from the
-current b2, which the target's firing and Adam's momentum both move; it
-keeps each epoch's per-batch maxima of the bounds, so a batch costs one
-comparison. When a batch is not certified, `Screen.dead` first refines,
-once each, every sample of the call that the current b2 leaves
-uncertified and that was not refined before: the crops of every column
-that the units U below read, for those samples only, go through the
-crop pass as one batch, and the sample's bound is lowered to the one
-summed over U. Only a batch holding a sample that may fire the whole
-trap then calls `backward`.
+receptive field instead of through the whole extractor. The crop pass
+computes it in its own arithmetic, not the full forward's (item 1).
+`Screen.dead` then decides a batch from the current b2, which the
+target's firing and Adam's momentum both move; it keeps each epoch's
+per-batch maxima of the bounds, so a batch costs one comparison. When a
+batch is not certified, `Screen.dead` first refines, once each, every
+sample of the call that the current b2 leaves uncertified and that was
+not refined before: the crops of every column that the units U below
+read, for those samples only, go through the crop pass as one batch, and
+the sample's bound is lowered to the one summed over U. Only a batch
+holding a sample that may fire the whole trap then calls `backward`.
 
-Everything is read from the parameters, never from a `TrapSpec`:
+The screen needs an extractor of Conv2D-ReLU blocks, each optionally
+followed by one MaxPool2D, then one Flatten, as the stock networks'
+are. `_crop_plan` reads the crop pass from that form, together with
+the size and stride of every feature's crop, and `_field` gives each
+feature its crop and its channel of the last conv. Any other extractor
+gets no screen.
+
+Everything else is read from the parameters, never from a `TrapSpec`:
 
 - r is the only second-hidden row with a nonzero weight, and none of
   its weights is positive;
@@ -214,10 +220,11 @@ def dead_screen(net: Network, xs: np.ndarray) -> Screen | None:
     units = np.flatnonzero(w2[row])
     single = units[(w1[units] != 0).sum(axis=1) == 1]  # U
     columns, position = np.unique(np.argmax(w1[single] != 0, axis=1), return_inverse=True)
-    fields = [net.receptive_field(int(j)) for j in columns]
-    if (not fields or fields[0] is None
+    plan = _crop_plan(net)
+    if (plan is None or not len(columns)
             or not np.isfinite(net.params[net.extractor_params.stop:]).all()):
         return None
+    fields = [_field(plan, j) for j in columns]
     max_input = max(float(xs.max()), -float(xs.min()))  # NaN if any pixel is
     if not max_input < math.inf:
         return None
@@ -246,8 +253,6 @@ def dead_screen(net: Network, xs: np.ndarray) -> Screen | None:
         return ((1 - _gamma(k2, u)) * (low @ v) + k2 * tiny
                 + 6 * _gamma(m, u64) * (size @ np.abs(v) + k2 * tiny) + m * tiny64)
 
-    plan = _crop_plan(net, fields[0][0])
-
     def refine(samples: np.ndarray) -> np.ndarray:
         return certificate(single, _crop_pass(plan, xs[samples], fields)[:, position])
 
@@ -259,14 +264,14 @@ def dead_screen(net: Network, xs: np.ndarray) -> Screen | None:
                   refine=refine, refined=np.zeros(len(xs), dtype=bool))
 
 
-def _crop_pass(plan: list[_Stage], xs: np.ndarray,
+def _crop_pass(plan: _Plan, xs: np.ndarray,
                fields: list[tuple[tuple[slice, ...], int]]) -> np.ndarray:
-    """The extractor's value of each `(box, index)` field for every sample of
+    """The extractor's value of each `(box, channel)` field for every sample of
     `xs`, from the sample's crop `box` run through `plan`: (n, len(fields))
     float64. Every field's crops of `_CROP_CHUNK // len(fields)` samples, one
     at least, go through the plan as one batch."""
     chunk = max(1, _CROP_CHUNK // len(fields))
-    channels = [index for _, index in fields]
+    channels = [channel for _, channel in fields]
     values = []
     for i in range(0, len(xs), chunk):
         views = [np.moveaxis(xs[(slice(i, i + chunk), *box)], 1, -1) for box, _ in fields]
@@ -276,87 +281,98 @@ def _crop_pass(plan: list[_Stage], xs: np.ndarray,
     return np.concatenate(values, axis=1).T.astype(np.float64)
 
 
-class _Stage(NamedTuple):
-    """One Conv2D of the extractor and the ReLU and MaxPool2D layers after it,
-    up to the next Conv2D; the stage before the first Conv2D has no conv."""
+class _Block(NamedTuple):
+    """One Conv2D of the extractor, the ReLU after it and the MaxPool2D, if any,
+    after that."""
 
-    kernel: int                 # the conv's k; 0 without a conv
-    weight: np.ndarray | None   # Toeplitz (k*w*c, ow*oc); (oc, k*w*c, ow) for the last conv
-    bias: np.ndarray | None     # tiled to the pooled row, (pw*oc,); (oc,) for the last conv
-    pools: tuple[int, ...]      # the MaxPool2D windows, in order
-    relu: bool
+    kernel: int
+    pool: int            # the MaxPool2D's window; 1 without one
+    weight: np.ndarray   # Toeplitz (k*w*c, ow*oc); (oc, k*w*c, ow) for the last conv
+    bias: np.ndarray     # tiled to the pooled row, (pw*oc,); (oc,) for the last conv
 
 
-def _crop_plan(net: Network, box: tuple[slice, ...]) -> list[_Stage]:
-    """`net`'s extractor as the crop pass runs it on channel-last crops of
-    `box`'s shape (item 1 of the module docstring). The Toeplitz weights and
-    biases are copies of the parameters they are built from."""
-    shape = [s.stop - s.start for s in box]
-    w, c = (shape[2], shape[0]) if len(shape) == 3 else (1, 1)  # a Toeplitz reads whole rows
-    stages = [[None, []]]
-    for layer, views in zip(net.layers[:net.split_index - 1], net.views):
-        if layer.kind == "conv2d":
-            stages.append([views, []])
-        else:
-            stages[-1][1].append(layer)
-    plan = []
-    for i, (views, layers) in enumerate(stages):
-        pools = tuple(layer.window for layer in layers if layer.kind == "maxpool2d")
-        relu = any(layer.kind == "relu" for layer in layers)
-        if views is not None:
-            weight, bias = views
-            oc, _, kernel, _ = weight.shape
-            ow = w - kernel + 1
-            toeplitz = np.zeros((kernel, w, c, ow, oc), net.dtype)
-            for j in range(ow):   # output column j reads input columns j..j+k-1
-                toeplitz[:, j:j + kernel, :, j, :] = weight.transpose(2, 3, 1, 0)
-            w, c = ow, oc
-        for p in pools:
-            w //= p
-        if views is None:
-            plan.append(_Stage(0, None, None, pools, relu))
-        elif i == len(stages) - 1:   # each field reads one output channel of the last conv
+class _Plan(NamedTuple):
+    """The extractor's blocks and the geometry of every feature's crop."""
+
+    blocks: list[_Block]
+    size: int                    # a feature's crop is size x size pixels, every channel
+    stride: int                  # between the crops of neighbouring features
+    shape: tuple[int, int, int]  # the (c, h, w) that Flatten reads
+
+
+def _crop_plan(net: Network) -> _Plan | None:
+    """`net`'s extractor as the crop pass runs it on channel-last crops (item 1
+    of the module docstring), or None unless the extractor is Conv2D-ReLU
+    blocks, each optionally followed by one MaxPool2D, then one Flatten. The
+    Toeplitz weights and biases are copies of the parameters they are built
+    from."""
+    layers = net.layers[:net.split_index]
+    kinds = [layer.kind for layer in layers]
+    convs, i = [], 0   # (layer index, pool window) of each block
+    while kinds[i:i + 2] == ["conv2d", "relu"]:
+        pooled = kinds[i + 2:i + 3] == ["maxpool2d"]
+        convs.append((i, layers[i + 2].window if pooled else 1))
+        i += 2 + pooled
+    if not convs or kinds[i:] != ["flatten"]:
+        return None
+    size, stride = 1, 1   # one cell that Flatten reads, walked back to the input
+    for i, pool in reversed(convs):
+        size, stride = size * pool + layers[i].kernel_size - 1, stride * pool
+    blocks, w = [], size  # a Toeplitz reads whole rows of the crop
+    for i, pool in convs:
+        weight, bias = net.views[i]
+        oc, c, kernel, _ = weight.shape
+        ow = w - kernel + 1
+        toeplitz = np.zeros((kernel, w, c, ow, oc), net.dtype)
+        for j in range(ow):   # output column j reads input columns j..j+k-1
+            toeplitz[:, j:j + kernel, :, j, :] = weight.transpose(2, 3, 1, 0)
+        w = ow // pool
+        if i == convs[-1][0]:   # each field reads one output channel of the last conv
             toeplitz = np.ascontiguousarray(toeplitz.transpose(4, 0, 1, 2, 3))
-            plan.append(_Stage(kernel, toeplitz.reshape(oc, -1, ow), bias.copy(), pools, relu))
+            blocks.append(_Block(kernel, pool, toeplitz.reshape(oc, -1, ow), bias.copy()))
         else:
-            plan.append(_Stage(kernel, toeplitz.reshape(-1, ow * oc), np.tile(bias, w),
-                               pools, relu))
-    return plan
+            blocks.append(_Block(kernel, pool, toeplitz.reshape(-1, ow * oc), np.tile(bias, w)))
+    # a cell exists where its crop fits in the input
+    cells = ((side - size) // stride + 1 for side in net.input_shape[1:])
+    return _Plan(blocks, size, stride, (oc, *cells))
 
 
-def _crop_values(plan: list[_Stage], crops: np.ndarray, channels: list[int]) -> np.ndarray:
+def _field(plan: _Plan, column: int) -> tuple[tuple[slice, ...], int]:
+    """The crop `box` of a sample that feature `column` depends on, and the
+    last conv's output channel the feature is: `forward_features(x)[:, column]`
+    is, up to rounding, the extractor's value on `x[(slice(None), *box)]` at
+    that channel."""
+    channel, *cell = (int(i) for i in np.unravel_index(column, plan.shape))
+    return (slice(None), *(slice(i * plan.stride, i * plan.stride + plan.size)
+                           for i in cell)), channel
+
+
+def _crop_values(plan: _Plan, crops: np.ndarray, channels: list[int]) -> np.ndarray:
     """`plan` run on `crops`, (F, m, *crop) channel-last with field f's crops
     at `crops[f]`: (F, m), each crop's value at its field's channel.
 
     A conv is one GEMM of its rows, (m*oh, k*w*c), each output row's k input
-    rows whole, by its Toeplitz weight; its max-pools run before its bias
+    rows whole, by its Toeplitz weight; its max-pool runs before its bias
     and ReLU, and the last conv computes each field's own channel only
     (item 1 of the module docstring)."""
     fields, m = crops.shape[:2]
     x = crops.reshape(fields * m, *crops.shape[2:])
-    for stage in plan:
-        last = stage.weight is not None and stage.weight.ndim == 3
-        if stage.weight is not None:
-            n, h, w, c = x.shape
-            k = stage.kernel
-            s = x.strides
-            rows = as_strided(x, (n, h - k + 1, k, w, c), (s[0], s[1], s[1], s[2], s[3]),
-                              writeable=False).reshape(n * (h - k + 1), k * w * c)
-            if last:
-                x = np.matmul(rows.reshape(fields, -1, rows.shape[1]), stage.weight[channels])
-            else:
-                x = rows @ stage.weight
-            x = x.reshape(n, h - k + 1, w - k + 1, -1)
-        for p in stage.pools:
-            x = _max_pool(x, p)
-        if last:
-            x = x.reshape(fields, m) + stage.bias[channels][:, None]
-        elif stage.weight is not None:
-            flat = x.reshape(-1, len(stage.bias))
-            np.add(flat, stage.bias, out=flat)
-        if stage.relu:
-            x = np.maximum(x, 0, out=x)
-    return x.reshape(fields, m)
+    for block in plan.blocks:
+        n, h, w, c = x.shape
+        k, s = block.kernel, x.strides
+        oh, ow = h - k + 1, w - k + 1
+        rows = as_strided(x, (n, oh, k, w, c), (s[0], s[1], s[1], s[2], s[3]),
+                          writeable=False).reshape(n * oh, k * w * c)
+        if block is plan.blocks[-1]:
+            x = np.matmul(rows.reshape(fields, -1, rows.shape[1]), block.weight[channels])
+            x = (_max_pool(x.reshape(n, oh, ow, 1), block.pool).reshape(fields, m)
+                 + block.bias[channels][:, None])
+        else:
+            x = _max_pool((rows @ block.weight).reshape(n, oh, ow, -1), block.pool)
+            flat = x.reshape(-1, len(block.bias))
+            np.add(flat, block.bias, out=flat)
+        x = np.maximum(x, 0, out=x)
+    return x
 
 
 def _max_pool(x: np.ndarray, p: int) -> np.ndarray:

@@ -61,8 +61,8 @@ def functions_defined_by_the_library() -> dict[str, str]:
 
 # functions with a planned consumer and none yet, each named by its ROADMAP item
 AWAITING_A_CONSUMER = {
-    "trap.TrapSpec.to_json",  # item 3: the per-run trace records the TrapSpec
-    "harness.parse_results",  # items 3 and 4: `explain` and `--resume` read the CSV
+    "trap.TrapSpec.to_json",  # item 4: the per-run trace records the TrapSpec
+    "harness.parse_results",  # items 4 and 5: `explain` and `--resume` read the CSV
 }
 
 

@@ -16,7 +16,8 @@ from fedtrap.attack import run_attack
 from fedtrap.fedsim import ClientConfig, client_train
 from fedtrap.layers import Conv2D, Flatten, Linear, MaxPool2D, ReLU, ShapeError
 from fedtrap.network import Network, conv_net, dense_net, small_conv_net
-from fedtrap.screen import _CROP_CHUNK, _crop_pass, _crop_plan, dead_screen, extractor_bound
+from fedtrap.screen import (_CROP_CHUNK, _crop_pass, _crop_plan, _field, dead_screen,
+                            extractor_bound)
 from fedtrap.trap import craft_parameters, epsilon_flat_index
 from test_differential import reference_client_train
 
@@ -102,17 +103,16 @@ def second_hidden_input(net, params, xs):
 # -- the certificate ---------------------------------------------------------------
 
 
-def mixed_net():
-    """A pool and a ReLU before the first conv, a conv with no pool, and a
-    last conv pooled twice before its ReLU."""
-    return Network([MaxPool2D(2), ReLU(), Conv2D(2, 3, 4), ReLU(), Conv2D(3, 4, 1),
-                    MaxPool2D(2), MaxPool2D(2), ReLU(), Flatten()], (2, 22, 22), (8, 6), 3)
+def unpooled_net():
+    """An unpooled block each side of a pooled one, on a non-square input."""
+    return Network([Conv2D(2, 3, 3), ReLU(), Conv2D(3, 3, 2), ReLU(), MaxPool2D(2),
+                    Conv2D(3, 4, 2), ReLU(), Flatten()], (2, 13, 11), (8, 6), 3)
 
 
 @pytest.mark.parametrize("build", [
     lambda: conv_net((1, 28, 28), 10), lambda: conv_net((3, 32, 32), 100),
-    lambda: small_conv_net(), lambda: dense_net(20, (12, 8), 10), mixed_net],
-    ids=["mnist", "cifar100", "small", "dense", "mixed"])
+    lambda: small_conv_net(), unpooled_net],
+    ids=["mnist", "cifar100", "small", "unpooled"])
 def test_every_crop_feature_is_within_the_bound_of_the_full_feature(build):
     """For every column, the extractor's own layers run on the column's
     receptive field of each sample give the full forward's feature to within
@@ -124,27 +124,60 @@ def test_every_crop_feature_is_within_the_bound_of_the_full_feature(build):
     xs, _ = images(net, 12, seed=7)
     full = net.forward_features(xs).astype(np.float64)
     features, error = extractor_bound(net, float(np.abs(xs).max()))
-    assert (error > 0) == (net.split_index > 1)
+    assert error > 0
     assert (np.abs(full) <= features + error).all()
-    fields = [net.receptive_field(column) for column in range(net.feature_width)]
+    plan = _crop_plan(net)
+    fields = [_field(plan, column) for column in range(net.feature_width)]
     layers = np.empty_like(full)
-    for column, (box, index) in enumerate(fields):
+    for column, (box, channel) in enumerate(fields):
         crop, _ = net._run(xs[(slice(None), *box)], net.split_index, keep_caches=False)
-        assert crop.shape[1] <= net.feature_width
-        layers[:, column] = crop[:, index]
+        assert crop.shape[1] == plan.shape[0]  # one cell of every channel
+        layers[:, column] = crop[:, channel]
     assert (np.abs(layers - full) <= 2 * error).all()
     assert len(xs) > max(1, _CROP_CHUNK // len(fields))
-    values = _crop_pass(_crop_plan(net, fields[0][0]), xs, fields)
+    values = _crop_pass(plan, xs, fields)
     assert values.shape == full.shape and values.dtype == np.float64
     assert (np.abs(values - full) <= 2 * error).all()
     assert (np.abs(values - layers) <= 2 * error).all()
 
 
-def test_receptive_field_needs_conv_relu_and_pool_layers_then_one_flatten():
-    dense_extractor = Network([Flatten(), Linear(12, 6), ReLU()], (3, 2, 2), (4, 3), 2)
-    assert dense_extractor.receptive_field(0) is None
-    box, index = conv_net((1, 28, 28), 10).receptive_field(255)
-    assert box == (slice(0, 1), slice(12, 28), slice(12, 28)) and index == 15
+def test_a_field_is_the_crop_one_feature_reads_and_its_channel():
+    mnist, cifar = _crop_plan(conv_net((1, 28, 28), 10)), _crop_plan(conv_net((3, 32, 32), 100))
+    assert (mnist.size, mnist.stride, cifar.size, cifar.stride) == (16, 4, 16, 4)
+    assert _field(mnist, 255) == ((slice(None), slice(12, 28), slice(12, 28)), 15)
+    assert _field(cifar, 399) == ((slice(None), slice(16, 32), slice(16, 32)), 15)
+    assert _field(cifar, 25 + 5 + 2) == ((slice(None), slice(4, 20), slice(8, 24)), 1)
+    unpooled = _crop_plan(unpooled_net())
+    assert (unpooled.size, unpooled.stride, unpooled.shape) == (7, 2, (4, 4, 3))
+    assert _field(unpooled, 12 + 3 * 2 + 1) == ((slice(None), slice(4, 11), slice(2, 9)), 1)
+
+
+def mixed_net():
+    """A pool and a ReLU before the first conv, a conv with no pool, and a
+    last conv pooled twice before its ReLU."""
+    return Network([MaxPool2D(2), ReLU(), Conv2D(2, 3, 4), ReLU(), Conv2D(3, 4, 1),
+                    MaxPool2D(2), MaxPool2D(2), ReLU(), Flatten()], (2, 22, 22), (8, 6), 3)
+
+
+def linear_net():
+    """A Flatten, then a Linear layer and its ReLU, before the head."""
+    return Network([Flatten(), Linear(12, 10), ReLU()], (3, 2, 2), (8, 6), 3)
+
+
+@pytest.mark.parametrize("build", [lambda: dense_net(20, (12, 8), 10), mixed_net, linear_net],
+                         ids=["dense", "mixed", "linear"])
+def test_an_extractor_that_is_not_conv_relu_blocks_then_flatten_gets_no_screen(
+        monkeypatch, build):
+    """No crop plan, so no screen: a trapped network trains through `backward`
+    in every batch, with the reference loop's bytes."""
+    net = build()
+    theta, *_ = trapped(net, seed=29)
+    xs, ys = images(net, 16, seed=29)
+    assert _crop_plan(net) is None
+    assert dead_screen(net.with_params(theta), xs) is None
+    calls = count_paths(monkeypatch)
+    train_both(net, theta, xs, ys, ClientConfig(4, 4, 2))
+    assert calls == {"backward": 8, "dead_backward": 0}
 
 
 def test_samples_at_the_certified_threshold_take_the_full_path_whenever_they_fire(
@@ -202,8 +235,9 @@ def test_crop_and_full_features_that_differ_are_covered(monkeypatch):
     net.init_random(3, stop=net.split_index)
     xs, ys = images(net, 16, seed=3)
     full = net.forward_features(xs)
-    fields = [net.receptive_field(column) for column in range(net.feature_width)]
-    crops = _crop_pass(_crop_plan(net, fields[0][0]), xs, fields)
+    plan = _crop_plan(net)
+    fields = [_field(plan, column) for column in range(net.feature_width)]
+    crops = _crop_pass(plan, xs, fields)
     sample, column = np.unravel_index(np.argmax(np.abs(crops - full)), full.shape)
     gap = abs(float(crops[sample, column]) - float(full[sample, column]))
     if gap == 0:
@@ -322,7 +356,7 @@ def test_refinement_crops_only_the_samples_left_uncertified(monkeypatch):
     theta, *_ = trapped(net, seed=21)
     epsilon = float(theta[epsilon_flat_index(net)])
     columns = matched_columns(net, theta)
-    box, _ = net.receptive_field(columns[0])
+    box, _ = _field(_crop_plan(net), columns[0])
     assert len(columns) == 4
     xs, ys = images(net, 16, seed=21)
     cfg = ClientConfig(4, 4, 2)
@@ -358,7 +392,7 @@ def test_a_refined_sample_goes_back_to_backward_when_the_margin_rises_past_its_b
     work = net.with_params(theta)
     eta = work.forward_features(x_t[None])[0, columns]
     noise = np.random.default_rng(9).uniform(-1, 1, size=x_t.shape).astype(np.float32)
-    box, _ = net.receptive_field(column)
+    box, _ = _field(_crop_plan(net), column)
     noise[box] = 0
 
     def deviation(scale):
@@ -465,7 +499,7 @@ def test_a_non_finite_pixel_is_never_certified_and_the_run_still_raises(pixel):
     net = small_conv_net()
     theta, x_t, y_t, column = trapped(net, seed=13)
     xs, ys = images(net, 16, seed=13)
-    box, _ = net.receptive_field(column)
+    box, _ = _field(_crop_plan(net), column)
     outside = [(i, j) for i in range(14) for j in range(14)
                if not (box[1].start <= i < box[1].stop and box[2].start <= j < box[2].stop)]
     xs[3, 0, outside[0][0], outside[0][1]] = pixel
