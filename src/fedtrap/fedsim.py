@@ -20,21 +20,15 @@ so stepping the suffix alone, with Adam's moment vectors m and v sliced
 the same way and its step count t kept global, changes no bit; the steps
 write in place, on views of the client's own buffers.
 
-Each batch makes one decision: a dead step or `Network.backward`. A
-call with more than one step first builds a dead screen
-(`fedtrap.screen`), which holds while `lo` is at or above the second
-hidden layer's bias: from one feature column, computed for every
-sample through its receptive field by the screen's own crop pass, it
-proves for each sample that the head's second hidden ReLU stays zero
-under the current b2, which is re-read every batch. The samples that
-column leaves uncertified are refined with every matched column, whose
-crops of them go through the crop pass as one batch, the first time a
-batch is not certified. The screen keeps each epoch's per-batch maxima
-of the bounds, so a batch costs it one comparison. A batch whose every
-sample is proved dead takes `Network.dead_backward`, which writes only
-the final bias into one gradient buffer the call owns, so only that
-slice is scanned for written bytes; it runs no layer and checks no
-label, so the labels are checked once per call, before the first step.
+Each batch makes one decision: the dead screen's gradient or
+`Network.backward`. A call with more than one step first builds a dead
+screen (`fedtrap.screen`). It proves, without computing the features,
+that a batch leaves the head's second hidden ReLU zero under the
+current parameters, and then computes that batch's gradient itself
+(`Screen.step`): it runs no layer, writes only the final bias and says
+where its writes start, so only that slice is scanned for written
+bytes. It checks no label, so the labels are checked once per call,
+before the first step.
 Any other batch calls `backward`, which runs the whole network. Under
 a planted trap that leaves only the batches that may fire it: those
 holding a sample whose whole ℓ1 sum over the matched features may come
@@ -46,7 +40,7 @@ top of its forward.
 Under a trap the extractor gets gradient only from a batch in which a
 sample other than the target fires the trap (the target sits exactly on
 the pair units' ReLU kink), and the suffix is short: `Network.backward`
-fills the gradient from the last layer down, the layout is in layer
+fills the gradient from the last layer down, the parameters lie in layer
 order, and the zero-cotangent stop usually ends in the final Linear.
 """
 
@@ -108,19 +102,14 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
     bits = np.dtype(f"u{params.itemsize}")
     lo = params.size
     screen = dead_screen(work, xs) if cfg.num_batches * cfg.epochs > 1 else None
-    if screen is not None:
-        dead = np.zeros_like(params)  # dead_backward writes its final bias only
-        final_bias = net.layout.entry(len(net.layers) - 1, "bias").offset
     rng = np.random.default_rng(cfg.shuffle_seed)
     for _ in range(cfg.epochs):
         batches = rng.permutation(n).reshape(cfg.num_batches, cfg.batch_size)
         if screen is not None:
             screen.epoch(batches)
         for j, sel in enumerate(batches):
-            if screen is not None and screen.dead(params, lo, j):
-                grad, start = work.dead_backward(ys[sel], dead), final_bias
-            else:
-                grad, start = work.backward(xs[sel], ys[sel]), 0
+            dead = screen.step(params, lo, j, ys[sel]) if screen is not None else None
+            grad, start = dead or (work.backward(xs[sel], ys[sel]), 0)
             written = np.flatnonzero(grad[start:lo].view(bits) != 0)
             if written.size:
                 lo = start + int(written[0])

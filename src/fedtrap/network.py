@@ -1,7 +1,8 @@
 """Feedforward network: forward pass, cross-entropy loss, exact reverse-mode gradients.
 
-Labels are 1-based (1..L) and inputs are non-empty (n, *input_shape)
-batches throughout; anything else raises ShapeError before a layer runs.
+Labels are integers in 1..L and inputs are non-empty (n, *input_shape)
+batches throughout; other labels raise ValueError and other inputs
+ShapeError, before a layer runs.
 Parameters are stored once, in the flat vector `Network.params`. Layers
 hold no parameters and only declare their shapes; the network lays them
 out, allocates the vector as zeros in its dtype, and hands each call of
@@ -27,11 +28,6 @@ skip work without changing a bit:
   0 * inf would have given NaN.
 - Each layer reads the cache its forward left: the whole network runs
   forward with caches before the loop starts.
-
-`dead_backward` gives `backward`'s bytes, without running a layer, for a
-batch whose second hidden ReLU is zero for every sample: that batch's
-gradient is the final bias's alone. Only a caller that has proved the
-ReLU zero (`fedtrap.screen`) and checked the labels may call it.
 """
 
 from __future__ import annotations
@@ -193,12 +189,14 @@ class Network:
     # -- loss and gradients ----------------------------------------------
 
     def _check_labels(self, ys: np.ndarray, batch: int) -> np.ndarray:
-        ys = np.asarray(ys, dtype=np.int64).reshape(-1)
+        ys = np.asarray(ys).reshape(-1)
+        if ys.dtype.kind not in "iu":
+            raise ValueError(f"labels must be integers, got dtype {ys.dtype}")
         if len(ys) != batch:
             raise ValueError("batch and label counts differ")
         if ys.min() < 1 or ys.max() > self.num_classes:
             raise ValueError(f"labels must lie in 1..{self.num_classes}")
-        return ys
+        return ys.astype(np.int64, copy=False)
 
     def loss(self, x: np.ndarray, y) -> float:
         """Softmax cross-entropy, mean over the batch; log-sum-exp is max-shifted."""
@@ -222,27 +220,6 @@ class Network:
             for name, g in pgrads.items():
                 np.divide(g.ravel(), len(ys), out=grad[self.layout.slice_of(i, name)])
         return grad
-
-    def dead_backward(self, ys: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """`backward`'s gradient for a batch with labels `ys` whose second hidden
-        ReLU is zero for every sample, written into `out` and returned.
-
-        `ys` must be labels that `_check_labels` returned: nothing here
-        checks them, nor that the ReLU is zero. `out` must hold +0.0 outside
-        the final bias; only that slice is written. With that ReLU zero the
-        logits are `0 + b3` in every row (the product with the final weight
-        accumulates from +0.0), so the cotangent is d = softmax(b3) - onehot(y),
-        with softmax(b3) computed on one row and repeated: numpy's softmax of
-        each row reads that row alone. The final weight's gradient d.T @ 0 is
-        +0.0, the ReLU stops the loop, and the final bias gets d.sum(0) / B,
-        summed over the B rows as `backward` sums them.
-        """
-        final = len(self.layers) - 1
-        row = _softmax(np.zeros((1, self.num_classes), self.dtype) + self.views[final][1])
-        d = np.repeat(row, len(ys), axis=0)
-        d[np.arange(len(ys)), ys - 1] -= 1.0
-        np.divide(d.sum(axis=0), len(ys), out=out[self.layout.slice_of(final, "bias")])
-        return out
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

@@ -4,15 +4,16 @@ A planted trap reads its input through one live row r of the head's
 second hidden layer. If that row's pre-activation is at most 0 for every
 sample of a batch, and every other row is all zero with a bias at most
 0, the second hidden ReLU is zero for the whole batch and
-`Network.backward` writes only the final bias (`Network.dead_backward`).
-`dead_screen` proves this for each sample once per client call from one
-feature column, computed for every sample through that column's
-receptive field instead of through the whole extractor. The crop pass
-computes it in its own arithmetic, not the full forward's (item 1).
-`Screen.dead` then decides a batch from the current b2, which the
+`Network.backward` writes only the final bias. `dead_screen` proves
+this for each sample once per client call from one feature column,
+computed for every sample through that column's receptive field instead
+of through the whole extractor. The crop pass computes it in its own
+arithmetic, not the full forward's (item 1).
+`Screen.step` then decides a batch from the current b2, which the
 target's firing and Adam's momentum both move; it keeps each epoch's
-per-batch maxima of the bounds, so a batch costs one comparison. When a
-batch is not certified, `Screen.dead` first refines, once each, every
+per-batch maxima of the bounds, so a batch costs one comparison, and it
+computes a certified batch's gradient itself (the last paragraph). When
+a batch is not certified, `Screen.step` first refines, once each, every
 sample of the call that the current b2 leaves uncertified and that was
 not refined before: the crops of every column that the units U below
 read, for those samples only, go through the crop pass as one batch, and
@@ -123,9 +124,17 @@ blocking, with or without FMA), is within γ_{K+1}(Σ|w||x| + |b|) +
    bound < -b2_r is exact: b2 widens to float64 exactly, and it is read
    again for every batch.
 
-Finally, `Network.dead_backward` reads the final layer's weight only
-through 0 + b3, so `Screen.dead` also requires b2, the final weight and
-the final bias to be finite in the current parameters.
+The dead step. With the second hidden ReLU zero, the logits are 0 + b3
+in every row (the product with the final weight accumulates from +0.0),
+so `backward`'s cotangent is d = softmax(b3) - onehot(y). `Screen.step`
+computes the softmax on the one row 0 + b3, through `backward`'s own
+`network._softmax`, and repeats it to B rows: numpy's softmax of each
+row reads that row alone. The final weight's gradient d.T @ 0 is +0.0
+and the ReLU stops `backward`'s loop, so the final bias gets d.sum(0) / B,
+summed over the B rows as `backward` sums them, and every other entry
++0.0. The final weight is read only through 0 + b3, so `Screen.step`
+also requires b2, the final weight and the final bias to be finite in
+the current parameters.
 """
 
 from __future__ import annotations
@@ -138,19 +147,22 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .network import Network
+from .network import Network, _softmax
 
 _CROP_CHUNK = 128  # crops per crop-pass batch: bounds the gathered rows' memory
 
 
 @dataclass
 class Screen:
-    """Per-sample certificates for one client call (see the module docstring)."""
+    """Per-sample certificates for one client call, and the gradient of a
+    batch they certify (see the module docstring)."""
 
     bound: np.ndarray    # (n,) float64: bound[i] < -b2[row] proves sample i dead
     row: int             # flat index of the live row's bias in b2
     others: np.ndarray   # flat indices of every other row's bias in b2
     stop: int            # b2's offset: the bound holds while lo >= stop
+    final: slice         # the final bias, the one slice a dead step writes
+    grad: np.ndarray     # the dead steps' gradient: +0.0 outside `final`
     refine: Callable[[np.ndarray], np.ndarray]  # samples -> their all-column bound
     refined: np.ndarray  # (n,) bool: the sample's bound already had the all-column one
     batches: np.ndarray | None = None  # (J, B): the current epoch's batches
@@ -161,23 +173,33 @@ class Screen:
         self.batches = batches
         self.maxima = self.bound[batches].max(axis=1)
 
-    def dead(self, params: np.ndarray, lo: int, batch: int) -> bool:
-        """Whether the current epoch's batch `batch` is certified dead under the
-        current `params`, whose written suffix starts at `lo`. A batch that is
-        not first refines every sample of the call still uncertified under the
-        current b2."""
+    def step(self, params: np.ndarray, lo: int, batch: int,
+             ys: np.ndarray) -> tuple[np.ndarray, int] | None:
+        """`backward`'s gradient of the current epoch's batch `batch`, with
+        labels `ys`, and the index its writes start at, if the batch is
+        certified dead under the current `params`, whose written suffix starts
+        at `lo`; None if it is not. A batch that is not first refines every
+        sample of the call still uncertified under the current b2. `ys` must
+        be labels that `Network._check_labels` returned: nothing here checks
+        them. The gradient is the screen's one buffer, whose final bias each
+        dead step rewrites."""
         if not (lo >= self.stop and (params[self.others] <= 0).all()
                 and np.isfinite(params[self.stop:]).all()):
-            return False
+            return None
         threshold = -params[self.row]
-        if self.maxima[batch] < threshold:
-            return True
-        fresh = np.flatnonzero(~self.refined & (self.bound >= threshold))
-        if fresh.size:
-            self.refined[fresh] = True
-            self.bound[fresh] = np.minimum(self.bound[fresh], self.refine(fresh))
-            self.maxima = self.bound[self.batches].max(axis=1)
-        return bool(self.maxima[batch] < threshold)
+        if not self.maxima[batch] < threshold:
+            fresh = np.flatnonzero(~self.refined & (self.bound >= threshold))
+            if fresh.size:
+                self.refined[fresh] = True
+                self.bound[fresh] = np.minimum(self.bound[fresh], self.refine(fresh))
+                self.maxima = self.bound[self.batches].max(axis=1)
+            if not self.maxima[batch] < threshold:
+                return None
+        b3 = params[self.final]
+        d = np.repeat(_softmax(np.zeros((1, len(b3)), b3.dtype) + b3), len(ys), axis=0)
+        d[np.arange(len(ys)), ys - 1] -= 1.0
+        np.divide(d.sum(axis=0), len(ys), out=self.grad[self.final])
+        return self.grad, self.final.start
 
 
 def extractor_bound(net: Network, max_input: float) -> tuple[float, float]:
@@ -211,7 +233,7 @@ def dead_screen(net: Network, xs: np.ndarray) -> Screen | None:
     from copies of `net`'s extractor parameters, which refinement requires
     unwritten."""
     xs = net._as_batch(xs)
-    i1, i2, _ = net.head_linear_indices()
+    i1, i2, i3 = net.head_linear_indices()
     (w1, b1), (w2, _) = net.views[i1], net.views[i2]
     live = np.flatnonzero((w2 != 0).any(axis=1))
     if len(live) != 1 or (w2[live[0]] > 0).any():
@@ -261,6 +283,7 @@ def dead_screen(net: Network, xs: np.ndarray) -> Screen | None:
     b2 = net.layout.entry(i2, "bias")
     flat = np.arange(b2.offset, b2.stop)
     return Screen(bound=bound, row=int(flat[row]), others=np.delete(flat, row), stop=b2.offset,
+                  final=net.layout.slice_of(i3, "bias"), grad=np.zeros_like(net.params),
                   refine=refine, refined=np.zeros(len(xs), dtype=bool))
 
 

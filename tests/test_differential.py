@@ -3,7 +3,7 @@
 `Network.backward` stops at the first all-zero cotangent, and
 `client_train` steps only the suffix of its parameter vector (and of
 Adam's moments) that has ever had gradient; a batch the dead screen
-certifies takes `Network.dead_backward`, which runs no layer. The
+certifies gets its gradient from the screen, which runs no layer. The
 reference below does none of that: for every batch it
 builds a fresh network over the current vector, runs every layer's
 forward and backward, and steps the whole of its own copy of the vector
@@ -320,7 +320,7 @@ def test_negative_zero_gradient_below_the_written_suffix_is_stepped(monkeypatch)
     """A -0.0 gradient is written: SGD turns the -0.0 parameter under it into +0.0.
 
     From the second on, every gradient the client takes, from `backward` or
-    from `dead_backward`, gets -0.0 at a conv weight, far below the final
+    from the screen's dead step, gets -0.0 at a conv weight, far below the final
     layer where the trap's gradients end. The target sits in the second
     batch, so that gradient comes from `backward`. A step that skips entries
     whose gradient compares equal to zero leaves that parameter -0.0.
@@ -333,26 +333,31 @@ def test_negative_zero_gradient_below_the_written_suffix_is_stepped(monkeypatch)
     index = net.layout.index_of(3, "weight", 0, 0, 0, 0)
     theta[index] = -0.0
 
-    def negative_zero_after_first_call(gradient, calls):
-        def wrapped(*args, **kwargs):
-            grad = gradient(*args, **kwargs)
-            calls.append(gradient.__name__)
-            if len(calls) > 1:
-                assert grad[index] == 0
-                grad[index] = -0.0
-            return grad
-        return wrapped
+    def negative_zero_after_first(grad, calls, name):
+        calls.append(name)
+        if len(calls) > 1:
+            assert grad[index] == 0
+            grad[index] = -0.0
+        return grad
 
-    client_calls, reference_calls = [], []
-    for name in ("backward", "dead_backward"):
-        monkeypatch.setattr(Network, name, negative_zero_after_first_call(
-            getattr(Network, name), client_calls))
+    def gradient(fn, calls):
+        return lambda *args: negative_zero_after_first(fn(*args), calls, "backward")
+
+    def step(*args):
+        dead = screen_step(*args)
+        if dead is not None:
+            negative_zero_after_first(dead[0], client_calls, "dead")
+        return dead
+
+    client_calls, reference_calls, screen_step = [], [], screen_module.Screen.step
+    monkeypatch.setattr(Network, "backward", gradient(Network.backward, client_calls))
+    monkeypatch.setattr(screen_module.Screen, "step", step)
     monkeypatch.setattr(sys.modules[__name__], "reference_gradient",
-                        negative_zero_after_first_call(reference_gradient, reference_calls))
+                        gradient(reference_gradient, reference_calls))
     phi = client_train(net, theta, xs, ys, cfg)
     assert phi.tobytes() == reference_client_train(net, theta, xs, ys, cfg).tobytes()
     assert phi[index] == 0 and not np.signbit(phi[index])
-    assert client_calls[:2] == ["dead_backward", "backward"] and len(client_calls) == 8
+    assert client_calls[:2] == ["dead", "backward"] and len(client_calls) == 8
 
 
 def sliding_window_forward(self, x, weight, bias):

@@ -2,8 +2,9 @@
 
 Every training case here is also compared byte for byte with the plain
 reference loop of `test_differential`, which runs every layer of every
-batch. The counts of `backward` and `dead_backward` calls show which path
-each batch took.
+batch. The counts of `backward` calls and of the screen's dead steps show
+which path each batch took. The dead step's own bytes are compared with
+`backward`'s on the batch.
 """
 
 import warnings
@@ -16,7 +17,7 @@ from fedtrap.attack import run_attack
 from fedtrap.fedsim import ClientConfig, client_train
 from fedtrap.layers import Conv2D, Flatten, Linear, MaxPool2D, ReLU, ShapeError
 from fedtrap.network import Network, conv_net, dense_net, small_conv_net
-from fedtrap.screen import (_CROP_CHUNK, _crop_pass, _crop_plan, _field, dead_screen,
+from fedtrap.screen import (_CROP_CHUNK, Screen, _crop_pass, _crop_plan, _field, dead_screen,
                             extractor_bound)
 from fedtrap.trap import craft_parameters, epsilon_flat_index
 from test_differential import reference_client_train
@@ -41,16 +42,21 @@ def images(net, n, seed):
 
 
 def count_paths(monkeypatch):
-    calls = {"backward": 0, "dead_backward": 0}
+    """Batches that called `backward`, and batches whose gradient the screen gave."""
+    calls = {"backward": 0, "dead": 0}
+    backward, step = Network.backward, Screen.step
 
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
+    def counting_backward(*args, **kwargs):
+        calls["backward"] += 1
+        return backward(*args, **kwargs)
 
-    for name in calls:
-        monkeypatch.setattr(Network, name, counting(name, getattr(Network, name)))
+    def counting_step(*args, **kwargs):
+        dead = step(*args, **kwargs)
+        calls["dead"] += dead is not None
+        return dead
+
+    monkeypatch.setattr(Network, "backward", counting_backward)
+    monkeypatch.setattr(Screen, "step", counting_step)
     return calls
 
 
@@ -177,7 +183,7 @@ def test_an_extractor_that_is_not_conv_relu_blocks_then_flatten_gets_no_screen(
     assert dead_screen(net.with_params(theta), xs) is None
     calls = count_paths(monkeypatch)
     train_both(net, theta, xs, ys, ClientConfig(4, 4, 2))
-    assert calls == {"backward": 8, "dead_backward": 0}
+    assert calls == {"backward": 8, "dead": 0}
 
 
 def test_samples_at_the_certified_threshold_take_the_full_path_whenever_they_fire(
@@ -214,15 +220,15 @@ def test_samples_at_the_certified_threshold_take_the_full_path_whenever_they_fir
         params = theta.copy()
         params[margin] = eps
         screen.epoch(np.array([[0, 1]]))
-        dead = screen.dead(params, params.size, 0)
+        dead = screen.step(params, params.size, 0, ys) is not None
         fires = (second_hidden_input(net, params, xs)[:, 0] > 0).any()
         assert dead == (eps < certified) and not (dead and fires)
         screen.epoch(np.array([[1]]))
-        assert screen.dead(params, params.size, 0)
-        calls.update(backward=0, dead_backward=0)
+        assert screen.step(params, params.size, 0, ys[1:]) is not None
+        calls.update(backward=0, dead=0)
         train_both(net, params, xs, ys, cfg)
-        assert calls == ({"backward": 0, "dead_backward": 3} if dead
-                         else {"backward": 3, "dead_backward": 0})
+        assert calls == ({"backward": 0, "dead": 3} if dead
+                         else {"backward": 3, "dead": 0})
     assert fires  # the sweep ends inside the firing threshold
 
 
@@ -252,7 +258,7 @@ def test_crop_and_full_features_that_differ_are_covered(monkeypatch):
     calls = count_paths(monkeypatch)
     pair = np.array([sample, (sample + 1) % 16])
     train_both(net, theta, xs[pair], ys[pair], ClientConfig(2, 1, 2, lr=1e-9))
-    assert calls == {"backward": 2, "dead_backward": 0}
+    assert calls == {"backward": 2, "dead": 0}
 
 
 @pytest.mark.parametrize("final_bias", [0.0, -0.0], ids=["+0", "-0"])
@@ -272,7 +278,7 @@ def test_a_signed_zero_final_bias_and_zero_row_biases(monkeypatch, final_bias, o
     for opt in ("sgd", "adam"):
         train_both(net, work.params, xs, ys, ClientConfig(4, 4, 2, optimizer=opt))
     dead = other_rows <= 0
-    assert calls == {"backward": 0 if dead else 16, "dead_backward": 16 if dead else 0}
+    assert calls == {"backward": 0 if dead else 16, "dead": 16 if dead else 0}
 
 
 def test_a_margin_moved_by_an_earlier_firing_batch_is_read_again(monkeypatch):
@@ -303,7 +309,89 @@ def test_a_margin_moved_by_an_earlier_firing_batch_is_read_again(monkeypatch):
     calls = count_paths(monkeypatch)
     phi = train_both(net, theta, xs, ys, cfg)
     assert phi[epsilon_flat_index(net)] > 2.6 * epsilon
-    assert calls == {"backward": 2, "dead_backward": 2}  # the target's batch, the twin's
+    assert calls == {"backward": 2, "dead": 2}  # the target's batch, the twin's
+
+
+# -- the dead step ----------------------------------------------------------------
+
+
+def dead_step(net, xs, ys):
+    """The screen's gradient of `xs` as one batch under `net`'s parameters, and
+    where its writes start; the batch must be certified."""
+    screen = dead_screen(net, xs)
+    screen.epoch(np.arange(len(xs))[None])
+    dead = screen.step(net.params, net.params.size, 0, ys)
+    assert dead is not None
+    return dead
+
+
+@pytest.mark.parametrize("final_bias", [None, 0.0, -0.0, "random"],
+                         ids=["crafted", "+0", "-0", "random"])
+@pytest.mark.parametrize("batch", [1, 8, 33])
+def test_the_dead_step_is_backward_when_the_second_hidden_relu_is_zero(batch, final_bias):
+    net = small_conv_net()
+    theta, *_ = trapped(net, seed=5)
+    net = net.with_params(theta)
+    bias = net.views[-1][1]
+    rng = np.random.default_rng(batch)
+    if final_bias == "random":
+        bias[...] = rng.normal(size=bias.shape)
+    elif final_bias is not None:
+        bias[...] = final_bias
+    xs = rng.uniform(-1, 1, size=(batch, *net.input_shape)).astype(np.float32)
+    ys = rng.integers(1, net.num_classes + 1, size=batch)
+    assert (second_hidden_input(net, net.params, xs) <= 0).all()
+    grad, start = dead_step(net, xs, ys)
+    assert start == net.layout.entry(len(net.layers) - 1, "bias").offset
+    assert grad.tobytes() == net.backward(xs, ys).tobytes()
+
+
+@pytest.mark.parametrize("classes", [10, 37, 100])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("scale", [1e-3, 1e-2, 0.1, 1.0, 10.0, 50.0])
+def test_the_dead_steps_softmax_of_one_row_is_backwards_on_random_final_biases(
+        classes, dtype, scale):
+    """The dead step runs the softmax on the one row b3 and repeats it to B
+    rows; `backward` runs it on B rows. Random final biases, some entries +0.0,
+    -0.0 or subnormal, give the same bytes at every batch size drawn, for
+    heads of 10, 37 and 100 classes (CIFAR-100's): the softmax reads the
+    head's width alone, so a small extractor serves them all."""
+    net = small_conv_net(num_classes=classes)
+    theta, *_ = trapped(net, seed=5)
+    net = net.with_params(theta.astype(dtype))
+    bias = net.views[-1][1]
+    rng = np.random.default_rng([7, int(scale * 1000), np.dtype(dtype).itemsize])
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array([0.0, -0.0, tiny, -tiny, 1000 * tiny, -77 * tiny], dtype)
+    for _ in range(60):
+        bias[...] = rng.normal(scale=scale, size=bias.shape)
+        picked = rng.random(bias.shape) < 0.3
+        bias[picked] = rng.choice(specials, size=int(picked.sum()))
+        batch = int(rng.integers(1, 34))
+        xs = rng.uniform(-1, 1, size=(batch, *net.input_shape)).astype(dtype)
+        ys = rng.integers(1, classes + 1, size=batch)
+        grad, _ = dead_step(net, xs, ys)
+        assert grad.tobytes() == net.backward(xs, ys).tobytes()
+
+
+def test_a_dead_step_takes_labels_checked_once_per_call(monkeypatch):
+    """The dead step checks no labels: `client_train` checks them once, so a
+    call whose every batch is dead raises before its first step."""
+    net = small_conv_net()
+    theta, *_ = trapped(net, seed=5)
+    rng = np.random.default_rng(6)
+    xs = rng.uniform(-1, 1, size=(8, *net.input_shape)).astype(np.float32)
+    cfg = ClientConfig(2, 4, 2)
+    calls = count_paths(monkeypatch)
+    client_train(net, theta, xs, np.ones(8, dtype=np.int64), cfg)
+    assert calls == {"backward": 0, "dead": 8}
+    calls.update(backward=0, dead=0)
+    for bad in (0, net.num_classes + 1):
+        ys = np.ones(8, dtype=np.int64)
+        ys[5] = bad
+        with pytest.raises(ValueError, match="labels must lie in"):
+            client_train(net, theta, xs, ys, cfg)
+    assert calls == {"backward": 0, "dead": 0}
 
 
 # -- refinement with every matched column ---------------------------------------
@@ -325,7 +413,7 @@ def test_a_sample_near_the_trap_on_the_first_column_only_is_certified_after_refi
     assert bound[0] >= -epsilon and (bound[1:] < -epsilon).all()
     calls = count_paths(monkeypatch)
     train_both(net, theta, xs, ys, ClientConfig(2, 4, 2))
-    assert calls == {"backward": 0, "dead_backward": 8}
+    assert calls == {"backward": 0, "dead": 8}
 
 
 def test_a_sample_near_the_trap_on_every_column_stays_live(monkeypatch):
@@ -342,7 +430,7 @@ def test_a_sample_near_the_trap_on_every_column_stays_live(monkeypatch):
     first = int(np.argmax(np.random.default_rng(cfg.shuffle_seed).permutation(8) == 0)) // 2
     calls = count_paths(monkeypatch)
     phi = train_both(net, theta, xs, ys, cfg)
-    assert calls == {"backward": 8 - first, "dead_backward": first}
+    assert calls == {"backward": 8 - first, "dead": first}
     assert phi[net.extractor_params].tobytes() != theta[net.extractor_params].tobytes()
 
 
@@ -371,7 +459,7 @@ def test_refinement_crops_only_the_samples_left_uncertified(monkeypatch):
     rows = count_crop_rows(monkeypatch)
     train_both(net, theta, xs, ys, cfg)
     assert rows == [16, 2 * 4]
-    assert calls == {"backward": 0, "dead_backward": 8}
+    assert calls == {"backward": 0, "dead": 8}
 
 
 def test_a_refined_sample_goes_back_to_backward_when_the_margin_rises_past_its_bound(
@@ -415,7 +503,7 @@ def test_a_refined_sample_goes_back_to_backward_when_the_margin_rises_past_its_b
     rows = count_crop_rows(monkeypatch)
     phi = train_both(net, theta, xs, ys, cfg)
     assert phi[epsilon_flat_index(net)] > 2.6 * epsilon
-    assert calls == {"backward": 2, "dead_backward": 2}  # the target's batch, the twin's
+    assert calls == {"backward": 2, "dead": 2}  # the target's batch, the twin's
     assert len(columns) == 4 and rows == [16, 3 * 4]  # one batch: 3 samples' 4 crops
 
 
@@ -433,16 +521,16 @@ def test_a_refined_sample_keeps_its_one_column_bound_where_that_is_lower(monkeyp
     assert 0 < one < every
     params = theta.copy()
     screen.epoch(np.array([[0]]))
-    assert not screen.dead(params, params.size, 0)
+    assert screen.step(params, params.size, 0, ys[:1]) is None
     assert screen.refined[0]
     margin = epsilon_flat_index(net)
     params[margin] = -np.float32((one + every) / 2)
     assert one < -params[margin] <= every
-    assert screen.dead(params, params.size, 0)
+    assert screen.step(params, params.size, 0, ys[:1]) is not None
     assert second_hidden_input(net, params, xs[:1])[0, 0] <= 0
     calls = count_paths(monkeypatch)
     train_both(net, params, xs, ys, ClientConfig(2, 2, 1))
-    assert calls == {"backward": 0, "dead_backward": 2}
+    assert calls == {"backward": 0, "dead": 2}
 
 
 def test_a_unit_reading_the_first_column_and_another_is_left_out_of_the_bound(monkeypatch):
@@ -467,7 +555,7 @@ def test_a_unit_reading_the_first_column_and_another_is_left_out_of_the_bound(mo
     assert screen.refine(every).tobytes() == without.refine(every).tobytes()
     calls = count_paths(monkeypatch)
     train_both(net, work.params, xs, ys, ClientConfig(4, 4, 2))
-    assert calls == {"backward": 0, "dead_backward": 8}
+    assert calls == {"backward": 0, "dead": 8}
 
 
 # -- where the screen stays off ----------------------------------------------------
@@ -488,7 +576,7 @@ def test_a_live_network_and_a_positive_live_row_weight_leave_the_screen_off(monk
     assert dead_screen(work, xs) is None
     calls = count_paths(monkeypatch)
     train_both(net, work.params, xs, ys, ClientConfig(4, 4, 2))
-    assert calls == {"backward": 8, "dead_backward": 0}
+    assert calls == {"backward": 8, "dead": 0}
 
 
 @pytest.mark.parametrize("pixel", [np.nan, np.inf, -np.inf])
@@ -543,7 +631,7 @@ def test_a_one_step_call_builds_no_screen(monkeypatch):
     xs, ys = images(net, 8, seed=17)
     calls = count_paths(monkeypatch)
     train_both(net, theta, xs, ys, ClientConfig(8, 1, 1))
-    assert calls == {"backward": 1, "dead_backward": 0}
+    assert calls == {"backward": 1, "dead": 0}
 
 
 @pytest.mark.parametrize("shape", [(2, 14, 14), (1, 16, 16), (196,)], ids=["channels", "wider", "flat"])
