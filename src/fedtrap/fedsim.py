@@ -22,13 +22,13 @@ write in place, on views of the client's own buffers.
 
 Each batch makes one decision: the dead screen's gradient or
 `Network.backward`. A call with more than one step first builds a dead
-screen (`fedtrap.screen`). It proves, without computing the features,
-that a batch leaves the head's second hidden ReLU zero under the
-current parameters, and then computes that batch's gradient itself
-(`Screen.step`): it runs no layer, writes only the final bias and says
-where its writes start, so only that slice is scanned for written
-bytes. It checks no label, so the labels are checked once per call,
-before the first step.
+screen (`fedtrap.screen`). It proves for each sample, without computing
+the features, that the sample leaves the head's second hidden ReLU zero,
+and `Screen.step` certifies a batch from its rows' proofs under the
+current parameters, then computes its gradient: it runs no layer,
+writes only the final bias and says where its writes start, so only
+that slice is scanned for written bytes. It checks no label, so the
+labels are checked once per call, before the first step.
 Any other batch calls `backward`, which runs the whole network. Under
 a planted trap that leaves only the batches that may fire it: those
 holding a sample whose whole ℓ1 sum over the matched features may come
@@ -91,8 +91,6 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
     if n != cfg.num_samples:
         raise ValueError(f"dataset size {n} != batch_size*num_batches "
                          f"({cfg.batch_size}*{cfg.num_batches})")
-    if len(ys) != n:
-        raise ValueError("image/label counts differ")
     ys = net._check_labels(ys, n)  # once: a dead step does not check them
     work = net.with_params(np.asarray(theta, dtype=net.dtype))
     params = work.params
@@ -104,11 +102,8 @@ def client_train(net: Network, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray
     screen = dead_screen(work, xs) if cfg.num_batches * cfg.epochs > 1 else None
     rng = np.random.default_rng(cfg.shuffle_seed)
     for _ in range(cfg.epochs):
-        batches = rng.permutation(n).reshape(cfg.num_batches, cfg.batch_size)
-        if screen is not None:
-            screen.epoch(batches)
-        for j, sel in enumerate(batches):
-            dead = screen.step(params, lo, j, ys[sel]) if screen is not None else None
+        for sel in rng.permutation(n).reshape(cfg.num_batches, cfg.batch_size):
+            dead = screen.step(params, lo, sel, ys[sel]) if screen is not None else None
             grad, start = dead or (work.backward(xs[sel], ys[sel]), 0)
             written = np.flatnonzero(grad[start:lo].view(bits) != 0)
             if written.size:

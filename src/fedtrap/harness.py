@@ -218,6 +218,8 @@ def mann_whitney_auc(member_deltas: np.ndarray, nonmember_deltas: np.ndarray) ->
     """P(member delta > non-member delta) + half credit for ties."""
     pos = np.asarray(member_deltas, dtype=np.float64)[:, None]
     neg = np.asarray(nonmember_deltas, dtype=np.float64)[None, :]
+    if not (pos.size and neg.size):
+        raise ValueError("AUC needs at least one member and one non-member delta")
     if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
         raise ValueError("AUC needs finite deltas")
     wins = np.sum(pos > neg) + 0.5 * np.sum(pos == neg)
@@ -230,8 +232,6 @@ def compute_metrics(records: list[RunRecord]) -> MetricsReport:
     deltas = np.array([r.delta for r in records])
     positives = int((t == 1).sum())
     negatives = int((t == 0).sum())
-    if positives == 0 or negatives == 0:
-        raise ValueError("AUC needs at least one member and one non-member record")
     fp = int(((t == 0) & (t_hat == 1)).sum())
     fn = int(((t == 1) & (t_hat == 0)).sum())
     auc = mann_whitney_auc(deltas[t == 1], deltas[t == 0])

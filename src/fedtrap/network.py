@@ -173,18 +173,17 @@ class Network:
                              f"or is empty")
         return x
 
-    def _run(self, h: np.ndarray, stop: int, keep_caches: bool):
+    def _run(self, h: np.ndarray, stop: int):
         """Run layers 0..stop-1 on h; caches[i] belongs to layer i."""
-        caches = [] if keep_caches else None
+        caches = []
         for layer, views in zip(self.layers[:stop], self.views[:stop]):
             h, cache = layer.forward(h, *views)
-            if keep_caches:
-                caches.append(cache)
+            caches.append(cache)
         return h, caches
 
     def forward_features(self, x: np.ndarray) -> np.ndarray:
         """Flattened split activations, (n, feature_width); the inputs if split is 0."""
-        return self._run(self._as_batch(x), self.split_index, keep_caches=False)[0]
+        return self._run(self._as_batch(x), self.split_index)[0]
 
     # -- loss and gradients ----------------------------------------------
 
@@ -202,14 +201,14 @@ class Network:
         """Softmax cross-entropy, mean over the batch; log-sum-exp is max-shifted."""
         xs = self._as_batch(x)
         ys = self._check_labels(y, len(xs))
-        logits, _ = self._run(xs, len(self.layers), keep_caches=False)
+        logits, _ = self._run(xs, len(self.layers))
         return float(np.mean(_cross_entropy(logits, ys)))
 
     def backward(self, x: np.ndarray, y) -> np.ndarray:
         """Flat gradient of the mean cross-entropy over the batch."""
         xs = self._as_batch(x)
         ys = self._check_labels(y, len(xs))
-        logits, caches = self._run(xs, len(self.layers), keep_caches=True)
+        logits, caches = self._run(xs, len(self.layers))
         d = _softmax(logits)
         d[np.arange(len(ys)), ys - 1] -= 1.0
         grad = np.zeros(self.layout.total, dtype=self.dtype)

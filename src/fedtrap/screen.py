@@ -9,10 +9,9 @@ this for each sample once per client call from one feature column,
 computed for every sample through that column's receptive field instead
 of through the whole extractor. The crop pass computes it in its own
 arithmetic, not the full forward's (item 1).
-`Screen.step` then decides a batch from the current b2, which the
-target's firing and Adam's momentum both move; it keeps each epoch's
-per-batch maxima of the bounds, so a batch costs one comparison, and it
-computes a certified batch's gradient itself (the last paragraph). When
+`Screen.step` then decides a batch from its samples' bounds and the
+current b2, which the target's firing and Adam's momentum both move,
+and computes a certified batch's gradient itself (the last paragraph). When
 a batch is not certified, `Screen.step` first refines, once each, every
 sample of the call that the current b2 leaves uncertified and that was
 not refined before: the crops of every column that the units U below
@@ -35,16 +34,18 @@ Everything else is read from the parameters, never from a `TrapSpec`:
   reads several columns, or none, is left out of every sum (item 4);
 - j is the column that U's first unit reads, and U_j ⊆ U the units of
   U that read j;
-- U is not empty, the head is finite, every pixel is finite, and the
-  bounds below stay far from the dtype's overflow.
+- U is not empty, every other row's bias is at most 0, the head and
+  every pixel are finite, and the bounds below stay far from overflow.
 
 Anything else gives no screen, and every batch calls `backward`. The
 bound is proved for the parameters below b2's offset, which a step has
 not written while the client's written suffix `lo` starts at or above
-it (`Screen.stop`). The crop pass reads copies of the extractor's
-parameters, made when the screen is built, and refinement runs only
-while the bound holds, so the parameters it computes from are the
-current ones.
+it (`Screen.stop`). Nothing below `lo` has changed since the screen was
+built, so a step reads again only b2's live row, the finiteness of
+`params[lo:]` and, while `lo` is below the final bias, b2's other rows.
+The crop pass reads copies of the extractor's parameters, made when the
+screen is built, and refinement runs only while the bound holds, so the
+parameters it computes from are the current ones.
 
 The certificate. u is the unit roundoff of the network's dtype, τ its
 smallest subnormal, and γ_K = Ku/(1 - Ku). A K-term dot product plus a
@@ -121,8 +122,8 @@ blocking, with or without FMA), is within γ_{K+1}(Σ|w||x| + |b|) +
    covers P_u's own rounding. F, E and the overflow checks are sums and
    products of non-negative numbers, so each is multiplied by
    1 + 2γ64_n for the n roundings on its longest path. The comparison
-   bound < -b2_r is exact: b2 widens to float64 exactly, and it is read
-   again for every batch.
+   bound < -b2_r is exact: b2 widens to float64 exactly, and b2_r is
+   read again for every batch.
 
 The dead step. With the second hidden ReLU zero, the logits are 0 + b3
 in every row (the product with the final weight accumulates from +0.0),
@@ -132,9 +133,9 @@ computes the softmax on the one row 0 + b3, through `backward`'s own
 row reads that row alone. The final weight's gradient d.T @ 0 is +0.0
 and the ReLU stops `backward`'s loop, so the final bias gets d.sum(0) / B,
 summed over the B rows as `backward` sums them, and every other entry
-+0.0. The final weight is read only through 0 + b3, so `Screen.step`
-also requires b2, the final weight and the final bias to be finite in
-the current parameters.
++0.0. The final weight is read only through 0 + b3, so it and b3 must
+be finite: the finiteness read of `params[lo:]` covers what a step can
+have written.
 """
 
 from __future__ import annotations
@@ -165,35 +166,29 @@ class Screen:
     grad: np.ndarray     # the dead steps' gradient: +0.0 outside `final`
     refine: Callable[[np.ndarray], np.ndarray]  # samples -> their all-column bound
     refined: np.ndarray  # (n,) bool: the sample's bound already had the all-column one
-    batches: np.ndarray | None = None  # (J, B): the current epoch's batches
-    maxima: np.ndarray | None = None   # (J,): bound's maximum over each of them
 
-    def epoch(self, batches: np.ndarray) -> None:
-        """Start an epoch whose batch j is the samples `batches[j]`."""
-        self.batches = batches
-        self.maxima = self.bound[batches].max(axis=1)
-
-    def step(self, params: np.ndarray, lo: int, batch: int,
+    def step(self, params: np.ndarray, lo: int, rows: np.ndarray,
              ys: np.ndarray) -> tuple[np.ndarray, int] | None:
-        """`backward`'s gradient of the current epoch's batch `batch`, with
-        labels `ys`, and the index its writes start at, if the batch is
-        certified dead under the current `params`, whose written suffix starts
-        at `lo`; None if it is not. A batch that is not first refines every
-        sample of the call still uncertified under the current b2. `ys` must
-        be labels that `Network._check_labels` returned: nothing here checks
-        them. The gradient is the screen's one buffer, whose final bias each
-        dead step rewrites."""
-        if not (lo >= self.stop and (params[self.others] <= 0).all()
-                and np.isfinite(params[self.stop:]).all()):
+        """`backward`'s gradient of the batch of samples `rows`, with labels
+        `ys`, and the index its writes start at, if the batch is certified dead
+        under the current `params`, whose written suffix starts at `lo`; None
+        if it is not. A batch that is not first refines every sample of the
+        call still uncertified under the current b2. b2's live row is read
+        from `params` on every step; every other entry below `lo` must be as
+        the screen was built on it. `ys` must be labels that
+        `Network._check_labels` returned: nothing here checks them. The
+        gradient is the screen's one buffer, whose final bias each dead step
+        rewrites."""
+        if not (lo >= self.stop and np.isfinite(params[lo:]).all()
+                and (lo >= self.final.start or (params[self.others] <= 0).all())):
             return None
         threshold = -params[self.row]
-        if not self.maxima[batch] < threshold:
+        if not self.bound[rows].max() < threshold:
             fresh = np.flatnonzero(~self.refined & (self.bound >= threshold))
             if fresh.size:
                 self.refined[fresh] = True
                 self.bound[fresh] = np.minimum(self.bound[fresh], self.refine(fresh))
-                self.maxima = self.bound[self.batches].max(axis=1)
-            if not self.maxima[batch] < threshold:
+            if not self.bound[rows].max() < threshold:
                 return None
         b3 = params[self.final]
         d = np.repeat(_softmax(np.zeros((1, len(b3)), b3.dtype) + b3), len(ys), axis=0)
@@ -234,7 +229,7 @@ def dead_screen(net: Network, xs: np.ndarray) -> Screen | None:
     unwritten."""
     xs = net._as_batch(xs)
     i1, i2, i3 = net.head_linear_indices()
-    (w1, b1), (w2, _) = net.views[i1], net.views[i2]
+    (w1, b1), (w2, b2) = net.views[i1], net.views[i2]
     live = np.flatnonzero((w2 != 0).any(axis=1))
     if len(live) != 1 or (w2[live[0]] > 0).any():
         return None
@@ -243,7 +238,7 @@ def dead_screen(net: Network, xs: np.ndarray) -> Screen | None:
     single = units[(w1[units] != 0).sum(axis=1) == 1]  # U
     columns, position = np.unique(np.argmax(w1[single] != 0, axis=1), return_inverse=True)
     plan = _crop_plan(net)
-    if (plan is None or not len(columns)
+    if (plan is None or not len(columns) or (np.delete(b2, row) > 0).any()
             or not np.isfinite(net.params[net.extractor_params.stop:]).all()):
         return None
     fields = [_field(plan, j) for j in columns]
@@ -280,9 +275,9 @@ def dead_screen(net: Network, xs: np.ndarray) -> Screen | None:
 
     first = position == position[0]  # U_j: the units of U that read j
     bound = certificate(single[first], _crop_pass(plan, xs, [fields[position[0]]]))
-    b2 = net.layout.entry(i2, "bias")
-    flat = np.arange(b2.offset, b2.stop)
-    return Screen(bound=bound, row=int(flat[row]), others=np.delete(flat, row), stop=b2.offset,
+    entry = net.layout.entry(i2, "bias")
+    flat = np.arange(entry.offset, entry.stop)
+    return Screen(bound=bound, row=int(flat[row]), others=np.delete(flat, row), stop=entry.offset,
                   final=net.layout.slice_of(i3, "bias"), grad=np.zeros_like(net.params),
                   refine=refine, refined=np.zeros(len(xs), dtype=bool))
 

@@ -80,7 +80,7 @@ def sample_checkable_case(seed: int):
         xs = rng.normal(size=(CASE_BATCH, *net.input_shape))
         ys = rng.integers(1, net.num_classes + 1, size=CASE_BATCH)
         # a ReLU's and a MaxPool2D's forward cache is the layer's input
-        _, caches = net._run(xs, len(net.layers), keep_caches=True)
+        _, caches = net._run(xs, len(net.layers))
         for layer, x in zip(net.layers, caches):
             if isinstance(layer, ReLU) and np.abs(x).min() < KINK_MARGIN:
                 break

@@ -22,7 +22,7 @@ def test_client_train_rejects_size_mismatch():
     with pytest.raises(ValueError, match="dataset size"):
         client_train(net, net.params, xs, ys, cfg)
     xs, ys = make_batch(rng, 8)
-    with pytest.raises(ValueError, match="image/label counts differ"):
+    with pytest.raises(ValueError, match="batch and label counts differ"):
         client_train(net, net.params, xs, ys[:7], cfg)
 
 

@@ -67,6 +67,16 @@ def test_auc_rejects_non_finite_deltas(members, nonmembers):
         mann_whitney_auc(members, nonmembers)
 
 
+@pytest.mark.parametrize("flags", [[1, 1], [0, 0], []])
+def test_auc_and_metrics_reject_a_side_with_no_delta(flags):
+    members = [1.0 for t in flags if t]
+    nonmembers = [1.0 for t in flags if not t]
+    with pytest.raises(ValueError, match="one member and one non-member"):
+        mann_whitney_auc(members, nonmembers)
+    with pytest.raises(ValueError, match="one member and one non-member"):
+        compute_metrics([record(i, t, 1.0, t) for i, t in enumerate(flags)])
+
+
 def test_auc_matches_sklearn_on_random_records():
     sklearn_metrics = pytest.importorskip("sklearn.metrics")
     rng = np.random.default_rng(5)

@@ -28,7 +28,7 @@ def test_dead_network_hidden_activations_all_minus_one():
     net = small_conv_net(dtype=np.float64)
     init_dead(net)
     x = np.random.default_rng(0).uniform(-1, 1, size=(2, 1, 14, 14))
-    _, caches = net._run(x, len(net.layers), keep_caches=True)
+    _, caches = net._run(x, len(net.layers))
     relu_inputs = [c for layer, c in zip(net.layers, caches) if isinstance(layer, ReLU)]
     assert len(relu_inputs) == 4
     for pre in relu_inputs:

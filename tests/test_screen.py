@@ -102,7 +102,7 @@ def moved_trap(net, theta, x, deviations):
 def second_hidden_input(net, params, xs):
     """The full forward's second hidden pre-activations, (n, hidden[1])."""
     work = net.with_params(params)
-    _, caches = work._run(np.asarray(xs, dtype=net.dtype), len(net.layers), keep_caches=True)
+    _, caches = work._run(np.asarray(xs, dtype=net.dtype), len(net.layers))
     return caches[net.head_linear_indices()[1] + 1]  # a ReLU's cache is its input
 
 
@@ -136,7 +136,7 @@ def test_every_crop_feature_is_within_the_bound_of_the_full_feature(build):
     fields = [_field(plan, column) for column in range(net.feature_width)]
     layers = np.empty_like(full)
     for column, (box, channel) in enumerate(fields):
-        crop, _ = net._run(xs[(slice(None), *box)], net.split_index, keep_caches=False)
+        crop, _ = net._run(xs[(slice(None), *box)], net.split_index)
         assert crop.shape[1] == plan.shape[0]  # one cell of every channel
         layers[:, column] = crop[:, channel]
     assert (np.abs(layers - full) <= 2 * error).all()
@@ -219,12 +219,10 @@ def test_samples_at_the_certified_threshold_take_the_full_path_whenever_they_fir
     for eps in around(certified) + around(deviation):
         params = theta.copy()
         params[margin] = eps
-        screen.epoch(np.array([[0, 1]]))
-        dead = screen.step(params, params.size, 0, ys) is not None
+        dead = screen.step(params, params.size, np.array([0, 1]), ys) is not None
         fires = (second_hidden_input(net, params, xs)[:, 0] > 0).any()
         assert dead == (eps < certified) and not (dead and fires)
-        screen.epoch(np.array([[1]]))
-        assert screen.step(params, params.size, 0, ys[1:]) is not None
+        assert screen.step(params, params.size, np.array([1]), ys[1:]) is not None
         calls.update(backward=0, dead=0)
         train_both(net, params, xs, ys, cfg)
         assert calls == ({"backward": 0, "dead": 3} if dead
@@ -267,18 +265,46 @@ def test_crop_and_full_features_that_differ_are_covered(monkeypatch):
 def test_a_signed_zero_final_bias_and_zero_row_biases(monkeypatch, final_bias, other_rows):
     """A final bias of exactly +0.0 or -0.0 gives `backward`'s bytes from the dead
     step. The rows with no weight may have a bias of exactly ±0.0 and stay zero;
-    one positive subnormal bias makes them live, and every batch takes `backward`."""
+    one positive subnormal bias makes them live: no screen is built, and every
+    batch takes `backward`."""
     net = small_conv_net()
     theta, *_ = trapped(net, seed=5)
     work = net.with_params(theta)
     work.views[len(net.layers) - 1][1][...] = final_bias
     work.views[net.head_linear_indices()[1]][1][1:] = other_rows
     xs, ys = images(net, 16, seed=5)
+    assert (dead_screen(work, xs) is None) == (other_rows > 0)
     calls = count_paths(monkeypatch)
     for opt in ("sgd", "adam"):
         train_both(net, work.params, xs, ys, ClientConfig(4, 4, 2, optimizer=opt))
     dead = other_rows <= 0
     assert calls == {"backward": 0 if dead else 16, "dead": 16 if dead else 0}
+
+
+@pytest.mark.parametrize("written", ["final bias", "final weight", "other row"])
+def test_a_step_reads_again_what_the_written_suffix_can_hold(written):
+    """A step reads again `params[lo:]` and, while `lo` is below the final bias,
+    b2's other rows: an infinite final bias under `lo` at the final bias, or
+    an infinite final weight or a positive subnormal bias on another row under
+    `lo` at b2's offset, refuses a batch that is otherwise certified."""
+    net = small_conv_net()
+    theta, *_ = trapped(net, seed=5)
+    xs, ys = images(net, 8, seed=5)
+    screen = dead_screen(net.with_params(theta), xs)
+    rows = np.arange(len(xs))
+    for lo in (screen.final.start, screen.stop):
+        assert screen.step(theta, lo, rows, ys) is not None
+    params = theta.copy()
+    if written == "final bias":
+        lo = screen.final.start
+        params[lo + 3] = np.inf
+    elif written == "final weight":
+        lo = screen.stop
+        params[net.layout.entry(len(net.layers) - 1, "weight").offset + 5] = np.inf
+    else:
+        lo = screen.stop
+        params[screen.others[0]] = np.float32(1e-45)
+    assert screen.step(params, lo, rows, ys) is None
 
 
 def test_a_margin_moved_by_an_earlier_firing_batch_is_read_again(monkeypatch):
@@ -318,9 +344,7 @@ def test_a_margin_moved_by_an_earlier_firing_batch_is_read_again(monkeypatch):
 def dead_step(net, xs, ys):
     """The screen's gradient of `xs` as one batch under `net`'s parameters, and
     where its writes start; the batch must be certified."""
-    screen = dead_screen(net, xs)
-    screen.epoch(np.arange(len(xs))[None])
-    dead = screen.step(net.params, net.params.size, 0, ys)
+    dead = dead_screen(net, xs).step(net.params, net.params.size, np.arange(len(xs)), ys)
     assert dead is not None
     return dead
 
@@ -520,13 +544,12 @@ def test_a_refined_sample_keeps_its_one_column_bound_where_that_is_lower(monkeyp
     one, every = screen.bound[0], screen.refine(np.array([0]))[0]
     assert 0 < one < every
     params = theta.copy()
-    screen.epoch(np.array([[0]]))
-    assert screen.step(params, params.size, 0, ys[:1]) is None
+    assert screen.step(params, params.size, np.array([0]), ys[:1]) is None
     assert screen.refined[0]
     margin = epsilon_flat_index(net)
     params[margin] = -np.float32((one + every) / 2)
     assert one < -params[margin] <= every
-    assert screen.step(params, params.size, 0, ys[:1]) is not None
+    assert screen.step(params, params.size, np.array([0]), ys[:1]) is not None
     assert second_hidden_input(net, params, xs[:1])[0, 0] <= 0
     calls = count_paths(monkeypatch)
     train_both(net, params, xs, ys, ClientConfig(2, 2, 1))
